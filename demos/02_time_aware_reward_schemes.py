@@ -35,7 +35,7 @@ for gamma in (0.0, 0.5, 1.0, 2.0):
 
 print("\nsynergy dividends of the base game:")
 for coalition, dividend in tr.harsanyi_dividends(game).items():
-    print(f"  d({coalition.key() or 'empty':5s}) = {dividend}")
+    print(f"  d({coalition.key() or 'empty':5s}) = {round(dividend, 12)}")
 
 print("\n--- scaling so the best party at t=0 gets the full-model value ---")
 zero = tr.TimeVector.of((0, 0))
@@ -43,7 +43,7 @@ scaled = tr.scale_rewards(game, tr.reward_cumulation(game, zero, 1.0))
 print("rho:", scaled.rho, " scaled rewards:", scaled.scaled)
 print("weak efficiency:", tr.check_weak_efficiency(game, scaled))
 
-print("\nthe single-game reduction gives identical cumulation rewards:")
+print("\nreward_cumulation_via_linearity is an alias of reward_cumulation:")
 a = tr.reward_cumulation(game, times, 2.0).rewards
 b = tr.reward_cumulation_via_linearity(game, times, 2.0).rewards
 print("max difference:", np.max(np.abs(a - b)))

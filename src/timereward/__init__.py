@@ -45,7 +45,6 @@ from .rewards import (
     scale_rewards,
     time_aware_game,
     time_aware_value,
-    time_aware_value_from_dividends,
 )
 from .incentives import (
     IncentiveReport,

@@ -8,6 +8,7 @@ set means party i is a member.  Full tables are limited to n <= 24
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -119,6 +120,12 @@ class Coalition:
         return party in self.members
 
 
+def _require_finite(values: np.ndarray):
+    if not np.all(np.isfinite(values)):
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise ValueError(f"coalition value {values[bad]} at mask {bad} is not finite")
+
+
 class Game:
     """An n-party coalition valuation with a memoised oracle.
 
@@ -148,6 +155,7 @@ class Game:
             if len(table) != 1 << n:
                 raise ValueError("table length must be 2**n")
             arr = np.ascontiguousarray(table, dtype=float)
+            _require_finite(arr)
             arr.flags.writeable = False
             self._table = arr
 
@@ -184,8 +192,8 @@ class Game:
         """Full value table indexed by bitmask (read-only).
 
         Materialises lazily for oracle-backed games; raises TooLarge above
-        the exact-enumeration ceiling and MissingCoalition for partial
-        table games.
+        the exact-enumeration ceiling, MissingCoalition for partial
+        table games and ValueError for non-finite values.
         """
         if self._table is None:
             if self.n > MAX_EXACT_PARTIES:
@@ -194,6 +202,7 @@ class Game:
             arr[0] = 0.0
             for mask in range(1, 1 << self.n):
                 arr[mask] = self.value_mask(mask)
+            _require_finite(arr)
             arr.flags.writeable = False
             self._table = arr
         return self._table
@@ -221,6 +230,8 @@ def make_table_game(
     for key, val in values.items():
         coalition = Coalition.from_key(key, n)
         val = float(val)
+        if not math.isfinite(val):
+            raise ValueError(f"coalition {key!r} has non-finite value {val}")
         if coalition.mask == 0 and val != 0.0:
             raise InvalidCoalitionKey("empty coalition must have value 0")
         by_mask[coalition.mask] = val
@@ -259,19 +270,41 @@ def restrict_game(game: Game, members: Iterable[int]) -> tuple[Game, tuple[int, 
     return Game(len(members), oracle, superadditive=game.declared_superadditive), members
 
 
+def _bit_pairs(table: np.ndarray):
+    """Yield, for each party bit, views (without, with) of a 2**n table.
+
+    ``with_bit[j]`` is the entry whose mask is ``without_bit[j]``'s mask
+    plus that bit, so one in-place update per bit gives a subset
+    transform (Yates' butterfly).
+    """
+    n = len(table).bit_length() - 1
+    if len(table) != 1 << n:
+        raise ValueError("length must be a power of two")
+    for i in range(n):
+        pairs = table.reshape(-1, 2, 1 << i)
+        yield pairs[:, 0, :], pairs[:, 1, :]
+
+
 def subset_sums(addends: np.ndarray) -> np.ndarray:
     """For per-dividend values d indexed by mask, return sums over subsets.
 
     out[mask] = sum of d[T] over T subset of mask (the zeta transform).
     """
     out = np.array(addends, dtype=float)
-    n = int(np.log2(len(out)))
-    if 1 << n != len(out):
-        raise ValueError("length must be a power of two")
-    for i in range(n):
-        bit = 1 << i
-        has = (np.arange(len(out)) & bit).astype(bool)
-        out[has] += out[np.arange(len(out))[has] ^ bit]
+    for without_bit, with_bit in _bit_pairs(out):
+        with_bit += without_bit
+    return out
+
+
+def subset_differences(values: np.ndarray) -> np.ndarray:
+    """Inverse of subset_sums: the Harsanyi dividends of a value table.
+
+    out[mask] = sum of (-1)**|mask - T| * v[T] over T subset of mask
+    (the Moebius transform), so subset_sums(out) recovers the values.
+    """
+    out = np.array(values, dtype=float)
+    for without_bit, with_bit in _bit_pairs(out):
+        with_bit -= without_bit
     return out
 
 

@@ -1,12 +1,21 @@
 """Time-aware reward schemes: interval cumulation and time-aware valuation.
 
 Both schemes require a non-negative, superadditive game (checked
-enumeratively and memoised on the game).  Interval cumulation evaluates
-a per-interval Shapley value on the restriction of the game to the
-parties present and combines the intervals with normalized geometric
-weights.  Time-aware valuation discounts each coalition's synergy
-dividend by the cooperative ability exp(-gamma * t) of its latest
-member, then rewards with the Shapley value of the modified game.
+enumeratively and memoised on the game).  Both are the one formula of
+``shapley``: every multi-member coalition T splits its Harsanyi dividend
+d(T) equally among its members, discounted by a function D of the joining
+time t_T of its latest member, and each party keeps its solo value:
+
+    r_i = v({i}) + sum over T containing i, |T| >= 2, of d(T) / |T| * D(t_T)
+
+* Interval cumulation: D(s) = sum of the normalized geometric interval
+  weights w(tau) over tau >= s.  This equals blending, with weights
+  w(tau), the Shapley values of the game restricted to the parties
+  present at each interval tau.
+* Time-aware valuation: D(s) = exp(-gamma * s), the cooperative ability
+  of the latest member.  This equals the Shapley value of the time-aware
+  game, whose values sum the discounted dividends over subsets.
+* Per-interval values: row tau uses D(s) = 1 if s <= tau, else 0.
 """
 
 from __future__ import annotations
@@ -21,9 +30,10 @@ from .games import (
     RewardVector,
     TimeVector,
     check_axioms,
-    restrict_game,
+    subset_differences,
+    subset_sums,
 )
-from .shapley import shapley_exact
+from .shapley import _coalition_layout, _dividend_shares, shapley_exact
 
 __all__ = [
     "interval_weights",
@@ -32,7 +42,6 @@ __all__ = [
     "reward_cumulation_via_linearity",
     "harsanyi_dividends",
     "time_aware_value",
-    "time_aware_value_from_dividends",
     "time_aware_game",
     "reward_time_valuation",
     "scale_rewards",
@@ -75,39 +84,20 @@ def interval_weights(times: TimeVector, beta: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _presence_masks(times: TimeVector) -> list[int]:
-    """Bitmask of parties present at each interval 0..T."""
-    horizon = times.max_time
-    return [
-        sum(1 << i for i, t in enumerate(times.times) if t <= tau)
-        for tau in range(horizon + 1)
-    ]
-
-
 def interval_shapley_values(game: Game, times: TimeVector) -> np.ndarray:
     """Per-interval Shapley values, shape (T+1, n).
 
     Row tau holds each party's Shapley value in the game restricted to
     the parties present at interval tau; parties not yet present stand
-    in with their solo value.
+    in with their solo value.  Row tau adds to the solo values the
+    dividend shares of every coalition complete by tau.
     """
     _validate_inputs(game, times)
+    u, shares = _dividend_shares(game, times)
     singles = game.singleton_values()
-    rows = []
-    phi_cache: dict[int, np.ndarray] = {}
-    for n_mask in _presence_masks(times):
-        phi_vec = phi_cache.get(n_mask)
-        if phi_vec is None:
-            phi_vec = singles.copy()
-            if n_mask:
-                members = [i + 1 for i in range(game.n) if n_mask >> i & 1]
-                sub, original = restrict_game(game, members)
-                sub_phi = shapley_exact(sub).values
-                for j, party in enumerate(original):
-                    phi_vec[party - 1] = sub_phi[j]
-            phi_cache[n_mask] = phi_vec
-        rows.append(phi_vec)
-    return np.array(rows)
+    cumulative = np.vstack([singles, singles + np.cumsum(shares, axis=1).T])
+    present = np.searchsorted(u, np.arange(times.max_time + 1), side="right")
+    return cumulative[present]
 
 
 def reward_cumulation(game: Game, times: TimeVector, beta: float) -> RewardVector:
@@ -115,74 +105,34 @@ def reward_cumulation(game: Game, times: TimeVector, beta: float) -> RewardVecto
 
     Each interval is treated as a separate collaboration among the
     parties present; the geometric weights trade off early against late
-    intervals.  Requires a non-negative superadditive game.
+    intervals.  A coalition completed at time s is credited in every
+    interval from s on, so its dividend is discounted by the weight tail
+    sum_{tau >= s} w(tau).  Requires a non-negative superadditive game.
     """
     _validate_inputs(game, times)
     _require_axioms(game)
     weights = interval_weights(times, beta)
-    per_interval = interval_shapley_values(game, times)
-    return RewardVector(weights @ per_interval)
+    u, shares = _dividend_shares(game, times)
+    tail = np.array([weights[s:].sum() for s in u])
+    return RewardVector(game.singleton_values() + shares @ tail)
 
 
 def reward_cumulation_via_linearity(
     game: Game, times: TimeVector, beta: float
 ) -> RewardVector:
-    """Interval cumulation evaluated as one Shapley computation.
+    """Alias of reward_cumulation, kept for existing callers.
 
-    Builds the single mixed game nu(C) = sum_tau w(tau) * [v(C cap N_tau)
-    + sum of solo values of C's not-yet-present members] and takes its
-    Shapley value.  Agrees with reward_cumulation by linearity.
+    Interval cumulation is already evaluated as a single pass over the
+    dividends, so there is no separate single-game form.
     """
-    _validate_inputs(game, times)
-    _require_axioms(game)
-    weights = interval_weights(times, beta)
-    n = game.n
-    v = game.table()
-    singles = game.singleton_values()
-    all_masks = np.arange(1 << n)
-
-    solo_sum = np.zeros(1 << n)
-    for i in range(n):
-        has = (all_masks >> i & 1).astype(bool)
-        solo_sum[has] += singles[i]
-
-    mixed = np.zeros(1 << n)
-    for tau, n_mask in enumerate(_presence_masks(times)):
-        inside = all_masks & n_mask
-        outside = all_masks & ~n_mask
-        mixed += weights[tau] * (v[inside] + solo_sum[outside])
-    mixed[0] = 0.0
-    blended = Game(n, lambda mask: mixed[mask], table=mixed)
-    return RewardVector(shapley_exact(blended).values)
-
-
-_MAX_DIVIDEND_PARTIES = 12
-
-
-def dividend_table(game: Game) -> np.ndarray:
-    """Harsanyi dividends for every coalition, indexed by bitmask.
-
-    Computed by the defining recursion d(T) = v(T) - sum of d over proper
-    subsets, iterating masks in ascending order (subsets precede
-    supersets numerically).  O(3**n); capped at n = 12.
-    """
-    if game.n > _MAX_DIVIDEND_PARTIES:
-        raise TooLarge(f"dividend recursion is capped at n <= {_MAX_DIVIDEND_PARTIES}")
-    v = game.table()
-    d = np.zeros(1 << game.n)
-    for mask in range(1, 1 << game.n):
-        acc = 0.0
-        sub = (mask - 1) & mask
-        while sub:
-            acc += d[sub]
-            sub = (sub - 1) & mask
-        d[mask] = v[mask] - acc
-    return d
+    return reward_cumulation(game, times, beta)
 
 
 def harsanyi_dividends(game: Game) -> dict[Coalition, float]:
-    """Map every coalition to its synergy dividend d(v, T)."""
-    d = dividend_table(game)
+    """Map every coalition to its synergy dividend d(v, T) (n <= 24)."""
+    if game.n > MAX_EXACT_PARTIES:
+        raise TooLarge(f"dividends need n <= {MAX_EXACT_PARTIES}, got {game.n}")
+    d = subset_differences(game.table())
     return {
         Coalition.from_mask(mask, game.n): float(d[mask]) for mask in range(1 << game.n)
     }
@@ -199,74 +149,42 @@ def cooperative_abilities(times: TimeVector, gamma: float) -> np.ndarray:
 def time_aware_value(
     game: Game, times: TimeVector, gamma: float, coalition: Coalition
 ) -> float:
-    """Time-aware value of one coalition via the sorted-weights identity.
-
-    Members are ranked by joining time; each prefix of earliest members
-    contributes the drop between consecutive sorted abilities, and each
-    member's solo value tops up its ability deficit.  Sums only |C|
-    terms per sum, and equals the dividend-discounted definition.
-    """
-    _validate_inputs(game, times)
-    lam = cooperative_abilities(times, gamma)
-    members = sorted(coalition.members, key=lambda i: (times[i - 1], i))
-    if not members:
-        return 0.0
-    abilities = [lam[i - 1] for i in members] + [0.0]
-    total = 0.0
-    prefix_mask = 0
-    for j, party in enumerate(members):
-        prefix_mask |= 1 << (party - 1)
-        total += game.value_mask(prefix_mask) * (abilities[j] - abilities[j + 1])
-        total += (1.0 - abilities[j]) * game.value_mask(1 << (party - 1))
-    return total
-
-
-def time_aware_value_from_dividends(
-    game: Game, times: TimeVector, gamma: float, coalition: Coalition
-) -> float:
-    """Reference evaluation straight from the dividend definition.
-
-    Sums d(v, T) * min ability over T for every multi-member T inside the
-    coalition plus the members' solo dividends.  Used to cross-check the
-    sorted-weights identity; capped at n = 12 by the dividend recursion.
-    """
-    _validate_inputs(game, times)
-    lam = cooperative_abilities(times, gamma)
-    d = dividend_table(game)
-    c_mask = coalition.mask
-    total = 0.0
-    sub = c_mask
-    while sub:
-        size = int(sub).bit_count()
-        if size >= 2:
-            m = min(lam[i - 1] for i in Coalition.from_mask(sub, game.n).members)
-            total += d[sub] * m
-        else:
-            total += d[sub]
-        sub = (sub - 1) & c_mask
-    return total
+    """Time-aware value of one coalition, read from time_aware_game."""
+    return time_aware_game(game, times, gamma).value(coalition)
 
 
 def time_aware_game(game: Game, times: TimeVector, gamma: float) -> Game:
-    """Full time-aware game built with the sorted-weights identity."""
+    """The game whose values sum the dividends discounted by the latest member's ability.
+
+    Built as v minus the subset sums of each multi-member dividend's
+    shortfall d(T) * (1 - ability), which is the same table as the
+    subset sums of the discounted dividends but is exactly v when no
+    dividend is discounted.  Solo values are never discounted.
+    """
     _validate_inputs(game, times)
-    n = game.n
-    table = np.zeros(1 << n)
-    for mask in range(1, 1 << n):
-        table[mask] = time_aware_value(game, times, gamma, Coalition.from_mask(mask, n))
-    return Game(n, lambda m: table[m], table=table, superadditive=game.declared_superadditive)
+    u, latest, _ = _coalition_layout(times)
+    lam = cooperative_abilities(TimeVector.of(u), gamma)
+    v = game.table()
+    shortfall = subset_differences(v)
+    shortfall *= (1.0 - lam)[latest]
+    shortfall[1 << np.arange(game.n)] = 0.0
+    table = v - subset_sums(shortfall)
+    return Game(game.n, lambda m: table[m], table=table, superadditive=game.declared_superadditive)
 
 
 def reward_time_valuation(game: Game, times: TimeVector, gamma: float) -> RewardVector:
     """Rewards as Shapley values of the time-aware game.
 
-    Requires a non-negative superadditive base game; the modified game
-    then inherits both properties, which keeps individual rationality.
+    Each multi-member dividend is shared equally and discounted by the
+    cooperative ability of the coalition's latest member.  Requires a
+    non-negative superadditive base game; the time-aware game then
+    inherits both properties, which keeps individual rationality.
     """
     _validate_inputs(game, times)
     _require_axioms(game)
-    modified = time_aware_game(game, times, gamma)
-    return RewardVector(shapley_exact(modified).values)
+    u, shares = _dividend_shares(game, times)
+    lam = cooperative_abilities(TimeVector.of(u), gamma)
+    return RewardVector(game.singleton_values() + shares @ lam)
 
 
 def scale_rewards(game: Game, rewards: RewardVector) -> RewardVector:

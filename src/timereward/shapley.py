@@ -1,25 +1,39 @@
 """Exact and Monte-Carlo Shapley values, plus the naive time-division baseline.
 
-The exact path iterates the 2**n coalition values once, crediting each
-value v(S) to every party with the appropriate combinatorial weight, for
-an overall O(n 2**n) cost.  The Monte-Carlo path is the unbiased
-permutation-sampling estimator: each sampled permutation credits every
-party its marginal contribution over its predecessors.
+Every exact Shapley-type value in this library is one formula over the
+Harsanyi dividends d = Moebius(v) of the game:
+
+    phi_i = v({i}) + sum over T containing i, |T| >= 2, of d(T) / |T| * D(t_T)
+
+where t_T is the joining time of T's latest member.  Plain Shapley takes
+D = 1; the time-aware schemes in ``rewards`` choose other discounts D.
+``_dividend_shares`` evaluates the sum once per distinct joining time,
+at O(n 2**n) cost, after which each D is a matrix-vector product.  The
+Monte-Carlo path is the unbiased permutation-sampling estimator: each
+sampled permutation credits every party its marginal contribution over
+its predecessors.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TooLarge
-from .games import MAX_EXACT_PARTIES, Game, RewardVector, TimeVector
+from .games import (
+    MAX_EXACT_PARTIES,
+    Game,
+    RewardVector,
+    TimeVector,
+    _bit_pairs,
+    subset_differences,
+)
 
 __all__ = ["ShapleyResult", "shapley_exact", "shapley_mc", "naive_time_division"]
 
-_LOGSPACE_THRESHOLD = 20
+# shapley_mc builds int64 coalition masks; 62 parties keep them clear of the sign bit
+_MAX_MC_PARTIES = 62
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,48 +46,51 @@ class ShapleyResult:
     std_error: np.ndarray | None = None
 
 
-def _size_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of v(S) in phi_i, indexed by |S|.
+def _coalition_layout(times: TimeVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted distinct joining times u, and per mask its latest member's index in u and its size.
 
-    w_member[s] applies when i is in S (from the marginal onto S \\ {i}),
-    w_other[s] is subtracted when i is outside S.  For n above
-    _LOGSPACE_THRESHOLD the factorial ratios are evaluated via lgamma to
-    avoid forming huge integers.
+    Both per-mask tables are built by doubling: the masks in
+    [2**i, 2**(i+1)) are the masks below 2**i with party i+1 added.
     """
-    w_member = np.zeros(n + 1)
-    w_other = np.zeros(n + 1)
-    if n <= _LOGSPACE_THRESHOLD:
-        fact = [math.factorial(k) for k in range(n + 1)]
-        for s in range(1, n + 1):
-            w_member[s] = fact[s - 1] * fact[n - s] / fact[n]
-        for s in range(n):
-            w_other[s] = fact[s] * fact[n - s - 1] / fact[n]
-    else:
-        lf = [math.lgamma(k + 1) for k in range(n + 1)]
-        for s in range(1, n + 1):
-            w_member[s] = math.exp(lf[s - 1] + lf[n - s] - lf[n])
-        for s in range(n):
-            w_other[s] = math.exp(lf[s] + lf[n - s - 1] - lf[n])
-    return w_member, w_other
+    u, rank = np.unique(times.as_array(), return_inverse=True)
+    size = 1 << len(times)
+    latest = np.zeros(size, dtype=np.uint8)
+    sizes = np.zeros(size, dtype=np.uint8)
+    for i, r in enumerate(rank):
+        low, high = slice(0, 1 << i), slice(1 << i, 2 << i)
+        latest[high] = np.maximum(latest[low], int(r))
+        sizes[high] = sizes[low] + 1
+    return u, latest, sizes
+
+
+def _dividend_shares(game: Game, times: TimeVector) -> tuple[np.ndarray, np.ndarray]:
+    """Equal dividend shares of multi-member coalitions, bucketed by latest joining time.
+
+    Returns the sorted distinct joining times u_0 < ... < u_k and the
+    n x (k+1) matrix whose entry [i, j] sums d(T) / |T| over every T
+    with |T| >= 2 that contains party i+1 and whose latest member joined
+    at u_j.  A discount D then gives phi = v({i}) + shares @ D(u).
+    Shares are accumulated one party at a time over the masks holding
+    that party, so no n x 2**n matrix is formed.
+    """
+    u, latest, sizes = _coalition_layout(times)
+    split = subset_differences(game.table())
+    split[1 << np.arange(game.n)] = 0.0  # solo dividends are never shared or discounted
+    split[1:] /= sizes[1:]
+    shares = np.empty((game.n, len(u)))
+    pairs = zip(_bit_pairs(latest), _bit_pairs(split))
+    for i, ((_, latest_i), (_, split_i)) in enumerate(pairs):
+        shares[i] = np.bincount(latest_i.ravel(), weights=split_i.ravel(), minlength=len(u))
+    return u, shares
 
 
 def shapley_exact(game: Game) -> ShapleyResult:
-    """Shapley values by full coalition enumeration with exact weights (n <= 24)."""
+    """Shapley values as solo value plus equal shares of every dividend (n <= 24)."""
     n = game.n
     if n > MAX_EXACT_PARTIES:
         raise TooLarge(f"exact Shapley needs n <= {MAX_EXACT_PARTIES}, got {n}")
-    v = game.table()
-    masks = np.arange(1 << n, dtype=np.uint32)
-    sizes = np.bitwise_count(masks).astype(np.int64)
-    w_member, w_other = _size_weights(n)
-    in_coeff = w_member[sizes]
-    out_coeff = w_other[sizes]
-    values = np.empty(n)
-    for i in range(n):
-        member = (masks >> i) & 1
-        coeff = np.where(member, in_coeff, -out_coeff)
-        values[i] = float(np.dot(coeff, v))
-    return ShapleyResult(values=values, method="exact")
+    _, shares = _dividend_shares(game, TimeVector((0,) * n))
+    return ShapleyResult(values=game.singleton_values() + shares.sum(axis=1), method="exact")
 
 
 def _sample_permutations(n: int, m: int, seed: int) -> np.ndarray:
@@ -93,11 +110,14 @@ def shapley_mc(game: Game, permutations: int, seed: int) -> ShapleyResult:
     Games with a materialised table are evaluated vectorised; oracle
     games are evaluated through the memo cache so only visited prefixes
     are computed.  Both paths accumulate in the same order and return
-    identical results.
+    identical results.  Coalitions are int64 bitmasks, so n is limited
+    to 62 parties; larger games raise TooLarge.
     """
     if permutations < 1:
         raise ValueError("permutations must be >= 1")
     n = game.n
+    if n > _MAX_MC_PARTIES:
+        raise TooLarge(f"Monte-Carlo Shapley needs n <= {_MAX_MC_PARTIES}, got {n}")
     m = int(permutations)
     perms = _sample_permutations(n, m, seed)
     sums = np.zeros(n)

@@ -122,6 +122,24 @@ class TestCheckCommand:
         assert doc["witnesses"]["superadditive"] == ["1", "2"]
 
 
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "command",
+        [["check"], ["shapley"], ["rewards", "--scheme", "shapley"]],
+        ids=["check", "shapley", "rewards"],
+    )
+    def test_rejected_with_exit_1_and_no_report(self, bad, command, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        save_game_json(path, 2, {"1": 0.2, "2": bad, "1,2": 1.0})
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        out = tmp_path / "report.json"
+        code = main([*command, "--game", str(path), "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+
 class TestShapleyCommand:
     def test_exact_values(self, necessity_game_file, capsys):
         assert main(["shapley", "--game", necessity_game_file]) == EXIT_OK

@@ -89,6 +89,15 @@ class TestTableGame:
         with pytest.raises(InvalidCoalitionKey):
             make_table_game(2, {"": 0.5, "1": 0.1, "2": 0.1, "1,2": 1.0})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError):
+            make_table_game(2, {"1": 0.1, "2": bad, "1,2": 1.0})
+        with pytest.raises(ValueError):
+            Game(2, lambda m: 0.0, table=np.array([0.0, 0.1, bad, 1.0]))
+        with pytest.raises(ValueError):
+            Game(2, lambda m: bad if m == 3 else 0.1).table()
+
     def test_empty_value_is_zero_without_oracle(self):
         calls = []
 

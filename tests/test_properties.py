@@ -1,0 +1,99 @@
+"""Property tests: every dividend-share path against the definitions in ``oracles``.
+
+Each check is held to 1e-12 relative to v(N).  The drawn cases include
+additive games (no synergy), all-equal joining times, times whose
+minimum is above 0, beta = 1000, gamma = 0, and one party at time 10**6,
+where the per-interval definition has a million rows but the kernel
+only sees the distinct joining times.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import (
+    brute_force_shapley,
+    interval_shapley_reference,
+    reward_cumulation_reference,
+    time_aware_table_reference,
+)
+from timereward import (
+    Game,
+    TimeVector,
+    interval_shapley_values,
+    reward_cumulation,
+    reward_time_valuation,
+    shapley_exact,
+    time_aware_game,
+)
+from timereward.games import subset_sums
+
+RTOL = 1e-12
+FAR = 10**6
+
+
+def dividend_game(n: int, seed: int, additive: bool) -> Game:
+    """Non-negative drawn dividends, summed over subsets; additive keeps only solo ones."""
+    dividends = np.random.default_rng(seed).uniform(0.0, 1.0, size=1 << n)
+    dividends[0] = 0.0
+    if additive:
+        solo = dividends[1 << np.arange(n)]
+        dividends[:] = 0.0
+        dividends[1 << np.arange(n)] = solo
+    table = subset_sums(dividends)
+    return Game(n, lambda m: table[m], table=table)
+
+
+def check_against_oracles(game: Game, times: TimeVector, beta: float, gamma: float):
+    tol = RTOL * game.grand_value()
+
+    def close(got, want):
+        assert np.max(np.abs(np.asarray(got) - np.asarray(want))) <= tol
+
+    close(shapley_exact(game).values, brute_force_shapley(game))
+    close(interval_shapley_values(game, times), interval_shapley_reference(game, times))
+    close(reward_cumulation(game, times, beta).rewards, reward_cumulation_reference(game, times, beta))
+    reference_table = time_aware_table_reference(game, times, gamma)
+    close(time_aware_game(game, times, gamma).table(), reference_table)
+    reference_game = Game(game.n, lambda m: reference_table[m], table=reference_table)
+    close(reward_time_valuation(game, times, gamma).rewards, brute_force_shapley(reference_game))
+
+
+@st.composite
+def scenarios(draw):
+    n = draw(st.integers(1, 5))
+    game = dividend_game(n, draw(st.integers(0, 2**32 - 1)), draw(st.booleans()))
+    times = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["as drawn", "all equal", "shifted", "far"]))
+    if shape == "all equal":
+        times = [times[0]] * n
+    elif shape == "shifted":
+        times = [t + draw(st.integers(1, 5)) for t in times]
+    elif shape == "far":
+        times[draw(st.integers(0, n - 1))] = FAR
+    beta = draw(st.sampled_from([0.5, 1.0, 2.0, 1000.0]))
+    gamma = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    return game, TimeVector.of(times), beta, gamma
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(scenarios())
+def test_kernel_matches_definitions(scenario):
+    check_against_oracles(*scenario)
+
+
+@pytest.mark.parametrize(
+    "n,additive,times,beta,gamma",
+    [
+        (4, True, (3, 0, 5, 1), 2.0, 1.0),
+        (4, False, (2, 2, 2, 2), 0.5, 0.5),
+        (4, False, (3, 5, 4, 7), 1.0, 1.0),
+        (5, False, (4, 0, 2, 6, 1), 1000.0, 0.5),
+        (5, False, (4, 0, 2, 6, 1), 2.0, 0.0),
+        (4, False, (0, 2, FAR, 1), 2.0, 1.0),
+        (1, False, (FAR,), 1.0, 1.0),
+    ],
+    ids=["additive", "all-equal", "min-above-0", "beta-1000", "gamma-0", "far", "single-far"],
+)
+def test_edge_cases(n, additive, times, beta, gamma):
+    check_against_oracles(dividend_game(n, 7 + n, additive), TimeVector.of(times), beta, gamma)

@@ -8,9 +8,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_times
+from oracles import reward_cumulation_reference, time_aware_table_reference
 from timereward import (
     AxiomViolation,
     Coalition,
+    Game,
     TimeVector,
     TooLarge,
     check_axioms,
@@ -26,9 +28,16 @@ from timereward import (
     shapley_exact,
     time_aware_game,
     time_aware_value,
-    time_aware_value_from_dividends,
 )
-from timereward.rewards import cooperative_abilities, dividend_table
+from timereward.rewards import cooperative_abilities
+
+
+def dividend_array(game) -> np.ndarray:
+    """harsanyi_dividends as an array indexed by bitmask."""
+    d = np.zeros(1 << game.n)
+    for coalition, value in harsanyi_dividends(game).items():
+        d[coalition.mask] = value
+    return d
 
 
 class TestIntervalWeights:
@@ -88,8 +97,6 @@ class TestRewardCumulation:
             reward_cumulation(bad, late_first, 1.0)
 
     def test_too_large(self):
-        from timereward import Game
-
         with pytest.raises(TooLarge):
             reward_cumulation(Game(25, lambda m: 0.0), TimeVector.of((0,) * 25), 1.0)
 
@@ -109,7 +116,7 @@ class TestLinearityReduction:
         times = random_times(rng, n)
         beta = float(rng.choice([0.5, 1.0, 2.0, 1000.0]))
         a = reward_cumulation(g, times, beta).rewards
-        b = reward_cumulation_via_linearity(g, times, beta).rewards
+        b = reward_cumulation_reference(g, times, beta)
         assert np.max(np.abs(a - b)) <= 1e-9
 
     def test_all_zero_times_reduce_to_plain_shapley(self):
@@ -142,7 +149,7 @@ class TestHarsanyiDividends:
     @pytest.mark.parametrize("n,seed", [(3, 0), (5, 1), (8, 2)])
     def test_singletons_and_reconstruction(self, n, seed):
         g = random_superadditive_game(n, seed)
-        d = dividend_table(g)
+        d = dividend_array(g)
         singles = g.singleton_values()
         for i in range(n):
             assert d[1 << i] == pytest.approx(singles[i], abs=1e-12)
@@ -157,11 +164,20 @@ class TestHarsanyiDividends:
         rng = np.random.default_rng(seed)
         drawn = rng.uniform(0.0, 1.0, size=1 << n)
         drawn[0] = 0.0
-        assert_allclose(dividend_table(g), drawn, atol=1e-9)
+        assert_allclose(dividend_array(g), drawn, atol=1e-9)
+
+    def test_recovers_generator_dividends_beyond_recursion_cap(self):
+        # the O(3**n) recursion stopped at n = 12; the transform does not
+        n, seed = 13, 32
+        g = random_superadditive_game(n, seed)
+        rng = np.random.default_rng(seed)
+        drawn = rng.uniform(0.0, 1.0, size=1 << n)
+        drawn[0] = 0.0
+        assert_allclose(dividend_array(g), drawn, atol=1e-9)
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
-            harsanyi_dividends(random_superadditive_game(13, 0))
+            harsanyi_dividends(Game(25, lambda m: 0.0))
 
 
 class TestTimeAwareValue:
@@ -193,10 +209,11 @@ class TestTimeAwareValue:
         g = random_superadditive_game(n, seed + 50)
         times = random_times(rng, n)
         gamma = float(rng.choice([0.0, 0.5, 1.0]))
+        reference = time_aware_table_reference(g, times, gamma)
         for mask in range(1, 1 << n):
             c = Coalition.from_mask(mask, n)
             fast = time_aware_value(g, times, gamma, c)
-            slow = time_aware_value_from_dividends(g, times, gamma, c)
+            slow = reference[mask]
             assert abs(fast - slow) <= 1e-9
 
     def test_ability_floor_keeps_positive(self):

@@ -1,12 +1,10 @@
 """Exact Shapley against a brute-force oracle, Monte-Carlo behaviour, naive baseline."""
 
-import itertools
-import math
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import brute_force_shapley
 from timereward import (
     Game,
     TimeVector,
@@ -16,24 +14,7 @@ from timereward import (
     shapley_exact,
     shapley_mc,
 )
-from timereward.shapley import _size_weights
-
-
-def brute_force_shapley(game: Game) -> np.ndarray:
-    """Average marginal contribution over every permutation of the parties."""
-    n = game.n
-    phi = np.zeros(n)
-    count = 0
-    for perm in itertools.permutations(range(n)):
-        mask = 0
-        prev = 0.0
-        for p in perm:
-            mask |= 1 << p
-            cur = game.value_mask(mask)
-            phi[p] += cur - prev
-            prev = cur
-        count += 1
-    return phi / count
+from timereward.games import subset_sums
 
 
 def additive_game(values) -> Game:
@@ -97,16 +78,22 @@ class TestShapleyExact:
         with pytest.raises(TooLarge):
             shapley_exact(Game(25, lambda m: 0.0))
 
-    def test_logspace_weights_match_factorials(self):
-        for n in (21, 24):
-            w_member, w_other = _size_weights(n)
-            fact = [math.factorial(k) for k in range(n + 1)]
-            for s in range(1, n + 1):
-                exact = fact[s - 1] * fact[n - s] / fact[n]
-                assert w_member[s] == pytest.approx(exact, rel=1e-12)
-            for s in range(n):
-                exact = fact[s] * fact[n - s - 1] / fact[n]
-                assert w_other[s] == pytest.approx(exact, rel=1e-12)
+    def test_n21_known_values(self):
+        # solo values plus a few drawn synergies: phi_i = v_i + sum d(T) / |T|
+        n = 21
+        rng = np.random.default_rng(21)
+        dividends = np.zeros(1 << n)
+        solo = rng.uniform(0.5, 2.0, size=n)
+        dividends[1 << np.arange(n)] = solo
+        expected = solo.copy()
+        for _ in range(40):
+            members = rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)
+            synergy = float(rng.uniform(0.0, 3.0))
+            dividends[int(np.sum(1 << members))] += synergy
+            expected[members] += synergy / len(members)
+        table = subset_sums(dividends)
+        phi = shapley_exact(Game(n, lambda m: table[m], table=table)).values
+        assert_allclose(phi, expected, rtol=1e-12, atol=0.0)
 
 
 class TestShapleyMc:
@@ -152,6 +139,12 @@ class TestShapleyMc:
     def test_single_permutation_has_zero_error(self):
         result = shapley_mc(random_superadditive_game(3, 0), 1, seed=5)
         assert np.array_equal(result.std_error, np.zeros(3))
+
+    def test_too_large_for_int64_masks(self):
+        # additive oracle game: every true value is 1, but 70-bit masks overflow int64
+        g = Game(70, lambda mask: float(bin(mask).count("1")))
+        with pytest.raises(TooLarge):
+            shapley_mc(g, 10, seed=0)
 
 
 class TestNaiveTimeDivision:
