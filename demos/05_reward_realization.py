@@ -1,8 +1,9 @@
 """Turning a target reward value into an actual model reward.
 
 Likelihood tempering scales the other parties' observation noise by
-1/kappa; bisection on kappa hits any value between "my data alone" and
-"everyone's data" exactly.  Subset selection instead keeps adding
+1/kappa.  Precisions add, so the tempered value is IG(everyone's data)
+minus IG(the others' data at noise/(1-kappa)), and bisection on kappa
+hits any value between "my data alone" and "everyone's data" exactly.  Subset selection instead keeps adding
 shuffled donor points until the conditional value first crosses the
 target; it is approximate but works for any valuation.
 """

@@ -370,6 +370,8 @@ def main(argv=None) -> int:
     from .errors import TimeRewardError
 
     try:
+        if not 0.0 <= getattr(args, "tol", 0.0) < float("inf"):
+            raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
         return handlers[args.command](args)
     except (TimeRewardError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,13 +1,13 @@
 """Turn target reward values into concrete model rewards.
 
 Likelihood tempering raises the other parties' Gaussian likelihood to a
-power kappa in [0, 1], which for a GP is equivalent to splitting each of
-their observations into two virtual copies with noise sigma^2/kappa
-(kept) and sigma^2/(1-kappa) (conditioned on).  The resulting value is
-monotone in kappa, so bisection hits any in-range target.  Subset
-selection instead adds shuffled points from the other parties until the
-conditional value first exceeds the target; it works for any valuation
-but is only approximate.
+power kappa in [0, 1].  Precisions add, so for a GP the tempered value
+is IG(all points) - IG(others' points at noise sigma^2/(1-kappa)).  It
+is monotone in kappa, so bisection hits any in-range target, and each
+step is one conditioning factorization.  Subset selection instead adds
+shuffled points from the other parties until the conditional value
+first exceeds the target; it works for any valuation but is only
+approximate.
 """
 
 from __future__ import annotations
@@ -51,49 +51,49 @@ class SubsetReward:
     saturated: bool = False
 
 
+def _check_party(party: int, n_parties: int):
+    if not 1 <= party <= n_parties:
+        raise ValueError(f"party must lie in 1..{n_parties}, got {party}")
+
+
+def _check_target(target: float):
+    if not np.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
+
+
+def _others(model: GpModel, party: int) -> np.ndarray:
+    """Points of every other party; party must be one of the model's."""
+    _check_party(party, model.n_parties)
+    return model.points_of(p for p in range(1, model.n_parties + 1) if p != party)
+
+
+def _tempering_curve(model: GpModel, party: int):
+    """kappa -> tempered value of party; the kappa-free terms are computed once."""
+    others = _others(model, party)
+    total = gp_ig(model, np.arange(model.n_points))
+    K = se_kernel(model.inputs[others], model.lengthscales, model.signal_variance)
+    noise = model.noise_vector()[others]
+
+    def value(kappa: float) -> float:
+        if kappa == 1.0:
+            return total
+        return total - information_gain(K, noise / (1.0 - kappa))
+
+    return value
+
+
 def tempered_value(model: GpModel, party: int, kappa: float) -> float:
     """Conditional value of party's data plus others' data tempered by kappa.
 
-    Evaluates I(theta; D_i + R_i | R_-i) with the heteroscedastic
-    information gain: the party's own points keep their noise, the
-    others' points appear once at noise/kappa (kept) and once at
-    noise/(1-kappa) (conditioning).  The kappa = 0 and 1 endpoints drop
-    the infinitely noisy copy instead of dividing by zero.
+    This is I(theta; D_i + R_i | R_-i), with R_i the others' points at
+    noise/kappa and R_-i the same points at noise/(1-kappa).  Precisions
+    add, so R_i and R_-i together carry exactly the information of the
+    others' points at their own noise: the value is IG(all points) -
+    IG(others' points at noise/(1-kappa)), and IG(all points) at kappa = 1.
     """
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must lie in [0, 1]")
-    own = model.points_of([party])
-    others = model.points_of(
-        p for p in range(1, model.n_parties + 1) if p != party
-    )
-    noise = model.noise_vector()
-
-    if kappa == 0.0:
-        kept_idx = own
-        kept_noise = noise[own]
-    else:
-        kept_idx = np.concatenate([own, others])
-        kept_noise = np.concatenate([noise[own], noise[others] / kappa])
-
-    if kappa == 1.0:
-        cond_idx = np.array([], dtype=int)
-        cond_noise = np.array([])
-    else:
-        cond_idx = others
-        cond_noise = noise[others] / (1.0 - kappa)
-
-    joint_idx = np.concatenate([kept_idx, cond_idx])
-    joint_noise = np.concatenate([kept_noise, cond_noise])
-    K_joint = se_kernel(
-        model.inputs[joint_idx], model.lengthscales, model.signal_variance
-    )
-    ig_joint = information_gain(K_joint, joint_noise)
-    if len(cond_idx) == 0:
-        return ig_joint
-    K_cond = se_kernel(
-        model.inputs[cond_idx], model.lengthscales, model.signal_variance
-    )
-    return ig_joint - information_gain(K_cond, cond_noise)
+    return _tempering_curve(model, party)(kappa)
 
 
 def temper(model: GpModel, party: int, target: float, tol: float = 1e-6) -> TemperedReward:
@@ -103,9 +103,10 @@ def temper(model: GpModel, party: int, target: float, tol: float = 1e-6) -> Temp
     converges; it stops when the value is within tol of the target or
     the bracket width drops below 1e-14.
     """
+    _check_target(target)
+    tempered = _tempering_curve(model, party)
     lo, hi = 0.0, 1.0
-    lo_val = tempered_value(model, party, lo)
-    hi_val = tempered_value(model, party, hi)
+    lo_val, hi_val = tempered(lo), tempered(hi)
     if target < lo_val - tol or target > hi_val + tol:
         raise TargetOutOfRange(
             f"target {target:g} outside achievable [{lo_val:g}, {hi_val:g}]"
@@ -117,7 +118,7 @@ def temper(model: GpModel, party: int, target: float, tol: float = 1e-6) -> Temp
     kappa, value = lo, lo_val
     for _ in range(_BISECT_MAX_ITER):
         kappa = 0.5 * (lo + hi)
-        value = tempered_value(model, party, kappa)
+        value = tempered(kappa)
         if abs(value - target) <= tol or hi - lo < _KAPPA_FLOOR:
             break
         if value < target:
@@ -145,26 +146,21 @@ def select_subset(source: Game | GpModel, party: int, target: float, seed: int) 
     Deterministic per seed.  If even the full set only reaches the
     target, the result is flagged saturated.
     """
+    _check_target(target)
     if isinstance(source, GpModel):
+        donors = [int(k) for k in _others(source, party)]
         own = [int(k) for k in source.points_of([party])]
-        donors = [
-            int(k)
-            for k in source.points_of(
-                p for p in range(1, source.n_parties + 1) if p != party
-            )
-        ]
+        everything = np.arange(source.n_points)
+        total = gp_ig(source, everything)
 
         def value(selected):
-            return conditional_point_value(source, selected)
+            return total - gp_ig(source, np.setdiff1d(everything, selected))
 
-        total = value(own + donors)
     elif isinstance(source, Game):
+        _check_party(party, source.n)
         own = [party]
         donors = [p for p in range(1, source.n + 1) if p != party]
-
-        def value(selected):
-            return source.value(selected)
-
+        value = source.value
         total = source.grand_value()
     else:
         raise TypeError("source must be a Game or a GpModel")

@@ -4,7 +4,9 @@ Each reference follows its definition literally and shares no code path
 with the kernel: Shapley values average marginal contributions over
 every permutation, interval values restrict the game to the parties
 present, and time-aware values sum dividends from the subset recursion.
-They are exponential or worse and meant for small games only.
+They are exponential or worse and meant for small games only.  The
+tempered GP value is built from its virtual copies of the others'
+points, one joint kernel over kept and conditioning points.
 """
 
 import itertools
@@ -13,6 +15,7 @@ import numpy as np
 
 from timereward import Coalition, Game, TimeVector, interval_weights, restrict_game
 from timereward.rewards import cooperative_abilities
+from timereward.valuation import GpModel, information_gain, se_kernel
 
 
 def brute_force_shapley(game: Game) -> np.ndarray:
@@ -103,3 +106,39 @@ def time_aware_table_reference(game: Game, times: TimeVector, gamma: float) -> n
             sub = (sub - 1) & c_mask
         table[c_mask] = total
     return table
+
+
+def tempered_value_reference(model: GpModel, party: int, kappa: float) -> float:
+    """Tempered value I(theta; D_i + R_i | R_-i) from the virtual copies.
+
+    The party's own points keep their noise; the others' points appear
+    once at noise/kappa (kept) and once at noise/(1-kappa)
+    (conditioning).  The kappa = 0 and 1 endpoints drop the infinitely
+    noisy copy instead of dividing by zero.
+    """
+    own = model.points_of([party])
+    others = model.points_of(p for p in range(1, model.n_parties + 1) if p != party)
+    noise = model.noise_vector()
+
+    if kappa == 0.0:
+        kept_idx = own
+        kept_noise = noise[own]
+    else:
+        kept_idx = np.concatenate([own, others])
+        kept_noise = np.concatenate([noise[own], noise[others] / kappa])
+
+    if kappa == 1.0:
+        cond_idx = np.array([], dtype=int)
+        cond_noise = np.array([])
+    else:
+        cond_idx = others
+        cond_noise = noise[others] / (1.0 - kappa)
+
+    joint_idx = np.concatenate([kept_idx, cond_idx])
+    joint_noise = np.concatenate([kept_noise, cond_noise])
+    K_joint = se_kernel(model.inputs[joint_idx], model.lengthscales, model.signal_variance)
+    ig_joint = information_gain(K_joint, joint_noise)
+    if len(cond_idx) == 0:
+        return ig_joint
+    K_cond = se_kernel(model.inputs[cond_idx], model.lengthscales, model.signal_variance)
+    return ig_joint - information_gain(K_cond, cond_noise)

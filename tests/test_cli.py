@@ -140,6 +140,27 @@ class TestNonFiniteValues:
         assert capsys.readouterr().out == ""
 
 
+class TestBadTolerance:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["rewards", "--scheme", "naive"],
+            ["check"],
+            ["realize", "--method", "subset", "--party", "1", "--target", "0.7"],
+        ],
+        ids=["rewards", "check", "realize"],
+    )
+    def test_rejected_with_exit_1_and_no_report(self, tol, command, tmp_path, capsys):
+        path = tmp_path / "subadditive.json"
+        save_game_json(path, 2, {"1": 0.6, "2": 0.6, "1,2": 1.0})
+        out = tmp_path / "report.json"
+        code = main([*command, "--game", str(path), "--tol", tol, "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+
 class TestShapleyCommand:
     def test_exact_values(self, necessity_game_file, capsys):
         assert main(["shapley", "--game", necessity_game_file]) == EXIT_OK
@@ -244,6 +265,32 @@ class TestRealizeCommand:
         record = doc["parties"]["1"]
         assert abs(record["achieved"] - record["target"]) <= 1e-6
         assert 0.0 < record["kappa"] < 1.0
+
+    @pytest.mark.parametrize(
+        "method,party,target",
+        [
+            ("temper", "1", "nan"),
+            ("subset", "1", "nan"),
+            ("temper", "7", "0.5"),
+            ("subset", "0", "0.5"),
+        ],
+        ids=["temper-nan-target", "subset-nan-target", "temper-party-7", "subset-party-0"],
+    )
+    def test_bad_request_exits_1_without_report(
+        self, gp_files, method, party, target, tmp_path, capsys
+    ):
+        csv_path, config_path = gp_files
+        out = tmp_path / "real.json"
+        code = main(
+            [
+                "realize", "--method", method, "--data", csv_path,
+                "--gp-config", config_path, "--party", party,
+                "--target", target, "--seed", "0", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
 
     def test_out_of_range_target_is_an_error(self, ir_game_file):
         code = main(

@@ -1,10 +1,12 @@
-"""Property tests: every dividend-share path against the definitions in ``oracles``.
+"""Property tests: every fast path against the definitions in ``oracles``.
 
-Each check is held to 1e-12 relative to v(N).  The drawn cases include
-additive games (no synergy), all-equal joining times, times whose
-minimum is above 0, beta = 1000, gamma = 0, and one party at time 10**6,
-where the per-interval definition has a million rows but the kernel
-only sees the distinct joining times.
+Each dividend-share check is held to 1e-12 relative to v(N).  The drawn
+cases include additive games (no synergy), all-equal joining times,
+times whose minimum is above 0, beta = 1000, gamma = 0, and one party at
+time 10**6, where the per-interval definition has a million rows but the
+kernel only sees the distinct joining times.  The tempered GP value is
+held to 1e-10 relative to its virtual-copy definition on small models
+with scalar and per-point noise, at kappa 0, 1 and within 1e-12 of both.
 """
 
 import numpy as np
@@ -15,15 +17,19 @@ from oracles import (
     brute_force_shapley,
     interval_shapley_reference,
     reward_cumulation_reference,
+    tempered_value_reference,
     time_aware_table_reference,
 )
 from timereward import (
     Game,
+    GpModel,
     TimeVector,
     interval_shapley_values,
     reward_cumulation,
     reward_time_valuation,
     shapley_exact,
+    temper,
+    tempered_value,
     time_aware_game,
 )
 from timereward.games import subset_sums
@@ -97,3 +103,40 @@ def test_kernel_matches_definitions(scenario):
 )
 def test_edge_cases(n, additive, times, beta, gamma):
     check_against_oracles(dividend_game(n, 7 + n, additive), TimeVector.of(times), beta, gamma)
+
+
+@st.composite
+def tempering_cases(draw):
+    """A small GP model (2-4 parties, 1-5 points each), a party and a kappa."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 4))
+    ownership = np.repeat(np.arange(1, n + 1), rng.integers(1, 6, size=n))
+    dim = draw(st.integers(1, 3))
+    noise = (
+        rng.uniform(0.05, 1.0, size=len(ownership))
+        if draw(st.booleans())
+        else float(rng.uniform(0.05, 1.0))
+    )
+    model = GpModel(
+        rng.uniform(size=(len(ownership), dim)),
+        ownership,
+        rng.uniform(0.3, 2.0, size=dim),
+        float(rng.uniform(0.5, 2.0)),
+        noise,
+    )
+    kappa = draw(st.one_of(st.sampled_from([0.0, 1e-12, 1.0 - 1e-12, 1.0]), st.floats(0.0, 1.0)))
+    return model, draw(st.integers(1, n)), kappa, draw(st.floats(0.05, 0.95))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tempering_cases())
+def test_tempering_matches_virtual_copies(case):
+    model, party, kappa, fraction = case
+    reference = tempered_value_reference(model, party, kappa)
+    assert abs(tempered_value(model, party, kappa) - reference) <= 1e-10 * abs(reference)
+
+    lo, hi = tempered_value(model, party, 0.0), tempered_value(model, party, 1.0)
+    result = temper(model, party, lo + fraction * (hi - lo), tol=1e-6)
+    assert result.achieved_value == pytest.approx(
+        tempered_value(model, party, result.kappa), rel=1e-12, abs=1e-12
+    )

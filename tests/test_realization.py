@@ -7,11 +7,13 @@ from timereward import (
     GpModel,
     TargetOutOfRange,
     conditional_ig_game,
+    make_table_game,
     random_superadditive_game,
     select_subset,
     temper,
     tempered_value,
 )
+from timereward.experiment import FriedmanConfig, run_friedman_experiment
 from timereward.realization import conditional_point_value
 from timereward.valuation import information_gain, se_kernel
 
@@ -193,3 +195,43 @@ class TestSelectSubsetGp:
         game = conditional_ig_game(model)
         result = select_subset(model, 3, game.value([3]), seed=2)
         assert set(result.selected) == set(int(k) for k in model.points_of([3]))
+
+
+class TestRequestValidation:
+    @pytest.mark.parametrize("party", [0, 4, 7, -1])
+    def test_gp_party_out_of_range(self, party):
+        model = three_party_model()
+        with pytest.raises(ValueError, match="party"):
+            tempered_value(model, party, 0.5)
+        with pytest.raises(ValueError, match="party"):
+            temper(model, party, 0.5)
+        with pytest.raises(ValueError, match="party"):
+            select_subset(model, party, 0.5, seed=0)
+
+    @pytest.mark.parametrize("party", [0, 3])
+    def test_game_party_out_of_range(self, party):
+        g = make_table_game(2, {"1": 0.2, "2": 0.2, "1,2": 1.0})
+        with pytest.raises(ValueError, match="party"):
+            select_subset(g, party, 0.5, seed=0)
+
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_target(self, target):
+        model = three_party_model()
+        with pytest.raises(ValueError, match="target"):
+            temper(model, 1, target)
+        with pytest.raises(ValueError, match="target"):
+            select_subset(model, 1, target, seed=0)
+        with pytest.raises(ValueError, match="target"):
+            select_subset(random_superadditive_game(3, seed=5), 1, target, seed=0)
+
+
+class TestFriedmanMnlp:
+    def test_tempered_rewards_have_finite_mnlp(self):
+        result = run_friedman_experiment(
+            FriedmanConfig(
+                count=100, sizes=(30, 30, 20), seed=0, betas=(1.0,), gammas=(1.0,), with_mnlp=True
+            )
+        )
+        assert len(result.rows) == 2 * 5 * 3
+        assert all(np.isfinite(row.mnlp) for row in result.rows)
+        assert result.all_pass, result.witnesses
