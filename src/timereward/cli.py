@@ -171,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--party", type=int, required=True)
     p.add_argument("--target", type=float, required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, help="bisection tolerance (method=temper only; 1e-6)")
     p.add_argument("--out")
 
     p = sub.add_parser("experiment-friedman", help="end-to-end Friedman sweep")
@@ -291,6 +291,8 @@ def _cmd_realize(args) -> int:
     from .synthdata import load_dataset_csv
     from .valuation import load_gp_config, make_gp_model
 
+    if args.tol is not None and args.method != "temper":
+        raise ValueError("--tol is only valid with --method temper")
     seed = args.seed if args.seed is not None else _default_seed()
 
     def gp_source():
@@ -301,7 +303,8 @@ def _cmd_realize(args) -> int:
         return make_gp_model(dataset, **config)
 
     if args.method == "temper":
-        result = temper(gp_source(), args.party, args.target, args.tol)
+        tol = {} if args.tol is None else {"tol": args.tol}
+        result = temper(gp_source(), args.party, args.target, **tol)
         record = {
             "kappa": result.kappa,
             "achieved": result.achieved_value,
@@ -370,8 +373,6 @@ def main(argv=None) -> int:
     from .errors import TimeRewardError
 
     try:
-        if not 0.0 <= getattr(args, "tol", 0.0) < float("inf"):
-            raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
         return handlers[args.command](args)
     except (TimeRewardError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -285,15 +285,20 @@ def _bit_pairs(table: np.ndarray):
         yield pairs[:, 0, :], pairs[:, 1, :]
 
 
+def _subset_transform(table: np.ndarray, combine) -> np.ndarray:
+    """Fold each mask's entry with its subsets' by the ufunc combine, one bit at a time."""
+    out = np.array(table, dtype=float)
+    for without_bit, with_bit in _bit_pairs(out):
+        combine(with_bit, without_bit, out=with_bit)
+    return out
+
+
 def subset_sums(addends: np.ndarray) -> np.ndarray:
     """For per-dividend values d indexed by mask, return sums over subsets.
 
     out[mask] = sum of d[T] over T subset of mask (the zeta transform).
     """
-    out = np.array(addends, dtype=float)
-    for without_bit, with_bit in _bit_pairs(out):
-        with_bit += without_bit
-    return out
+    return _subset_transform(addends, np.add)
 
 
 def subset_differences(values: np.ndarray) -> np.ndarray:
@@ -302,10 +307,7 @@ def subset_differences(values: np.ndarray) -> np.ndarray:
     out[mask] = sum of (-1)**|mask - T| * v[T] over T subset of mask
     (the Moebius transform), so subset_sums(out) recovers the values.
     """
-    out = np.array(values, dtype=float)
-    for without_bit, with_bit in _bit_pairs(out):
-        with_bit -= without_bit
-    return out
+    return _subset_transform(values, np.subtract)
 
 
 def random_superadditive_game(n: int, seed: int) -> Game:
@@ -417,70 +419,85 @@ class AxiomReport:
         }
 
 
-def check_axioms(game: Game, tol: float = 1e-9) -> AxiomReport:
-    """Verify non-negativity, monotonicity, and superadditivity by full enumeration.
+def _check_tolerance(tol: float):
+    """Raise ValueError unless tol is finite and >= 0 (NaN would pass or fail every comparison)."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
 
-    Each axiom's quantifier is enumerated literally (pairs of nested /
-    disjoint coalitions), so the cost is O(3**n).  On failure the worst
-    violating coalition pair is returned as a witness.  Results are
-    memoised on the game per tolerance.
+
+def _submask_array(mask: int, n: int) -> np.ndarray:
+    """Every submask of mask within n parties, ascending."""
+    masks = np.arange(1 << n)
+    return masks[(masks & mask) == masks]
+
+
+def _monotonicity_violation(v: np.ndarray, tol: float) -> tuple[int, int] | None:
+    """Nested (B, C) with the largest v(B) - v(C) above tol, or None.
+
+    best[C] is the largest value over C's non-empty subsets (a subset-max
+    transform).  C itself only gives a gap of 0, which tol >= 0 never
+    counts.  Ties go to the smallest C, then to the largest B.
     """
+    best = _subset_transform(np.concatenate(([-np.inf], v[1:])), np.maximum)
+    gap = best - v
+    c = int(np.argmax(gap))
+    if not gap[c] > tol:
+        return None
+    subs = _submask_array(c, len(v).bit_length() - 1)[-2:0:-1]
+    return int(subs[np.argmax(v[subs] - v[c] == gap[c])]), c
+
+
+def _superadditivity_violation(v: np.ndarray, tol: float) -> tuple[int, int] | None:
+    """Disjoint (B, S) with the largest v(B) + v(S) - v(B | S) above tol, or None.
+
+    A mask holding party n pairs only with smaller masks, so B runs below
+    2**(n-1); the S disjoint from B are read off the n-axis cube of all
+    masks with B's axes at 0.  S = 0 and pairs met again as (S, B) give 0
+    or an earlier gap, which the strict test never takes, so B < S and
+    ties go to the smallest B, then to the largest S.
+    """
+    n = len(v).bit_length() - 1
+    mask_cube = np.arange(len(v)).reshape((2,) * n)
+    worst, pair = tol, None
+    for b in range(1, 1 << (n - 1)):
+        s = mask_cube[tuple(0 if b >> i & 1 else slice(None) for i in reversed(range(n)))].ravel()
+        gap = v[b] + v[s] - v[b | s]
+        k = len(gap) - 1 - int(np.argmax(gap[::-1]))
+        if gap[k] > worst:
+            worst, pair = gap[k], (b, int(s[k]))
+    return pair
+
+
+def check_axioms(game: Game, tol: float = 1e-9) -> AxiomReport:
+    """Verify non-negativity, monotonicity, and superadditivity exhaustively.
+
+    Monotonicity is an O(n 2**n) subset-max transform; superadditivity
+    scans every disjoint pair, O(3**n), vectorized over the second
+    coalition.  On failure the worst violating coalition pair is returned
+    as a witness.  Results are memoised on the game per tolerance, which
+    must be finite and >= 0.
+    """
+    _check_tolerance(tol)
     if game.n > MAX_EXACT_PARTIES:
         raise TooLarge(f"cannot enumerate axioms for n={game.n}")
     cached = game._axiom_reports.get(tol)
     if cached is not None:
         return cached
 
-    n = game.n
     v = game.table()
-    full = (1 << n) - 1
-    witnesses: dict[str, tuple[Coalition, ...]] = {}
-
-    worst_mask = int(np.argmin(v))
-    nonneg = v[worst_mask] >= -tol
-    if not nonneg:
-        witnesses["nonneg"] = (Coalition.from_mask(worst_mask, n),)
-
-    worst_gap = tol
-    worst_pair = None
-    for c_mask in range(1, full + 1):
-        vc = v[c_mask]
-        sub = (c_mask - 1) & c_mask
-        while sub:
-            gap = v[sub] - vc
-            if gap > worst_gap:
-                worst_gap = gap
-                worst_pair = (sub, c_mask)
-            sub = (sub - 1) & c_mask
-        # B = empty: v(C) >= 0 already covered by nonneg
-    monotone = worst_pair is None
-    if not monotone:
-        witnesses["monotone"] = (
-            Coalition.from_mask(worst_pair[0], n),
-            Coalition.from_mask(worst_pair[1], n),
-        )
-
-    worst_gap = tol
-    worst_pair = None
-    for b_mask in range(1, full + 1):
-        comp = full ^ b_mask
-        vb = v[b_mask]
-        sub = comp
-        while sub:
-            if sub > b_mask:  # each unordered pair once
-                gap = vb + v[sub] - v[b_mask | sub]
-                if gap > worst_gap:
-                    worst_gap = gap
-                    worst_pair = (b_mask, sub)
-            sub = (sub - 1) & comp
-    superadditive = worst_pair is None
-    if not superadditive:
-        witnesses["superadditive"] = (
-            Coalition.from_mask(worst_pair[0], n),
-            Coalition.from_mask(worst_pair[1], n),
-        )
-
-    report = AxiomReport(bool(nonneg), monotone, superadditive, witnesses)
+    worst = int(np.argmin(v))
+    # B = empty in monotonicity is v(C) >= 0, already covered by nonneg
+    violations = {
+        "nonneg": (worst,) if v[worst] < -tol else None,
+        "monotone": _monotonicity_violation(v, tol),
+        "superadditive": _superadditivity_violation(v, tol),
+    }
+    witnesses = {
+        axiom: tuple(Coalition.from_mask(m, game.n) for m in masks)
+        for axiom, masks in violations.items()
+        if masks is not None
+    }
+    report = AxiomReport(*(masks is None for masks in violations.values()), witnesses)
     game._axiom_reports[tol] = report
     return report
 

@@ -3,20 +3,34 @@
 F1 non-negativity, F2 individual rationality, F3 equal-time symmetry,
 F4 equal-time desirability, F5 uselessness, F6 necessity, F7 time-based
 monotonicity, F8 time-based strict monotonicity.  Every quantifier is
-enumerated exhaustively (never sampled); party counts above the exact
-ceiling are refused.  F7/F8 recompute rewards counterfactually through a
-reward-scheme closure and are reported not_applicable without one.
+decided exhaustively (never sampled) as an array reduction over the
+2**n value table: F3/F4 and the strictness predicate over submask
+arrays, F5 and F6 over the per-party (without, with) views of the
+table, with one largest |v| per party deciding every F6 pair in
+O(n 2**n).  Party counts above the exact ceiling are refused, and so
+is a tolerance that is not finite and >= 0.  F7/F8 recompute rewards
+counterfactually through a reward-scheme closure and are reported
+not_applicable without one.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import PreconditionViolated, TooLarge
-from .games import MAX_EXACT_PARTIES, Game, RewardVector, TimeVector
+from .games import (
+    MAX_EXACT_PARTIES,
+    Game,
+    RewardVector,
+    TimeVector,
+    _bit_pairs,
+    _check_tolerance,
+    _submask_array,
+)
 from .shapley import naive_time_division, shapley_exact
 from .rewards import reward_cumulation, reward_time_valuation
 
@@ -125,27 +139,20 @@ def _guard(game: Game, times: TimeVector):
         raise ValueError("times length must equal the party count")
 
 
-def _submasks(mask: int):
-    """All submasks of mask including 0, descending."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
+def _necessary_parties(v: np.ndarray, tol: float) -> list[int]:
+    """Parties i with |v| <= tol on every coalition missing i, ascending."""
+    pairs = enumerate(_bit_pairs(v), start=1)
+    return [i for i, (without, _) in pairs if np.abs(without).max() <= tol]
 
 
 def necessity_predicate(game: Game, i: int, j: int, tol: float = 1e-9) -> bool:
     """True iff every coalition missing party i or party j is worthless."""
+    _check_tolerance(tol)
     if game.n > MAX_EXACT_PARTIES:
         raise TooLarge(f"necessity check needs n <= {MAX_EXACT_PARTIES}")
-    v = game.table()
-    bi, bj = 1 << (i - 1), 1 << (j - 1)
-    both = bi | bj
-    for mask in range(1 << game.n):
-        if (mask & both) != both and abs(v[mask]) > tol:
-            return False
-    return True
+    if not (1 <= i <= game.n and 1 <= j <= game.n):
+        raise ValueError(f"parties must lie in 1..{game.n}, got {i} and {j}")
+    return {i, j} <= set(_necessary_parties(game.table(), tol))
 
 
 def strictness_predicate(game: Game, times: TimeVector, i: int) -> bool:
@@ -157,12 +164,9 @@ def strictness_predicate(game: Game, times: TimeVector, i: int) -> bool:
     _guard(game, times)
     v = game.table()
     bi = 1 << (i - 1)
-    vi = v[bi]
     preds = sum(1 << k for k in range(game.n) if times[k] < times[i - 1])
-    for c_mask in _submasks(preds):
-        if v[c_mask | bi] > v[c_mask] + vi:
-            return True
-    return False
+    c = _submask_array(preds, game.n)
+    return bool(np.any(v[c | bi] > v[c] + v[bi]))
 
 
 def _rewards_array(rewards) -> np.ndarray:
@@ -185,13 +189,13 @@ def check_static(
     one-sided within the tolerance constrain nothing; they are listed as
     skipped on F3/F4 rather than guessed at.
     """
+    _check_tolerance(tol)
     _guard(game, times)
     r = _rewards_array(rewards)
     if len(r) != game.n:
         raise ValueError("rewards length must equal the party count")
     n = game.n
     v = game.table()
-    full = (1 << n) - 1
     checks: dict[str, IncentiveCheck] = {}
 
     # F1: r_i >= 0
@@ -210,62 +214,43 @@ def check_static(
     # F3 / F4 over equal-time pairs
     f3 = IncentiveCheck(PASS)
     f4 = IncentiveCheck(PASS)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if times[i - 1] != times[j - 1]:
-                continue
-            bi, bj = 1 << (i - 1), 1 << (j - 1)
-            rest = full ^ bi ^ bj
-            hi = -np.inf
-            lo = np.inf
-            for c_mask in _submasks(rest):
-                diff = v[c_mask | bi] - v[c_mask | bj]
-                hi = max(hi, diff)
-                lo = min(lo, diff)
-            if max(abs(hi), abs(lo)) <= tol:
-                f3.instances += 1
-                if abs(r[i - 1] - r[j - 1]) > tol:
-                    f3.witnesses.append((i, j, float(r[i - 1]), float(r[j - 1])))
-            elif hi > tol and lo >= -tol:
-                f4.instances += 1
-                if not r[i - 1] > r[j - 1] + strict_margin:
-                    f4.witnesses.append((i, j, float(r[i - 1]), float(r[j - 1])))
-            elif lo < -tol and hi <= tol:
-                f4.instances += 1
-                if not r[j - 1] > r[i - 1] + strict_margin:
-                    f4.witnesses.append((j, i, float(r[j - 1]), float(r[i - 1])))
-            else:
-                f4.skipped.append((i, j))
-    f3.status = FAIL if f3.witnesses else PASS
-    f4.status = FAIL if f4.witnesses else PASS
-    checks["F3"] = f3
-    checks["F4"] = f4
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        if times[i - 1] != times[j - 1]:
+            continue
+        bi, bj = 1 << (i - 1), 1 << (j - 1)
+        rest = _submask_array(game.grand_mask ^ bi ^ bj, n)
+        diff = v[rest | bi] - v[rest | bj]
+        hi, lo = diff.max(), diff.min()
+        if max(abs(hi), abs(lo)) <= tol:
+            f3.instances += 1
+            if abs(r[i - 1] - r[j - 1]) > tol:
+                f3.witnesses.append((i, j, float(r[i - 1]), float(r[j - 1])))
+        elif (hi > tol) != (lo < -tol):
+            # one-sided: the better party must earn strictly more
+            a, b = (i, j) if hi > tol else (j, i)
+            f4.instances += 1
+            if not r[a - 1] > r[b - 1] + strict_margin:
+                f4.witnesses.append((a, b, float(r[a - 1]), float(r[b - 1])))
+        else:
+            f4.skipped.append((i, j))
 
     # F5: useless parties earn nothing
     f5 = IncentiveCheck(PASS)
-    for i in range(1, n + 1):
-        bi = 1 << (i - 1)
-        rest = full ^ bi
-        useless = all(
-            abs(v[c_mask | bi] - v[c_mask]) <= tol for c_mask in _submasks(rest)
-        )
-        if useless:
+    for i, (without, with_bit) in enumerate(_bit_pairs(v), start=1):
+        if np.all(np.abs(with_bit - without) <= tol):
             f5.instances += 1
             if abs(r[i - 1]) > tol:
                 f5.witnesses.append((i, float(r[i - 1])))
-    f5.status = FAIL if f5.witnesses else PASS
-    checks["F5"] = f5
 
     # F6: mutually necessary parties earn equally
     f6 = IncentiveCheck(PASS)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if necessity_predicate(game, i, j, tol):
-                f6.instances += 1
-                if abs(r[i - 1] - r[j - 1]) > tol:
-                    f6.witnesses.append((i, j, float(r[i - 1]), float(r[j - 1])))
-    f6.status = FAIL if f6.witnesses else PASS
-    checks["F6"] = f6
+    for i, j in itertools.combinations(_necessary_parties(v, tol), 2):
+        f6.instances += 1
+        if abs(r[i - 1] - r[j - 1]) > tol:
+            f6.witnesses.append((i, j, float(r[i - 1]), float(r[j - 1])))
+    for key, check in (("F3", f3), ("F4", f4), ("F5", f5), ("F6", f6)):
+        check.status = FAIL if check.witnesses else PASS
+        checks[key] = check
 
     checks["F7"] = IncentiveCheck(NOT_APPLICABLE)
     checks["F8"] = IncentiveCheck(NOT_APPLICABLE)
@@ -286,6 +271,7 @@ def check_temporal(
     strict rise whenever the strict-synergy predicate holds under the
     counterfactual times.
     """
+    _check_tolerance(tol)
     _guard(game, times)
     base = scheme(game, times).rewards
     f7 = IncentiveCheck(PASS)
@@ -294,17 +280,14 @@ def check_temporal(
         for t_new in range(times[i - 1]):
             moved = times.with_time(i, t_new)
             shifted = scheme(game, moved).rewards
+            witness = (i, times[i - 1], t_new, float(base[i - 1]), float(shifted[i - 1]))
             f7.instances += 1
             if shifted[i - 1] < base[i - 1] - tol:
-                f7.witnesses.append(
-                    (i, times[i - 1], t_new, float(base[i - 1]), float(shifted[i - 1]))
-                )
+                f7.witnesses.append(witness)
             if strictness_predicate(game, moved, i):
                 f8.instances += 1
                 if not shifted[i - 1] > base[i - 1] + strict_margin:
-                    f8.witnesses.append(
-                        (i, times[i - 1], t_new, float(base[i - 1]), float(shifted[i - 1]))
-                    )
+                    f8.witnesses.append(witness)
     f7.status = FAIL if f7.witnesses else PASS
     f8.status = FAIL if f8.witnesses else PASS
     return IncentiveReport({"F7": f7, "F8": f8})

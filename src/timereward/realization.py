@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TargetOutOfRange
-from .games import Game
+from .games import Game, _check_tolerance
 from .valuation import GpModel, gp_ig, information_gain, se_kernel
 
 __all__ = [
@@ -51,19 +51,15 @@ class SubsetReward:
     saturated: bool = False
 
 
-def _check_party(party: int, n_parties: int):
-    if not 1 <= party <= n_parties:
-        raise ValueError(f"party must lie in 1..{n_parties}, got {party}")
-
-
 def _check_target(target: float):
     if not np.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
 
 
 def _others(model: GpModel, party: int) -> np.ndarray:
-    """Points of every other party; party must be one of the model's."""
-    _check_party(party, model.n_parties)
+    """Points of every other party; party must own points of the model."""
+    if not np.any(model.ownership == party):
+        raise ValueError(f"party {party} owns no points among parties 1..{model.n_parties}")
     return model.points_of(p for p in range(1, model.n_parties + 1) if p != party)
 
 
@@ -101,8 +97,9 @@ def temper(model: GpModel, party: int, target: float, tol: float = 1e-6) -> Temp
 
     The objective is monotone non-decreasing in kappa, so plain bisection
     converges; it stops when the value is within tol of the target or
-    the bracket width drops below 1e-14.
+    the bracket width drops below 1e-14.  tol must be finite and >= 0.
     """
+    _check_tolerance(tol)
     _check_target(target)
     tempered = _tempering_curve(model, party)
     lo, hi = 0.0, 1.0
@@ -157,7 +154,8 @@ def select_subset(source: Game | GpModel, party: int, target: float, seed: int) 
             return total - gp_ig(source, np.setdiff1d(everything, selected))
 
     elif isinstance(source, Game):
-        _check_party(party, source.n)
+        if not 1 <= party <= source.n:
+            raise ValueError(f"party must lie in 1..{source.n}, got {party}")
         own = [party]
         donors = [p for p in range(1, source.n + 1) if p != party]
         value = source.value

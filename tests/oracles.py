@@ -6,14 +6,26 @@ every permutation, interval values restrict the game to the parties
 present, and time-aware values sum dividends from the subset recursion.
 They are exponential or worse and meant for small games only.  The
 tempered GP value is built from its virtual copies of the others'
-points, one joint kernel over kept and conditioning points.
+points, one joint kernel over kept and conditioning points.  The
+axiom and incentive checks enumerate their quantifiers coalition by
+coalition with submask loops, in the scan order whose first worst pair
+the library reports as its witness.
 """
 
 import itertools
 
 import numpy as np
 
-from timereward import Coalition, Game, TimeVector, interval_weights, restrict_game
+from timereward import (
+    AxiomReport,
+    Coalition,
+    Game,
+    IncentiveReport,
+    TimeVector,
+    interval_weights,
+    restrict_game,
+)
+from timereward.incentives import IncentiveCheck
 from timereward.rewards import cooperative_abilities
 from timereward.valuation import GpModel, information_gain, se_kernel
 
@@ -142,3 +154,151 @@ def tempered_value_reference(model: GpModel, party: int, kappa: float) -> float:
         return ig_joint
     K_cond = se_kernel(model.inputs[cond_idx], model.lengthscales, model.signal_variance)
     return ig_joint - information_gain(K_cond, cond_noise)
+
+
+def _submasks(mask: int):
+    """All submasks of mask including 0, descending."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def check_axioms_reference(game: Game, tol: float) -> AxiomReport:
+    """A1-A3 by enumerating every nested and every disjoint coalition pair.
+
+    Monotonicity scans C ascending and B over C's proper non-empty
+    submasks descending; superadditivity scans B ascending and S > B over
+    the submasks of B's complement descending.  The first pair with the
+    largest gap above tol is the witness.
+    """
+    n = game.n
+    v = game.table()
+    full = (1 << n) - 1
+    witnesses = {}
+
+    worst_mask = int(np.argmin(v))
+    nonneg = v[worst_mask] >= -tol
+    if not nonneg:
+        witnesses["nonneg"] = (Coalition.from_mask(worst_mask, n),)
+
+    worst_gap = tol
+    worst_pair = None
+    for c_mask in range(1, full + 1):
+        vc = v[c_mask]
+        sub = (c_mask - 1) & c_mask
+        while sub:
+            gap = v[sub] - vc
+            if gap > worst_gap:
+                worst_gap = gap
+                worst_pair = (sub, c_mask)
+            sub = (sub - 1) & c_mask
+    monotone = worst_pair is None
+    if not monotone:
+        witnesses["monotone"] = tuple(Coalition.from_mask(m, n) for m in worst_pair)
+
+    worst_gap = tol
+    worst_pair = None
+    for b_mask in range(1, full + 1):
+        comp = full ^ b_mask
+        vb = v[b_mask]
+        sub = comp
+        while sub:
+            if sub > b_mask:
+                gap = vb + v[sub] - v[b_mask | sub]
+                if gap > worst_gap:
+                    worst_gap = gap
+                    worst_pair = (b_mask, sub)
+            sub = (sub - 1) & comp
+    superadditive = worst_pair is None
+    if not superadditive:
+        witnesses["superadditive"] = tuple(Coalition.from_mask(m, n) for m in worst_pair)
+
+    return AxiomReport(bool(nonneg), monotone, superadditive, witnesses)
+
+
+def necessity_reference(game: Game, i: int, j: int, tol: float) -> bool:
+    """Every coalition missing party i or party j is worthless."""
+    v = game.table()
+    both = (1 << (i - 1)) | (1 << (j - 1))
+    return all(
+        abs(v[mask]) <= tol for mask in range(1 << game.n) if (mask & both) != both
+    )
+
+
+def strictness_reference(game: Game, times: TimeVector, i: int) -> bool:
+    """Some subset C of party i's predecessors has v(C + i) > v(C) + v(i)."""
+    v = game.table()
+    bi = 1 << (i - 1)
+    preds = sum(1 << k for k in range(game.n) if times[k] < times[i - 1])
+    return any(v[c | bi] > v[c] + v[bi] for c in _submasks(preds))
+
+
+def check_static_reference(game: Game, times: TimeVector, rewards, tol: float,
+                           strict_margin: float = 1e-12) -> IncentiveReport:
+    """F1-F6 by enumerating every coalition each quantifier ranges over."""
+    r = np.asarray(rewards, dtype=float)
+    n = game.n
+    v = game.table()
+    full = (1 << n) - 1
+    checks = {}
+
+    bad = [(i + 1, float(r[i])) for i in range(n) if r[i] < -tol]
+    checks["F1"] = IncentiveCheck("fail" if bad else "pass", n, bad)
+
+    singles = game.singleton_values()
+    bad = [(i + 1, float(r[i]), float(singles[i])) for i in range(n) if r[i] < singles[i] - tol]
+    checks["F2"] = IncentiveCheck("fail" if bad else "pass", n, bad)
+
+    f3 = IncentiveCheck("pass")
+    f4 = IncentiveCheck("pass")
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if times[i - 1] != times[j - 1]:
+                continue
+            bi, bj = 1 << (i - 1), 1 << (j - 1)
+            diffs = [v[c | bi] - v[c | bj] for c in _submasks(full ^ bi ^ bj)]
+            hi, lo = max(diffs), min(diffs)
+            if max(abs(hi), abs(lo)) <= tol:
+                f3.instances += 1
+                if abs(r[i - 1] - r[j - 1]) > tol:
+                    f3.witnesses.append((i, j, float(r[i - 1]), float(r[j - 1])))
+            elif hi > tol and lo >= -tol:
+                f4.instances += 1
+                if not r[i - 1] > r[j - 1] + strict_margin:
+                    f4.witnesses.append((i, j, float(r[i - 1]), float(r[j - 1])))
+            elif lo < -tol and hi <= tol:
+                f4.instances += 1
+                if not r[j - 1] > r[i - 1] + strict_margin:
+                    f4.witnesses.append((j, i, float(r[j - 1]), float(r[i - 1])))
+            else:
+                f4.skipped.append((i, j))
+    for key, check in (("F3", f3), ("F4", f4)):
+        check.status = "fail" if check.witnesses else "pass"
+        checks[key] = check
+
+    f5 = IncentiveCheck("pass")
+    for i in range(1, n + 1):
+        bi = 1 << (i - 1)
+        if all(abs(v[c | bi] - v[c]) <= tol for c in _submasks(full ^ bi)):
+            f5.instances += 1
+            if abs(r[i - 1]) > tol:
+                f5.witnesses.append((i, float(r[i - 1])))
+    f5.status = "fail" if f5.witnesses else "pass"
+    checks["F5"] = f5
+
+    f6 = IncentiveCheck("pass")
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if necessity_reference(game, i, j, tol):
+                f6.instances += 1
+                if abs(r[i - 1] - r[j - 1]) > tol:
+                    f6.witnesses.append((i, j, float(r[i - 1]), float(r[j - 1])))
+    f6.status = "fail" if f6.witnesses else "pass"
+    checks["F6"] = f6
+
+    checks["F7"] = IncentiveCheck("not_applicable")
+    checks["F8"] = IncentiveCheck("not_applicable")
+    return IncentiveReport(checks)

@@ -292,6 +292,40 @@ class TestRealizeCommand:
         assert not out.exists()
         assert capsys.readouterr().out == ""
 
+    def test_subset_rejects_tol(self, ir_game_file, tmp_path, capsys):
+        # select_subset has no tolerance; --tol used to be accepted and ignored
+        out = tmp_path / "real.json"
+        code = main(
+            [
+                "realize", "--method", "subset", "--game", ir_game_file,
+                "--party", "1", "--target", "1.05", "--tol", "5", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["temper", "subset"])
+    def test_gp_party_without_points_exits_1(self, method, tmp_path, capsys):
+        from timereward.synthdata import Dataset, save_dataset_csv
+
+        rng = np.random.default_rng(2)
+        csv_path = tmp_path / "gap.csv"
+        save_dataset_csv(
+            Dataset(rng.uniform(size=(6, 1)), rng.normal(size=6), np.array([1, 1, 1, 3, 3, 3])),
+            csv_path,
+        )
+        out = tmp_path / "real.json"
+        code = main(
+            [
+                "realize", "--method", method, "--data", str(csv_path), "--party", "2",
+                "--target", "0.1", "--seed", "0", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        assert "owns no points" in capsys.readouterr().err
+
     def test_out_of_range_target_is_an_error(self, ir_game_file):
         code = main(
             [

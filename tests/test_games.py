@@ -164,6 +164,13 @@ class TestCheckAxioms:
         with pytest.raises(TooLarge):
             check_axioms(g)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -1e-12])
+    def test_bad_tolerance_rejected(self, tol):
+        # a NaN tol used to call this subadditive game superadditive
+        g = make_table_game(2, {"1": 0.6, "2": 0.6, "1,2": 1.0})
+        with pytest.raises(ValueError, match="tol"):
+            check_axioms(g, tol)
+
     def test_report_cached_per_tolerance(self):
         g = random_superadditive_game(3, seed=2)
         assert check_axioms(g, 1e-9) is check_axioms(g, 1e-9)

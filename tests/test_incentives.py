@@ -55,6 +55,11 @@ class TestNecessityPredicate:
     def test_positive_solo_value_breaks_necessity(self, ir_counterexample):
         assert not necessity_predicate(ir_counterexample, 1, 2)
 
+    @pytest.mark.parametrize("i,j", [(0, 1), (1, 3), (-1, 2)])
+    def test_parties_out_of_range(self, necessity_counterexample, i, j):
+        with pytest.raises(ValueError, match="parties"):
+            necessity_predicate(necessity_counterexample, i, j)
+
     def test_additive_positive_game(self):
         g = make_table_game(2, {"1": 0.3, "2": 0.4, "1,2": 0.7})
         assert not necessity_predicate(g, 1, 2)
@@ -178,6 +183,19 @@ class TestCheckStatic:
         g = Game(25, lambda m: 0.0)
         with pytest.raises(TooLarge):
             check_static(g, TimeVector.of((0,) * 25), np.zeros(25))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_bad_tolerance_rejected(tol, ir_counterexample, late_first):
+    # a NaN tol used to let check_static report no failures on rewards [-5, 3]
+    with pytest.raises(ValueError, match="tol"):
+        check_static(ir_counterexample, late_first, np.array([-5.0, 3.0]), tol)
+    with pytest.raises(ValueError, match="tol"):
+        check_temporal(ir_counterexample, late_first, naive_scheme(), tol)
+    with pytest.raises(ValueError, match="tol"):
+        full_incentive_report(ir_counterexample, late_first, naive_scheme(), tol)
+    with pytest.raises(ValueError, match="tol"):
+        necessity_predicate(ir_counterexample, 1, 2, tol)
 
 
 class TestCheckTemporal:

@@ -7,6 +7,8 @@ time 10**6, where the per-interval definition has a million rows but the
 kernel only sees the distinct joining times.  The tempered GP value is
 held to 1e-10 relative to its virtual-copy definition on small models
 with scalar and per-point noise, at kappa 0, 1 and within 1e-12 of both.
+The axiom and incentive reports must equal the submask-loop references
+exactly, witnesses and tie-breaks included, on tables with many ties.
 """
 
 import numpy as np
@@ -15,6 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     brute_force_shapley,
+    check_axioms_reference,
+    check_static_reference,
+    necessity_reference,
+    strictness_reference,
     interval_shapley_reference,
     reward_cumulation_reference,
     tempered_value_reference,
@@ -24,10 +30,14 @@ from timereward import (
     Game,
     GpModel,
     TimeVector,
+    check_axioms,
+    check_static,
     interval_shapley_values,
+    necessity_predicate,
     reward_cumulation,
     reward_time_valuation,
     shapley_exact,
+    strictness_predicate,
     temper,
     tempered_value,
     time_aware_game,
@@ -140,3 +150,44 @@ def test_tempering_matches_virtual_copies(case):
     assert result.achieved_value == pytest.approx(
         tempered_value(model, party, result.kappa), rel=1e-12, abs=1e-12
     )
+
+
+@st.composite
+def check_cases(draw):
+    """A value table with many ties or few dividends, joining times, rewards and a tol."""
+    n = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["float", "small integer", "zero-one", "few dividends"]))
+    if kind == "float":
+        table = rng.normal(size=1 << n)
+    elif kind == "small integer":
+        table = rng.integers(-2, 3, size=1 << n).astype(float)
+    elif kind == "zero-one":
+        table = rng.integers(0, 2, size=1 << n).astype(float)
+    else:  # useless, necessary and symmetric parties
+        dividends = np.zeros(1 << n)
+        dividends[rng.integers(1, 1 << n, size=2)] = rng.integers(1, 3, size=2)
+        table = subset_sums(dividends)
+    table[0] = 0.0
+    times = TimeVector.of(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    rewards = rng.integers(-1, 3, size=n).astype(float) if kind != "float" else rng.normal(size=n)
+    return n, table, times, rewards, draw(st.sampled_from([0.0, 1e-9, 0.5]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(check_cases())
+def test_checks_match_submask_loops(case):
+    n, table, times, rewards, tol = case
+
+    def game():
+        return Game(n, lambda m: table[m], table=table)
+
+    assert check_axioms(game(), tol).to_dict() == check_axioms_reference(game(), tol).to_dict()
+    g = game()
+    assert check_static(g, times, rewards, tol).to_dict() == (
+        check_static_reference(g, times, rewards, tol).to_dict()
+    )
+    for i in range(1, n + 1):
+        assert strictness_predicate(g, times, i) == strictness_reference(g, times, i)
+        for j in range(1, n + 1):
+            assert necessity_predicate(g, i, j, tol) == necessity_reference(g, i, j, tol)

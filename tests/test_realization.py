@@ -214,6 +214,26 @@ class TestRequestValidation:
         with pytest.raises(ValueError, match="party"):
             select_subset(g, party, 0.5, seed=0)
 
+    def test_gp_party_without_points(self):
+        rng = np.random.default_rng(2)
+        model = GpModel(rng.uniform(size=(6, 1)), np.array([1, 1, 1, 3, 3, 3]), [1.0], 1.0, 0.5)
+        total = tempered_value(model, 1, 1.0)
+        with pytest.raises(ValueError, match="party 2 owns no points"):
+            tempered_value(model, 2, 0.5)
+        with pytest.raises(ValueError, match="party 2 owns no points"):
+            temper(model, 2, 0.5 * total)
+        with pytest.raises(ValueError, match="party 2 owns no points"):
+            select_subset(model, 2, 0.5 * total, seed=0)
+        # the parties that own points are still served
+        assert temper(model, 3, 0.5 * total).party == 3
+        assert select_subset(model, 1, 0.5 * total, seed=0).party == 1
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_bad_tolerance(self, tol):
+        model = three_party_model()
+        with pytest.raises(ValueError, match="tol"):
+            temper(model, 1, 0.5 * tempered_value(model, 1, 1.0), tol)
+
     @pytest.mark.parametrize("target", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_target(self, target):
         model = three_party_model()
