@@ -313,8 +313,9 @@ def check_weak_efficiency(
     """True iff the best scaled reward matches the grand-coalition value.
 
     Only meaningful when every party joined at time 0; passing nonzero
-    times raises PreconditionViolated.
+    times raises PreconditionViolated.  tol must be finite and >= 0.
     """
+    _check_tolerance(tol)
     if times is not None and any(t != 0 for t in times.times):
         raise PreconditionViolated("weak efficiency is defined for all-zero joining times")
     if isinstance(scaled, RewardVector):

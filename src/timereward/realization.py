@@ -2,23 +2,29 @@
 
 Likelihood tempering raises the other parties' Gaussian likelihood to a
 power kappa in [0, 1].  Precisions add, so for a GP the tempered value
-is IG(all points) - IG(others' points at noise sigma^2/(1-kappa)).  It
-is monotone in kappa, so bisection hits any in-range target, and each
-step is one conditioning factorization.  Subset selection instead adds
-shuffled points from the other parties until the conditional value
-first exceeds the target; it works for any valuation but is only
-approximate.
+is IG(all points) - IG(others' points at noise sigma^2/(1-kappa)), which
+is IG(all) - 0.5 * sum_k log1p((1 - kappa) * lambda_k) with lambda_k the
+eigenvalues of the others' whitened kernel.  One eigendecomposition per
+model and party (kept while the model lives) makes every bisection step
+O(m).  Subset selection instead adds shuffled points from the other
+parties until the conditional value first exceeds the target; it works
+for any valuation but is only approximate.  On a GP the points left out
+after k additions are the last ones in joining order, so one Cholesky
+factor of the donors in reversed joining order gives every step's value
+from the cumulative sum of its log diagonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from .errors import TargetOutOfRange
 from .games import Game, _check_tolerance
-from .valuation import GpModel, gp_ig, information_gain, se_kernel
+from .valuation import GpModel, _robust_cholesky, _whitened_kernel, gp_ig
 
 __all__ = [
     "TemperedReward",
@@ -63,19 +69,29 @@ def _others(model: GpModel, party: int) -> np.ndarray:
     return model.points_of(p for p in range(1, model.n_parties + 1) if p != party)
 
 
-def _tempering_curve(model: GpModel, party: int):
-    """kappa -> tempered value of party; the kappa-free terms are computed once."""
-    others = _others(model, party)
-    total = gp_ig(model, np.arange(model.n_points))
-    K = se_kernel(model.inputs[others], model.lengthscales, model.signal_variance)
-    noise = model.noise_vector()[others]
+def _tempering_curve(model: GpModel, party: int) -> Callable[[float], float]:
+    """kappa -> tempered value of party, from one eigendecomposition per model and party.
 
-    def value(kappa: float) -> float:
-        if kappa == 1.0:
-            return total
-        return total - information_gain(K, noise / (1.0 - kappa))
+    IG(others at noise/(1-kappa)) is 0.5 * log det(I + (1-kappa) A) with A
+    the others' whitened kernel, so it is a sum over A's eigenvalues.  The
+    curve is kept on the model, whose arrays are read-only, so a sweep
+    that tempers one party for many targets builds it once.
+    """
+    curves = model._tempering_curves
+    if party not in curves:
+        others = _others(model, party)
+        total = gp_ig(model, np.arange(model.n_points))
+        spectrum = np.zeros(0)
+        if len(others):
+            A = _whitened_kernel(model, others)
+            # A is positive semi-definite; clip rounding below zero
+            spectrum = np.maximum(scipy.linalg.eigvalsh(A, check_finite=False), 0.0)
 
-    return value
+        def value(kappa: float) -> float:
+            return total - 0.5 * float(np.sum(np.log1p((1.0 - kappa) * spectrum)))
+
+        curves[party] = value
+    return curves[party]
 
 
 def tempered_value(model: GpModel, party: int, kappa: float) -> float:
@@ -133,6 +149,21 @@ def conditional_point_value(model: GpModel, point_indices) -> float:
     return gp_ig(model, everything) - gp_ig(model, rest)
 
 
+def _joining_values(model: GpModel, joining: np.ndarray) -> np.ndarray:
+    """Conditional value once the first k donor points have joined, k = 0..len(joining).
+
+    The points still left out are joining[k:], which are the first
+    len - k points in reversed joining order, so their IG is a prefix sum
+    of the log diagonal of one Cholesky factor in that order.
+    """
+    left_out = np.zeros(len(joining) + 1)
+    if len(joining):
+        B = _whitened_kernel(model, joining[::-1])
+        B[np.diag_indices_from(B)] += 1.0
+        np.cumsum(np.log(np.diagonal(_robust_cholesky(B))), out=left_out[1:])
+    return gp_ig(model, np.arange(model.n_points)) - left_out[::-1]
+
+
 def select_subset(source: Game | GpModel, party: int, target: float, seed: int) -> SubsetReward:
     """Greedily grow the party's data with shuffled donor atoms until the
     value first exceeds the target.
@@ -144,40 +175,40 @@ def select_subset(source: Game | GpModel, party: int, target: float, seed: int) 
     target, the result is flagged saturated.
     """
     _check_target(target)
+    rng = np.random.default_rng(seed)
     if isinstance(source, GpModel):
-        donors = [int(k) for k in _others(source, party)]
-        own = [int(k) for k in source.points_of([party])]
-        everything = np.arange(source.n_points)
-        total = gp_ig(source, everything)
+        donors = _others(source, party)
+        own = source.points_of([party]).tolist()
+        joining_idx = donors[rng.permutation(len(donors))]
+        values = _joining_values(source, joining_idx)
+        joining = joining_idx.tolist()
 
-        def value(selected):
-            return total - gp_ig(source, np.setdiff1d(everything, selected))
+        def value(k: int) -> float:
+            return float(values[k])
 
     elif isinstance(source, Game):
         if not 1 <= party <= source.n:
             raise ValueError(f"party must lie in 1..{source.n}, got {party}")
         own = [party]
         donors = [p for p in range(1, source.n + 1) if p != party]
-        value = source.value
-        total = source.grand_value()
+        joining = [donors[pos] for pos in rng.permutation(len(donors))]
+
+        def value(k: int) -> float:
+            return source.value(own + joining[:k])
+
     else:
         raise TypeError("source must be a Game or a GpModel")
 
-    floor = value(own)
+    floor, total = value(0), value(len(joining))
     if target < floor - 1e-12 or target > total + 1e-12:
         raise TargetOutOfRange(
             f"target {target:g} outside achievable [{floor:g}, {total:g}]"
         )
-
-    rng = np.random.default_rng(seed)
-    order = list(rng.permutation(len(donors)))
-    selected = list(own)
+    if floor >= target:
+        return SubsetReward(party, tuple(own), floor, target, seed)
     achieved = floor
-    if achieved >= target:
-        return SubsetReward(party, tuple(selected), achieved, target, seed)
-    for pos in order:
-        selected.append(donors[pos])
-        achieved = value(selected)
+    for k in range(1, len(joining) + 1):
+        achieved = value(k)
         if achieved > target:
-            return SubsetReward(party, tuple(selected), achieved, target, seed)
-    return SubsetReward(party, tuple(selected), achieved, target, seed, saturated=True)
+            return SubsetReward(party, tuple(own + joining[:k]), achieved, target, seed)
+    return SubsetReward(party, tuple(own + joining), achieved, target, seed, saturated=True)

@@ -5,6 +5,14 @@ the latent function from that coalition's points, given everybody
 else's: IG(all points) - IG(points of the complement).  It is the dual
 of the plain information gain, which is monotone submodular, so it is
 non-negative, monotone, and superadditive.
+
+Every information gain is half the log-determinant of I + D^-1/2 K D^-1/2
+over a point set, D holding the points' noise variances.  The plain IG
+of all 2^n coalitions comes from one whitened kernel of all points,
+grouped by party: a depth-first walk over the parties extends the
+prefix coalition's Cholesky factor by one party block at a time (one
+triangular solve and one Schur-complement factorization), and the new
+block's log diagonal is the coalition's gain over its prefix.
 """
 
 from __future__ import annotations
@@ -43,7 +51,8 @@ class GpModel:
     """Squared-exponential GP over a fixed design matrix with party ownership.
 
     noise_variance may be a scalar (homoscedastic) or a per-point vector.
-    Hyperparameters are configuration inputs and are never optimized.
+    Hyperparameters are configuration inputs and are never optimized;
+    they and the inputs must be finite.
     """
 
     inputs: np.ndarray
@@ -53,9 +62,13 @@ class GpModel:
     noise_variance: float | np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.inputs, dtype=float)
-        own = np.asarray(self.ownership, dtype=int)
-        ls = np.asarray(self.lengthscales, dtype=float)
+        X = np.array(self.inputs, dtype=float)
+        own = np.array(self.ownership, dtype=int)
+        ls = np.array(self.lengthscales, dtype=float)
+        noise = np.array(self.noise_variance, dtype=float)
+        signal = float(self.signal_variance)
+        if not all(np.all(np.isfinite(a)) for a in (X, ls, noise, signal)):
+            raise ValueError("inputs, lengthscales, signal and noise variances must be finite")
         if X.ndim != 2:
             raise ValueError("inputs must be a 2-d design matrix")
         if len(own) != len(X):
@@ -64,9 +77,8 @@ class GpModel:
             raise ValueError("ownership indices are 1-based")
         if ls.shape != (X.shape[1],) or np.any(ls <= 0):
             raise ValueError("need one strictly positive lengthscale per feature")
-        if not self.signal_variance > 0:
+        if not signal > 0:
             raise ValueError("signal_variance must be positive")
-        noise = np.asarray(self.noise_variance, dtype=float)
         if noise.ndim == 0:
             if not noise > 0:
                 raise ValueError("noise_variance must be positive")
@@ -74,10 +86,16 @@ class GpModel:
             raise ValueError("per-point noise needs one positive entry per point")
         if int(own.max()) > MAX_EXACT_PARTIES:
             raise TooLarge(f"party count {own.max()} exceeds {MAX_EXACT_PARTIES}")
-        object.__setattr__(self, "inputs", X)
-        object.__setattr__(self, "ownership", own)
-        object.__setattr__(self, "lengthscales", ls)
-        object.__setattr__(self, "signal_variance", float(self.signal_variance))
+        # read-only copies, so values derived from a model never go stale
+        for name, arr in (("inputs", X), ("ownership", own), ("lengthscales", ls)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if noise.ndim:
+            noise.flags.writeable = False
+        object.__setattr__(self, "noise_variance", noise if noise.ndim else float(noise))
+        object.__setattr__(self, "signal_variance", signal)
+        # tempering curves by party, filled idempotently by realization
+        object.__setattr__(self, "_tempering_curves", {})
 
     @property
     def n_points(self) -> int:
@@ -144,6 +162,13 @@ def _robust_cholesky(mat: np.ndarray) -> np.ndarray:
     )
 
 
+def _whitened_kernel(model: GpModel, idx: np.ndarray) -> np.ndarray:
+    """D^-1/2 K D^-1/2 over the given design points, D their noise variances."""
+    inv_sqrt = 1.0 / np.sqrt(model.noise_vector()[idx])
+    K = se_kernel(model.inputs[idx], model.lengthscales, model.signal_variance)
+    return inv_sqrt[:, None] * K * inv_sqrt[None, :]
+
+
 def information_gain(K: np.ndarray, noise: np.ndarray) -> float:
     """0.5 * log det(I + Knoise^-1 K) for one covariance/noise pair.
 
@@ -177,25 +202,63 @@ def gp_ig(model: GpModel, point_set) -> float:
     return information_gain(K, model.noise_vector()[idx])
 
 
+def _ig_table(model: GpModel) -> np.ndarray:
+    """Plain IG of every coalition, indexed by bitmask, from one whitened kernel.
+
+    Parties are walked depth-first in ascending order.  Rows [0, k) of
+    one m x m buffer hold the Cholesky factor of the current coalition's
+    points; adding party p writes its block below them: the cross block
+    W = L^-1 B[prefix, p] and the factor of the Schur complement
+    B[p, p] - W^T W.  The coalition's IG is its prefix's plus the sum of
+    the log diagonal of that factor, and an empty party adds nothing.
+    """
+    n = model.n_parties
+    order = np.argsort(model.ownership, kind="stable")
+    B = _whitened_kernel(model, order)
+    B[np.diag_indices_from(B)] += 1.0
+    bounds = np.searchsorted(model.ownership[order], np.arange(1, n + 2))
+    L = np.zeros_like(B)
+    rows = np.empty(len(B), dtype=int)  # buffer row -> row of B
+    table = np.zeros(1 << n)
+
+    def extend(mask: int, k: int, first: int):
+        for p in range(first, n):
+            start, stop = bounds[p], bounds[p + 1]
+            end = k + stop - start
+            if end > k:
+                schur = B[start:stop, start:stop]
+                if k:
+                    W = scipy.linalg.solve_triangular(
+                        L[:k, :k], B[rows[:k], start:stop], lower=True, check_finite=False
+                    )
+                    L[k:end, :k] = W.T
+                    schur = schur - W.T @ W
+                L[k:end, k:end] = _robust_cholesky(schur)
+                rows[k:end] = np.arange(start, stop)
+            child = mask | 1 << p
+            table[child] = table[mask] + np.sum(np.log(np.diagonal(L[k:end, k:end])))
+            extend(child, end, p + 1)
+
+    extend(0, 0, 0)
+    return table
+
+
 def ig_game(model: GpModel) -> Game:
     """Plain information-gain game: v(C) = IG of C's points (monotone submodular)."""
-    return Game(model.n_parties, lambda mask: gp_ig(model, model.points_of_mask(mask)))
+    table = _ig_table(model)
+    return Game(model.n_parties, lambda mask: table[mask], table=table)
 
 
 def conditional_ig_game(model: GpModel) -> Game:
     """Conditional information-gain game: v(C) = IG(all) - IG(complement's points).
 
     Satisfies non-negativity, monotonicity, and superadditivity, being
-    the dual of the plain (submodular) information gain.
+    the dual of the plain (submodular) information gain.  The complement
+    of mask is grand ^ mask, so the table is the plain table reversed.
     """
-    n = model.n_parties
-    total = gp_ig(model, np.arange(model.n_points))
-    full = (1 << n) - 1
-
-    def oracle(mask: int) -> float:
-        return total - gp_ig(model, model.points_of_mask(full ^ mask))
-
-    return Game(n, oracle, superadditive=True)
+    ig = _ig_table(model)
+    table = ig[-1] - ig[::-1]
+    return Game(model.n_parties, lambda mask: table[mask], table=table, superadditive=True)
 
 
 class DualGame(Game):
@@ -239,8 +302,8 @@ def gp_predict(
     y = np.asarray(targets, dtype=float)[idx]
     Xs = model.inputs[idx]
     noise = model.noise_vector()[idx] if point_noise is None else np.asarray(point_noise)
-    if len(noise) != len(idx) or np.any(noise <= 0):
-        raise ValueError("need one positive noise entry per conditioning point")
+    if len(noise) != len(idx) or not np.all((noise > 0) & np.isfinite(noise)):
+        raise ValueError("need one positive finite noise entry per conditioning point")
     if test_noise is None:
         base = np.asarray(model.noise_variance, dtype=float)
         test_noise = float(base) if base.ndim == 0 else float(base.mean())

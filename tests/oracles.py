@@ -6,10 +6,11 @@ every permutation, interval values restrict the game to the parties
 present, and time-aware values sum dividends from the subset recursion.
 They are exponential or worse and meant for small games only.  The
 tempered GP value is built from its virtual copies of the others'
-points, one joint kernel over kept and conditioning points.  The
-axiom and incentive checks enumerate their quantifiers coalition by
-coalition with submask loops, in the scan order whose first worst pair
-the library reports as its witness.
+points, one joint kernel over kept and conditioning points; the
+conditional IG table and the greedy GP subset factorize one kernel per
+coalition or per step.  The axiom and incentive checks enumerate their
+quantifiers coalition by coalition with submask loops, in the scan
+order whose first worst pair the library reports as its witness.
 """
 
 import itertools
@@ -21,7 +22,10 @@ from timereward import (
     Coalition,
     Game,
     IncentiveReport,
+    SubsetReward,
+    TargetOutOfRange,
     TimeVector,
+    gp_ig,
     interval_weights,
     restrict_game,
 )
@@ -154,6 +158,40 @@ def tempered_value_reference(model: GpModel, party: int, kappa: float) -> float:
         return ig_joint
     K_cond = se_kernel(model.inputs[cond_idx], model.lengthscales, model.signal_variance)
     return ig_joint - information_gain(K_cond, cond_noise)
+
+
+def conditional_ig_table_reference(model: GpModel) -> np.ndarray:
+    """IG(all points) - IG(points of the complement) for every coalition, by bitmask."""
+    total = gp_ig(model, np.arange(model.n_points))
+    full = (1 << model.n_parties) - 1
+    return np.array(
+        [total - gp_ig(model, model.points_of_mask(full ^ mask)) for mask in range(full + 1)]
+    )
+
+
+def select_subset_reference(model: GpModel, party: int, target: float, seed: int) -> SubsetReward:
+    """Greedy GP subset: append shuffled donor points, refactorizing the rest each step."""
+    donors = [int(k) for k in model.points_of(p for p in range(1, model.n_parties + 1) if p != party)]
+    own = [int(k) for k in model.points_of([party])]
+    everything = np.arange(model.n_points)
+    total = gp_ig(model, everything)
+
+    def value(selected):
+        return total - gp_ig(model, np.setdiff1d(everything, selected))
+
+    floor = value(own)
+    if target < floor - 1e-12 or target > total + 1e-12:
+        raise TargetOutOfRange(f"target {target:g} outside achievable [{floor:g}, {total:g}]")
+    selected = list(own)
+    achieved = floor
+    if achieved >= target:
+        return SubsetReward(party, tuple(selected), achieved, target, seed)
+    for pos in np.random.default_rng(seed).permutation(len(donors)):
+        selected.append(donors[pos])
+        achieved = value(selected)
+        if achieved > target:
+            return SubsetReward(party, tuple(selected), achieved, target, seed)
+    return SubsetReward(party, tuple(selected), achieved, target, seed, saturated=True)
 
 
 def _submasks(mask: int):

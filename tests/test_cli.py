@@ -326,6 +326,29 @@ class TestRealizeCommand:
         assert not out.exists()
         assert "owns no points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["temper", "subset"])
+    def test_non_finite_feature_exits_1(self, method, tmp_path, capsys):
+        from timereward.synthdata import Dataset, save_dataset_csv
+
+        rng = np.random.default_rng(2)
+        features = rng.uniform(size=(6, 2))
+        features[4, 1] = np.nan
+        csv_path = tmp_path / "nan.csv"
+        save_dataset_csv(Dataset(features, rng.normal(size=6), np.array([1, 1, 1, 2, 2, 2])), csv_path)
+        assert "nan" in csv_path.read_text()
+        out = tmp_path / "real.json"
+        code = main(
+            [
+                "realize", "--method", method, "--data", str(csv_path), "--party", "1",
+                "--target", "0.1", "--seed", "0", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
     def test_out_of_range_target_is_an_error(self, ir_game_file):
         code = main(
             [

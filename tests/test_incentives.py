@@ -297,3 +297,11 @@ class TestWeakEfficiency:
             check_weak_efficiency(
                 ir_counterexample, np.array([1.0, 1.0]), times=late_first
             )
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_bad_tolerance_rejected(self, tol):
+        # a NaN or negative tol used to answer False for rewards that reach v(N) exactly
+        g = make_table_game(2, {"1": 0.2, "2": 0.2, "1,2": 1.0})
+        assert check_weak_efficiency(g, [1.0, 0.5], 1e-9)
+        with pytest.raises(ValueError, match="tol"):
+            check_weak_efficiency(g, [1.0, 0.5], tol)

@@ -7,6 +7,10 @@ time 10**6, where the per-interval definition has a million rows but the
 kernel only sees the distinct joining times.  The tempered GP value is
 held to 1e-10 relative to its virtual-copy definition on small models
 with scalar and per-point noise, at kappa 0, 1 and within 1e-12 of both.
+On models whose parties own 0-6 points each, the block-Cholesky IG
+tables, the eigenvalue tempering curve and the one-factor greedy subset
+are held to the per-coalition and per-step factorizations to 1e-10
+relative to max(1, v(N)), with the same selections and saturated flags.
 The axiom and incentive reports must equal the submask-loop references
 exactly, witnesses and tie-breaks included, on tables with many ties.
 """
@@ -19,10 +23,12 @@ from oracles import (
     brute_force_shapley,
     check_axioms_reference,
     check_static_reference,
+    conditional_ig_table_reference,
     necessity_reference,
     strictness_reference,
     interval_shapley_reference,
     reward_cumulation_reference,
+    select_subset_reference,
     tempered_value_reference,
     time_aware_table_reference,
 )
@@ -32,10 +38,14 @@ from timereward import (
     TimeVector,
     check_axioms,
     check_static,
+    conditional_ig_game,
+    gp_ig,
+    ig_game,
     interval_shapley_values,
     necessity_predicate,
     reward_cumulation,
     reward_time_valuation,
+    select_subset,
     shapley_exact,
     strictness_predicate,
     temper,
@@ -150,6 +160,53 @@ def test_tempering_matches_virtual_copies(case):
     assert result.achieved_value == pytest.approx(
         tempered_value(model, party, result.kappa), rel=1e-12, abs=1e-12
     )
+
+
+@st.composite
+def shared_factor_cases(draw):
+    """1-5 parties owning 0-6 shuffled points each, a party with points, a kappa and a target."""
+    n = draw(st.integers(1, 5))
+    # party n owns points, so the model has n parties
+    sizes = draw(st.lists(st.integers(0, 6), min_size=n - 1, max_size=n - 1)) + [draw(st.integers(1, 6))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ownership = rng.permutation(np.repeat(np.arange(1, len(sizes) + 1), sizes))
+    dim = draw(st.integers(1, 3))
+    noise = (
+        rng.uniform(0.05, 1.0, size=len(ownership))
+        if draw(st.booleans())
+        else float(rng.uniform(0.05, 1.0))
+    )
+    model = GpModel(
+        rng.uniform(size=(len(ownership), dim)),
+        ownership,
+        rng.uniform(0.3, 2.0, size=dim),
+        float(rng.uniform(0.5, 2.0)),
+        noise,
+    )
+    party = draw(st.sampled_from(sorted(set(ownership.tolist()))))
+    kappa = draw(st.one_of(st.sampled_from([0.0, 1e-12, 1.0 - 1e-12, 1.0]), st.floats(0.0, 1.0)))
+    fraction = min(draw(st.floats(0.02, 1.1)), 1.0)  # 1.0: the grand value, saturated
+    return model, party, kappa, fraction, draw(st.integers(0, 1000))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(shared_factor_cases())
+def test_shared_factors_match_per_value_factorizations(case):
+    model, party, kappa, fraction, seed = case
+    reference = conditional_ig_table_reference(model)
+    tol = 1e-10 * max(1.0, reference[-1])
+
+    assert np.max(np.abs(conditional_ig_game(model).table() - reference)) <= tol
+    plain = [gp_ig(model, model.points_of_mask(mask)) for mask in range(len(reference))]
+    assert np.max(np.abs(ig_game(model).table() - plain)) <= tol
+    assert abs(tempered_value(model, party, kappa) - tempered_value_reference(model, party, kappa)) <= tol
+
+    floor = reference[1 << (party - 1)]
+    target = floor + fraction * (reference[-1] - floor)
+    got = select_subset(model, party, target, seed)
+    want = select_subset_reference(model, party, target, seed)
+    assert (got.selected, got.saturated) == (want.selected, want.saturated)
+    assert abs(got.achieved_value - want.achieved_value) <= tol
 
 
 @st.composite

@@ -190,6 +190,40 @@ class TestGpModelValidation:
         with pytest.raises(ValueError):
             GpModel(X, own, np.array([1.0]), 1.0, np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "field", ["inputs", "lengthscales", "signal_variance", "noise_variance", "point_noise"]
+    )
+    def test_non_finite_rejected(self, field, bad):
+        # inf noise used to give every IG 0; NaN was only caught deep in a factorization
+        args = {
+            "inputs": np.zeros((2, 1)),
+            "ownership": np.array([1, 2]),
+            "lengthscales": np.array([1.0]),
+            "signal_variance": 1.0,
+            "noise_variance": 1.0,
+        }
+        if field == "inputs":
+            args["inputs"][1, 0] = bad
+        elif field == "lengthscales":
+            args["lengthscales"][0] = bad
+        elif field == "point_noise":
+            args["noise_variance"] = np.array([1.0, bad])
+        else:
+            args[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GpModel(**args)
+
+    def test_arrays_are_read_only_copies(self):
+        X = np.zeros((2, 1))
+        noise = np.array([0.1, 0.2])
+        m = GpModel(X, np.array([1, 2]), np.array([1.0]), 1.0, noise)
+        X[0, 0] = 5.0
+        noise[0] = 9.0
+        assert m.inputs[0, 0] == 0.0 and m.noise_vector()[0] == 0.1
+        with pytest.raises(ValueError):
+            m.inputs[0, 0] = 1.0
+
     def test_points_of(self):
         m = three_party_model(points_per_party=2)
         assert list(m.points_of([2])) == [2, 3]
@@ -232,6 +266,13 @@ class TestGpPlumbing:
         assert_allclose(config["lengthscales"], [1.0, 2.0])
         assert config["signal_variance"] == 1.5
         assert config["noise_variance"] == 0.1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_gp_predict_rejects_bad_point_noise(self, bad):
+        m = three_party_model()
+        y = np.zeros(m.n_points)
+        with pytest.raises(ValueError, match="noise"):
+            gp_predict(m, y, range(3), m.inputs[:2], point_noise=np.array([0.1, bad, 0.1]))
 
     def test_gp_predict_interpolates_with_tiny_noise(self):
         rng = np.random.default_rng(3)
