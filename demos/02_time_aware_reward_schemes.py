@@ -29,7 +29,7 @@ print(tr.interval_shapley_values(game, times))
 print("\n--- time-aware valuation: synergy discounted by the late member ---")
 pair = tr.Coalition.of([1, 2], 2)
 for gamma in (0.0, 0.5, 1.0, 2.0):
-    v_pair = tr.time_aware_value(game, times, gamma, pair)
+    v_pair = tr.time_aware_game(game, times, gamma).value(pair)
     r = tr.reward_time_valuation(game, times, gamma).rewards
     print(f"gamma={gamma:3.1f}  v(1,2 | t)={v_pair:.6f}  rewards={np.round(r, 6)}")
 
@@ -42,8 +42,3 @@ zero = tr.TimeVector.of((0, 0))
 scaled = tr.scale_rewards(game, tr.reward_cumulation(game, zero, 1.0))
 print("rho:", scaled.rho, " scaled rewards:", scaled.scaled)
 print("weak efficiency:", tr.check_weak_efficiency(game, scaled))
-
-print("\nreward_cumulation_via_linearity is an alias of reward_cumulation:")
-a = tr.reward_cumulation(game, times, 2.0).rewards
-b = tr.reward_cumulation_via_linearity(game, times, 2.0).rewards
-print("max difference:", np.max(np.abs(a - b)))

@@ -31,7 +31,6 @@ from .games import (
     load_game_json,
     make_table_game,
     random_superadditive_game,
-    restrict_game,
     save_game_json,
 )
 from .shapley import ShapleyResult, naive_time_division, shapley_exact, shapley_mc
@@ -40,11 +39,9 @@ from .rewards import (
     interval_shapley_values,
     interval_weights,
     reward_cumulation,
-    reward_cumulation_via_linearity,
     reward_time_valuation,
     scale_rewards,
     time_aware_game,
-    time_aware_value,
 )
 from .incentives import (
     IncentiveReport,

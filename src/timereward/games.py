@@ -1,14 +1,17 @@
 """Coalitions, cooperative games, joining times, and axiom checks.
 
 Parties are numbered 1..n.  Internally a coalition is a bitmask: bit (i-1)
-set means party i is a member.  Full tables are limited to n <= 24
-(2**24 values, ~128 MB of floats).
+set means party i is a member.  A game holds its values as one dense
+array indexed by bitmask; full tables are limited to n <= 24 (2**24
+values, ~128 MB of floats).  Game files are parsed straight into that
+array.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -31,7 +34,6 @@ __all__ = [
     "RewardVector",
     "AxiomReport",
     "make_table_game",
-    "restrict_game",
     "random_superadditive_game",
     "check_axioms",
     "load_game_json",
@@ -67,8 +69,7 @@ class Coalition:
     n_max: int
 
     def __post_init__(self):
-        if not 1 <= self.n_max <= MAX_EXACT_PARTIES:
-            raise TooLarge(f"party count {self.n_max} outside [1, {MAX_EXACT_PARTIES}]")
+        _check_party_count(self.n_max)
         prev = 0
         for i in self.members:
             if not isinstance(i, int) or not 1 <= i <= self.n_max:
@@ -88,20 +89,7 @@ class Coalition:
     @classmethod
     def from_key(cls, key: str, n_max: int) -> "Coalition":
         """Parse the wire encoding: comma-separated ascending indices, "" for the empty set."""
-        key = key.strip()
-        if key == "":
-            return cls((), n_max)
-        parts = key.split(",")
-        members = []
-        for p in parts:
-            p = p.strip()
-            if not p.isdigit():
-                raise InvalidCoalitionKey(f"malformed coalition key {key!r}")
-            members.append(int(p))
-        for a, b in zip(members, members[1:]):
-            if b <= a:
-                raise InvalidCoalitionKey(f"coalition key not strictly ascending: {key!r}")
-        return cls(tuple(members), n_max)
+        return cls.from_mask(_key_mask(key, n_max), n_max)
 
     @property
     def mask(self) -> int:
@@ -120,6 +108,39 @@ class Coalition:
         return party in self.members
 
 
+def _check_party_count(n: int):
+    if not 1 <= n <= MAX_EXACT_PARTIES:
+        raise TooLarge(f"party count {n} outside [1, {MAX_EXACT_PARTIES}]")
+
+
+def _key_mask(key: str, n: int) -> int:
+    """Bitmask of a wire-encoded coalition key within n parties.
+
+    Checks, in order, that every index is a run of digits, that the
+    indices ascend strictly, that n is representable, and that every
+    index lies in [1, n].
+    """
+    key = key.strip()
+    if key == "":
+        return 0
+    members = []
+    for p in key.split(","):
+        p = p.strip()
+        if not p.isdigit():
+            raise InvalidCoalitionKey(f"malformed coalition key {key!r}")
+        members.append(int(p))
+    for a, b in zip(members, members[1:]):
+        if b <= a:
+            raise InvalidCoalitionKey(f"coalition key not strictly ascending: {key!r}")
+    _check_party_count(n)
+    mask = 0
+    for i in members:
+        if not 1 <= i <= n:
+            raise InvalidCoalitionKey(f"party index {i!r} outside [1, {n}]")
+        mask |= 1 << (i - 1)
+    return mask
+
+
 def _require_finite(values: np.ndarray):
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
@@ -127,34 +148,38 @@ def _require_finite(values: np.ndarray):
 
 
 class Game:
-    """An n-party coalition valuation with a memoised oracle.
+    """An n-party coalition valuation, held as a read-only copy of its 2**n table.
 
-    The oracle maps a coalition bitmask to a real value.  ``v(empty) = 0``
-    is enforced without consulting the oracle.  Instances are immutable
-    after construction apart from the value/axiom memo, whose fills are
-    idempotent, so games are safe to share across threads.
+    Games that cannot be tabulated up front (a caller's game above the
+    exact-enumeration ceiling, a partial game file) give an oracle
+    instead: a bitmask -> value map called on every lookup, which
+    ``table()`` materializes once.  Give exactly one of the two.
+    ``v(empty) = 0`` is enforced without consulting either.  The fills of
+    that table and of the axiom memo are idempotent, so games are safe
+    to share across threads.
     """
 
     def __init__(
         self,
         n: int,
-        oracle: Callable[[int], float],
+        oracle: Callable[[int], float] | None = None,
         *,
         table: np.ndarray | None = None,
         superadditive: bool | None = None,
     ):
         if n < 1:
             raise ValueError("party count must be >= 1")
+        if (oracle is None) == (table is None):
+            raise ValueError("give exactly one of an oracle and a table")
         self.n = n
         self._oracle = oracle
-        self._memo: dict[int, float] = {}
         self._table = None
         self.declared_superadditive = superadditive
         self._axiom_reports: dict[float, "AxiomReport"] = {}
         if table is not None:
             if len(table) != 1 << n:
                 raise ValueError("table length must be 2**n")
-            arr = np.ascontiguousarray(table, dtype=float)
+            arr = np.array(table, dtype=float)
             _require_finite(arr)
             arr.flags.writeable = False
             self._table = arr
@@ -169,11 +194,7 @@ class Game:
             return 0.0
         if self._table is not None:
             return float(self._table[mask])
-        got = self._memo.get(mask)
-        if got is None:
-            got = float(self._oracle(mask))
-            self._memo[mask] = got
-        return got
+        return float(self._oracle(mask))
 
     def value(self, coalition: "Coalition | Iterable[int]") -> float:
         """Value of a coalition given as a Coalition or iterable of indices."""
@@ -191,9 +212,9 @@ class Game:
     def table(self) -> np.ndarray:
         """Full value table indexed by bitmask (read-only).
 
-        Materialises lazily for oracle-backed games; raises TooLarge above
-        the exact-enumeration ceiling, MissingCoalition for partial
-        table games and ValueError for non-finite values.
+        Materialises an oracle game once, in ascending mask order; raises
+        TooLarge above the exact-enumeration ceiling, MissingCoalition
+        for partial table games and ValueError for non-finite values.
         """
         if self._table is None:
             if self.n > MAX_EXACT_PARTIES:
@@ -201,7 +222,7 @@ class Game:
             arr = np.empty(1 << self.n)
             arr[0] = 0.0
             for mask in range(1, 1 << self.n):
-                arr[mask] = self.value_mask(mask)
+                arr[mask] = self._oracle(mask)
             _require_finite(arr)
             arr.flags.writeable = False
             self._table = arr
@@ -216,58 +237,48 @@ def make_table_game(
     Parameters
     ----------
     n : int
-        Party count.
+        Party count, 1 <= n <= MAX_EXACT_PARTIES.
     values : mapping
-        Keys are wire-encoded coalitions ("1,3"; "" for the empty set).
-        The empty coalition may be omitted or given as 0.  Lookups of
-        unspecified non-empty coalitions raise MissingCoalition.
+        Keys are wire-encoded coalitions ("1,3"; "" for the empty set),
+        values are finite real numbers.  The empty coalition may be
+        omitted or given as 0.  If some non-empty coalition is left out,
+        the game is partial: looking it up raises MissingCoalition.
     superadditive : bool, optional
         Caller's declaration, recorded but not verified here.
+
+    Values go into one dense array with NaN for the coalitions left out,
+    so a partial table costs as much memory as a full one.
     """
     if n < 1:
         raise ValueError("party count must be >= 1")
-    by_mask: dict[int, float] = {}
+    _check_party_count(n)
+    if not isinstance(values, Mapping):
+        raise ValueError(f"coalition values must be a mapping, got {type(values).__name__}")
+    table = np.full(1 << n, np.nan)
     for key, val in values.items():
-        coalition = Coalition.from_key(key, n)
+        mask = _key_mask(key, n)
+        # float is listed first because the Real ABC check is slow
+        if isinstance(val, bool) or not isinstance(val, (float, numbers.Real)):
+            raise ValueError(f"coalition {key!r} has non-numeric value {val!r}")
         val = float(val)
         if not math.isfinite(val):
             raise ValueError(f"coalition {key!r} has non-finite value {val}")
-        if coalition.mask == 0 and val != 0.0:
+        if mask == 0 and val != 0.0:
             raise InvalidCoalitionKey("empty coalition must have value 0")
-        by_mask[coalition.mask] = val
+        table[mask] = val
+    table[0] = 0.0
+    if not np.isnan(table).any():
+        return Game(n, table=table, superadditive=superadditive)
 
     def oracle(mask: int) -> float:
-        try:
-            return by_mask[mask]
-        except KeyError:
+        got = table[mask]
+        if math.isnan(got):
             raise MissingCoalition(
                 f"coalition {Coalition.from_mask(mask, n).key()!r} not in table"
-            ) from None
+            )
+        return got
 
     return Game(n, oracle, superadditive=superadditive)
-
-
-def restrict_game(game: Game, members: Iterable[int]) -> tuple[Game, tuple[int, ...]]:
-    """Restrict a game to a subset of its parties.
-
-    Returns the restricted game (parties renumbered 1..k in ascending
-    order of the original indices) together with the original indices.
-    Values are read through the parent game, so its cache is reused.
-    """
-    members = tuple(sorted(set(members)))
-    bits = [1 << (i - 1) for i in members]
-
-    def oracle(sub_mask: int) -> float:
-        parent = 0
-        j = 0
-        while sub_mask:
-            if sub_mask & 1:
-                parent |= bits[j]
-            sub_mask >>= 1
-            j += 1
-        return game.value_mask(parent)
-
-    return Game(len(members), oracle, superadditive=game.declared_superadditive), members
 
 
 def _bit_pairs(table: np.ndarray):
@@ -322,8 +333,7 @@ def random_superadditive_game(n: int, seed: int) -> Game:
     rng = np.random.default_rng(seed)
     dividends = rng.uniform(0.0, 1.0, size=1 << n)
     dividends[0] = 0.0
-    table = subset_sums(dividends)
-    return Game(n, lambda mask: table[mask], table=table, superadditive=True)
+    return Game(n, table=subset_sums(dividends), superadditive=True)
 
 
 @dataclass(frozen=True)
@@ -334,7 +344,7 @@ class TimeVector:
 
     def __post_init__(self):
         for t in self.times:
-            if not isinstance(t, int) or t < 0:
+            if isinstance(t, bool) or not isinstance(t, int) or t < 0:
                 raise ValueError(f"joining times must be non-negative integers, got {t!r}")
 
     @classmethod
@@ -505,20 +515,26 @@ def check_axioms(game: Game, tol: float = 1e-9) -> AxiomReport:
 def load_game_json(path) -> tuple[Game, TimeVector | None]:
     """Read a game file: {"n", "values", "times"?, "superadditive"?}.
 
-    Times, when present, are normalized so the earliest party is at 0.
+    n is an integer, values map coalition keys to numbers, and times,
+    when present, are a list of n non-negative integers, normalized so
+    the earliest party is at 0.
     """
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "n" not in doc or "values" not in doc:
         raise InvalidCoalitionKey("game file must contain 'n' and 'values'")
-    n = int(doc["n"])
+    n = doc["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"game file 'n' must be an integer, got {n!r}")
     game = make_table_game(n, doc["values"], superadditive=doc.get("superadditive"))
     times = None
     if doc.get("times") is not None:
         raw = doc["times"]
+        if not isinstance(raw, list):
+            raise ValueError(f"game file 'times' must be a list, got {raw!r}")
         if len(raw) != n:
             raise LengthMismatch(f"expected {n} times, got {len(raw)}")
-        times = TimeVector.of(raw).normalize()
+        times = TimeVector(tuple(raw)).normalize()
     return game, times
 
 

@@ -39,9 +39,7 @@ __all__ = [
     "interval_weights",
     "interval_shapley_values",
     "reward_cumulation",
-    "reward_cumulation_via_linearity",
     "harsanyi_dividends",
-    "time_aware_value",
     "time_aware_game",
     "reward_time_valuation",
     "scale_rewards",
@@ -117,17 +115,6 @@ def reward_cumulation(game: Game, times: TimeVector, beta: float) -> RewardVecto
     return RewardVector(game.singleton_values() + shares @ tail)
 
 
-def reward_cumulation_via_linearity(
-    game: Game, times: TimeVector, beta: float
-) -> RewardVector:
-    """Alias of reward_cumulation, kept for existing callers.
-
-    Interval cumulation is already evaluated as a single pass over the
-    dividends, so there is no separate single-game form.
-    """
-    return reward_cumulation(game, times, beta)
-
-
 def harsanyi_dividends(game: Game) -> dict[Coalition, float]:
     """Map every coalition to its synergy dividend d(v, T) (n <= 24)."""
     if game.n > MAX_EXACT_PARTIES:
@@ -146,13 +133,6 @@ def cooperative_abilities(times: TimeVector, gamma: float) -> np.ndarray:
     return np.maximum(lam, _ABILITY_FLOOR)
 
 
-def time_aware_value(
-    game: Game, times: TimeVector, gamma: float, coalition: Coalition
-) -> float:
-    """Time-aware value of one coalition, read from time_aware_game."""
-    return time_aware_game(game, times, gamma).value(coalition)
-
-
 def time_aware_game(game: Game, times: TimeVector, gamma: float) -> Game:
     """The game whose values sum the dividends discounted by the latest member's ability.
 
@@ -169,7 +149,7 @@ def time_aware_game(game: Game, times: TimeVector, gamma: float) -> Game:
     shortfall *= (1.0 - lam)[latest]
     shortfall[1 << np.arange(game.n)] = 0.0
     table = v - subset_sums(shortfall)
-    return Game(game.n, lambda m: table[m], table=table, superadditive=game.declared_superadditive)
+    return Game(game.n, table=table, superadditive=game.declared_superadditive)
 
 
 def reward_time_valuation(game: Game, times: TimeVector, gamma: float) -> RewardVector:

@@ -107,11 +107,11 @@ def shapley_mc(game: Game, permutations: int, seed: int) -> ShapleyResult:
     marginal contributions.  For additive games every permutation yields
     the same marginals, so the estimate is exact with zero error.
 
-    Games with a materialised table are evaluated vectorised; oracle
-    games are evaluated through the memo cache so only visited prefixes
-    are computed.  Both paths accumulate in the same order and return
-    identical results.  Coalitions are int64 bitmasks, so n is limited
-    to 62 parties; larger games raise TooLarge.
+    Games with a table are evaluated vectorised; oracle games are asked
+    for each visited prefix, so only those are computed.  Both paths
+    accumulate in the same order and return identical results.
+    Coalitions are int64 bitmasks, so n is limited to 62 parties; larger
+    games raise TooLarge.
     """
     if permutations < 1:
         raise ValueError("permutations must be >= 1")

@@ -245,8 +245,7 @@ def _ig_table(model: GpModel) -> np.ndarray:
 
 def ig_game(model: GpModel) -> Game:
     """Plain information-gain game: v(C) = IG of C's points (monotone submodular)."""
-    table = _ig_table(model)
-    return Game(model.n_parties, lambda mask: table[mask], table=table)
+    return Game(model.n_parties, table=_ig_table(model))
 
 
 def conditional_ig_game(model: GpModel) -> Game:
@@ -257,8 +256,7 @@ def conditional_ig_game(model: GpModel) -> Game:
     of mask is grand ^ mask, so the table is the plain table reversed.
     """
     ig = _ig_table(model)
-    table = ig[-1] - ig[::-1]
-    return Game(model.n_parties, lambda mask: table[mask], table=table, superadditive=True)
+    return Game(model.n_parties, table=ig[-1] - ig[::-1], superadditive=True)
 
 
 class DualGame(Game):
@@ -266,15 +264,15 @@ class DualGame(Game):
 
     Shares its Shapley values with the base game; when the base is
     monotone submodular the dual is non-negative, monotone, and
-    superadditive.
+    superadditive.  The complement of mask is grand ^ mask, so the table
+    is the base table reversed and subtracted from base(N).
     """
 
     def __init__(self, base: Game):
         if base.n > MAX_EXACT_PARTIES:
             raise TooLarge(f"dual construction needs n <= {MAX_EXACT_PARTIES}")
-        grand = base.grand_value()
-        full = base.grand_mask
-        super().__init__(base.n, lambda mask: grand - base.value_mask(full ^ mask))
+        v = base.table()
+        super().__init__(base.n, table=v[-1] - v[::-1])
         self.base = base
 
 
@@ -329,7 +327,8 @@ def make_gp_model(
     """Build a GpModel from the assigned points of a partitioned dataset.
 
     Unassigned points (party 0) are dropped.  lengthscales defaults to
-    1.0 per feature.
+    1.0 per feature.  A per-point noise_variance has one entry per
+    dataset row, unassigned rows included.
     """
     keep = dataset.party >= 1
     X = dataset.features[keep]
@@ -340,6 +339,10 @@ def make_gp_model(
         lengthscales = np.ones(X.shape[1])
     noise = np.asarray(noise_variance, dtype=float)
     if noise.ndim == 1:
+        if len(noise) != len(keep):
+            raise ValueError(
+                f"noise_variance has {len(noise)} entries for a {len(keep)}-point dataset"
+            )
         noise = noise[keep]
     return GpModel(X, own, np.asarray(lengthscales, dtype=float), signal_variance, noise)
 

@@ -42,4 +42,4 @@ def random_monotone_submodular(rng: np.random.Generator, n: int) -> Game:
     for mask in range(1, 1 << n):
         total = sum(weights[i] for i in range(n) if mask >> i & 1)
         table[mask] = total**alpha
-    return Game(n, lambda m: table[m], table=table)
+    return Game(n, table=table)

@@ -4,6 +4,8 @@ Each reference follows its definition literally and shares no code path
 with the kernel: Shapley values average marginal contributions over
 every permutation, interval values restrict the game to the parties
 present, and time-aware values sum dividends from the subset recursion.
+The game-table reference parses each key into a Coalition and serves
+values from a dict through an oracle closure.
 They are exponential or worse and meant for small games only.  The
 tempered GP value is built from its virtual copies of the others'
 points, one joint kernel over kept and conditioning points; the
@@ -14,6 +16,7 @@ order whose first worst pair the library reports as its witness.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -22,16 +25,82 @@ from timereward import (
     Coalition,
     Game,
     IncentiveReport,
+    InvalidCoalitionKey,
+    MissingCoalition,
     SubsetReward,
     TargetOutOfRange,
     TimeVector,
     gp_ig,
     interval_weights,
-    restrict_game,
 )
 from timereward.incentives import IncentiveCheck
 from timereward.rewards import cooperative_abilities
 from timereward.valuation import GpModel, information_gain, se_kernel
+
+
+def coalition_from_key_reference(key: str, n: int) -> Coalition:
+    """Parse a wire key: comma-separated ascending indices, "" for the empty set."""
+    key = key.strip()
+    if key == "":
+        return Coalition((), n)
+    members = []
+    for p in key.split(","):
+        p = p.strip()
+        if not p.isdigit():
+            raise InvalidCoalitionKey(f"malformed coalition key {key!r}")
+        members.append(int(p))
+    for a, b in zip(members, members[1:]):
+        if b <= a:
+            raise InvalidCoalitionKey(f"coalition key not strictly ascending: {key!r}")
+    return Coalition(tuple(members), n)
+
+
+def table_game_reference(n: int, values, *, superadditive=None) -> Game:
+    """A coalition-key -> value mapping as an oracle game, one Coalition per key."""
+    if n < 1:
+        raise ValueError("party count must be >= 1")
+    by_mask: dict[int, float] = {}
+    for key, val in values.items():
+        coalition = coalition_from_key_reference(key, n)
+        val = float(val)
+        if not math.isfinite(val):
+            raise ValueError(f"coalition {key!r} has non-finite value {val}")
+        if coalition.mask == 0 and val != 0.0:
+            raise InvalidCoalitionKey("empty coalition must have value 0")
+        by_mask[coalition.mask] = val
+
+    def oracle(mask: int) -> float:
+        try:
+            return by_mask[mask]
+        except KeyError:
+            raise MissingCoalition(
+                f"coalition {Coalition.from_mask(mask, n).key()!r} not in table"
+            ) from None
+
+    return Game(n, oracle, superadditive=superadditive)
+
+
+def restrict_game(game: Game, members) -> tuple[Game, tuple[int, ...]]:
+    """Restrict a game to a subset of its parties.
+
+    Returns the restricted game (parties renumbered 1..k in ascending
+    order of the original indices) together with the original indices.
+    Values are read through the parent game.
+    """
+    members = tuple(sorted(set(members)))
+    bits = [1 << (i - 1) for i in members]
+
+    def oracle(sub_mask: int) -> float:
+        parent = 0
+        j = 0
+        while sub_mask:
+            if sub_mask & 1:
+                parent |= bits[j]
+            sub_mask >>= 1
+            j += 1
+        return game.value_mask(parent)
+
+    return Game(len(members), oracle, superadditive=game.declared_superadditive), members
 
 
 def brute_force_shapley(game: Game) -> np.ndarray:

@@ -140,6 +140,35 @@ class TestNonFiniteValues:
         assert capsys.readouterr().out == ""
 
 
+class TestMalformedGameFile:
+    # each used to end in a traceback or, for times and n, to be truncated
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 2, "values": {"1": 0.2, "2": None, "1,2": 1.0}},
+            {"n": 2, "values": {"1": 0.2, "2": [0.2], "1,2": 1.0}},
+            {"n": 2, "values": [0.2, 0.2, 1.0]},
+            {"n": 2, "values": {"1": 0.2, "2": 0.2, "1,2": 1.0}, "times": 5},
+            {"n": 2, "values": {"1": 0.2, "2": 0.2, "1,2": 1.0}, "times": [0.5, 1]},
+            {"n": 2.7, "values": {"1": 0.2, "2": 0.2, "1,2": 1.0}},
+        ],
+        ids=["null-value", "list-value", "values-list", "times-scalar", "times-float", "n-float"],
+    )
+    @pytest.mark.parametrize(
+        "command", [["check"], ["rewards", "--scheme", "timeval"]], ids=["check", "rewards"]
+    )
+    def test_rejected_with_exit_1_and_no_report(self, doc, command, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        code = main([*command, "--game", str(path), "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
 class TestBadTolerance:
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     @pytest.mark.parametrize(
@@ -291,6 +320,24 @@ class TestRealizeCommand:
         assert code == EXIT_ERROR
         assert not out.exists()
         assert capsys.readouterr().out == ""
+
+    def test_noise_list_of_wrong_length_exits_1(self, gp_files, tmp_path, capsys):
+        csv_path, _ = gp_files
+        config_path = tmp_path / "short.json"
+        config_path.write_text(json.dumps({"noise_variance": [0.1, 0.2]}))
+        out = tmp_path / "real.json"
+        code = main(
+            [
+                "realize", "--method", "temper", "--data", csv_path,
+                "--gp-config", str(config_path), "--party", "1",
+                "--target", "0.5", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "noise_variance" in captured.err
 
     def test_subset_rejects_tol(self, ir_game_file, tmp_path, capsys):
         # select_subset has no tolerance; --tol used to be accepted and ignored

@@ -4,7 +4,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from oracles import table_game_reference
 
 from timereward import (
     AxiomReport,
@@ -20,7 +22,6 @@ from timereward import (
     load_game_json,
     make_table_game,
     random_superadditive_game,
-    restrict_game,
     save_game_json,
 )
 from timereward.games import mask_of, members_of, subset_sums
@@ -94,7 +95,7 @@ class TestTableGame:
         with pytest.raises(ValueError):
             make_table_game(2, {"1": 0.1, "2": bad, "1,2": 1.0})
         with pytest.raises(ValueError):
-            Game(2, lambda m: 0.0, table=np.array([0.0, 0.1, bad, 1.0]))
+            Game(2, table=np.array([0.0, 0.1, bad, 1.0]))
         with pytest.raises(ValueError):
             Game(2, lambda m: bad if m == 3 else 0.1).table()
 
@@ -109,7 +110,7 @@ class TestTableGame:
         assert g.value_mask(0) == 0.0
         assert calls == []
 
-    def test_memoisation_is_idempotent(self):
+    def test_oracle_called_on_each_lookup(self):
         calls = []
 
         def oracle(mask):
@@ -119,9 +120,31 @@ class TestTableGame:
         g = Game(3, oracle)
         for _ in range(3):
             assert g.value_mask(5) == 5.0
-        assert calls == [5]
+        assert calls == [5, 5, 5]
+        assert g.table()[5] == 5.0
+        assert g.value_mask(5) == 5.0
+        assert len(calls) == 3 + 7
+
+    @pytest.mark.parametrize("args", [{}, {"oracle": lambda m: 0.0, "table": np.zeros(4)}])
+    def test_exactly_one_of_oracle_and_table(self, args):
+        with pytest.raises(ValueError, match="exactly one"):
+            Game(2, **args)
+
+    def test_table_is_a_copy(self):
+        # a view used to stay writable through its base after the game
+        # marked it read-only, so a memoised axiom report went stale
+        base = np.array([0.0, 0.2, 0.2, 1.0, 9.0])
+        g = Game(2, table=base[:4])
+        assert check_axioms(g, 1e-9).superadditive
+        base[1] = base[2] = 0.6
+        assert g.value([1]) == 0.2
+        assert check_axioms(g, 1e-9).superadditive
+        assert not check_axioms(Game(2, table=base[:4]), 1e-9).superadditive
+        assert base.flags.writeable
 
     def test_restrict_reuses_parent_values(self):
+        from oracles import restrict_game
+
         g = random_superadditive_game(4, seed=1)
         sub, original = restrict_game(g, [2, 4])
         assert original == (2, 4)
@@ -129,6 +152,82 @@ class TestTableGame:
         assert sub.value([1]) == g.value([2])
         assert sub.value([2]) == g.value([4])
         assert sub.value([1, 2]) == g.value([2, 4])
+
+
+def _outcome(build):
+    """What a game builder yields: its exception, or every lookup and its table."""
+    try:
+        game = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    lookups = []
+    for mask in range(1 << game.n):
+        try:
+            lookups.append(game.value_mask(mask))
+        except MissingCoalition as exc:
+            lookups.append(str(exc))
+    try:
+        table = game.table().tolist()
+    except MissingCoalition as exc:
+        table = str(exc)
+    return lookups, table, game.declared_superadditive
+
+
+@st.composite
+def game_mappings(draw):
+    """Key -> value maps: full or partial, with padded, repeated, shuffled or malformed keys."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    size = 1 << n
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size))
+    dropped = set()
+    if draw(st.booleans()):
+        dropped = draw(st.sets(st.integers(min_value=0, max_value=size - 1), min_size=1))
+    pad = draw(st.sampled_from(["", " ", "  ", "\t"]))
+    padded = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    items = []
+    for mask in range(size):
+        if mask in dropped:
+            continue
+        key = ",".join(str(i) for i in members_of(mask))
+        if padded[mask]:
+            key = pad + key.replace(",", pad + "," + pad) + pad
+        items.append((key, 0.0 if mask == 0 else values[mask]))
+    if items and draw(st.booleans()):
+        key, _ = draw(st.sampled_from(items))
+        items.append((" " + key, draw(st.floats(-10.0, 10.0))))
+    items = draw(st.permutations(items))
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from(["1,1", "2,1", "0", str(n + 1), "a", "1,,2"]))
+        items.insert(draw(st.integers(min_value=0, max_value=len(items))), (bad, 0.5))
+    return n, dict(items), draw(st.sampled_from([None, True, False]))
+
+
+class TestTableGameMatchesReference:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(case=game_mappings())
+    def test_same_values_and_errors(self, case):
+        n, values, declared = case
+        got = _outcome(lambda: make_table_game(n, values, superadditive=declared))
+        want = _outcome(lambda: table_game_reference(n, values, superadditive=declared))
+        assert got == want
+
+    def test_partial_table_names_first_missing_mask(self):
+        g = make_table_game(3, {"1": 0.1, "1,2": 0.5, "3": 0.2, "1,2,3": 1.0})
+        with pytest.raises(MissingCoalition, match="coalition '2' not in table"):
+            g.value([2])
+        with pytest.raises(MissingCoalition, match="coalition '2' not in table"):
+            g.table()
+        assert g.value([1, 2]) == 0.5
+
+    @pytest.mark.parametrize("n,error", [(0, ValueError), (25, TooLarge)])
+    def test_party_count_checked_first(self, n, error):
+        with pytest.raises(error):
+            make_table_game(n, {})
+
+    @pytest.mark.parametrize("bad", [None, [0.5], "0.5", True])
+    def test_non_numeric_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-numeric"):
+            make_table_game(2, {"1": 0.1, "2": bad, "1,2": 1.0})
 
 
 class TestCheckAxioms:
@@ -251,6 +350,26 @@ class TestGameJson:
         save_game_json(path, 2, {"1": 0.0, "2": 0.0, "1,2": 1.0}, times=(5, 1))
         _, times = load_game_json(path)
         assert times.times == (4, 0)
+
+    @pytest.mark.parametrize(
+        "doc,error",
+        [
+            ({"n": 2, "values": {"1": 0.2, "2": None, "1,2": 1.0}}, ValueError),
+            ({"n": 2, "values": [0.2, 0.2, 1.0]}, ValueError),
+            ({"n": 2.7, "values": {"1": 0.2, "2": 0.2, "1,2": 1.0}}, ValueError),
+            ({"n": "2", "values": {"1": 0.2, "2": 0.2, "1,2": 1.0}}, ValueError),
+            ({"n": 2, "values": {"1,2": 1.0}, "times": 5}, ValueError),
+            ({"n": 2, "values": {"1,2": 1.0}, "times": [0.5, 1]}, ValueError),
+            ({"n": 2, "values": {"1,2": 1.0}, "times": [True, 0]}, ValueError),
+            ({"n": 2, "values": {"1,2": 1.0}, "times": [-1, 0]}, ValueError),
+            ({"n": 2, "values": {"1,3": 1.0}}, InvalidCoalitionKey),
+        ],
+    )
+    def test_malformed_file_rejected(self, doc, error, tmp_path):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error):
+            load_game_json(path)
 
     def test_times_length_checked(self, tmp_path):
         path = tmp_path / "game.json"

@@ -45,7 +45,7 @@ def symmetric_pair_game(seed=0, n=3):
     from timereward.games import subset_sums
 
     table = subset_sums(d)
-    return Game(n, lambda m: table[m], table=table, superadditive=True)
+    return Game(n, table=table, superadditive=True)
 
 
 class TestNecessityPredicate:
@@ -212,7 +212,7 @@ class TestCheckTemporal:
     def test_useless_party_holds_with_equality(self):
         inner = random_superadditive_game(2, seed=4)
         table = np.array([inner.value_mask(mask & 0b11) for mask in range(8)])
-        g = Game(3, lambda m: table[m], table=table)
+        g = Game(3, table=table)
         times = TimeVector.of((0, 0, 3))
         report = check_temporal(g, times, time_valuation_scheme(1.0))
         assert report.status("F7") == "pass"

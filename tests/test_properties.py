@@ -67,7 +67,7 @@ def dividend_game(n: int, seed: int, additive: bool) -> Game:
         dividends[:] = 0.0
         dividends[1 << np.arange(n)] = solo
     table = subset_sums(dividends)
-    return Game(n, lambda m: table[m], table=table)
+    return Game(n, table=table)
 
 
 def check_against_oracles(game: Game, times: TimeVector, beta: float, gamma: float):
@@ -81,7 +81,7 @@ def check_against_oracles(game: Game, times: TimeVector, beta: float, gamma: flo
     close(reward_cumulation(game, times, beta).rewards, reward_cumulation_reference(game, times, beta))
     reference_table = time_aware_table_reference(game, times, gamma)
     close(time_aware_game(game, times, gamma).table(), reference_table)
-    reference_game = Game(game.n, lambda m: reference_table[m], table=reference_table)
+    reference_game = Game(game.n, table=reference_table)
     close(reward_time_valuation(game, times, gamma).rewards, brute_force_shapley(reference_game))
 
 
@@ -237,7 +237,7 @@ def test_checks_match_submask_loops(case):
     n, table, times, rewards, tol = case
 
     def game():
-        return Game(n, lambda m: table[m], table=table)
+        return Game(n, table=table)
 
     assert check_axioms(game(), tol).to_dict() == check_axioms_reference(game(), tol).to_dict()
     g = game()

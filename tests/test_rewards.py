@@ -22,12 +22,10 @@ from timereward import (
     make_table_game,
     random_superadditive_game,
     reward_cumulation,
-    reward_cumulation_via_linearity,
     reward_time_valuation,
     scale_rewards,
     shapley_exact,
     time_aware_game,
-    time_aware_value,
 )
 from timereward.rewards import cooperative_abilities
 
@@ -121,11 +119,11 @@ class TestLinearityReduction:
 
     def test_all_zero_times_reduce_to_plain_shapley(self):
         g = random_superadditive_game(4, seed=2)
-        r = reward_cumulation_via_linearity(g, TimeVector.of((0,) * 4), 3.0).rewards
+        r = reward_cumulation(g, TimeVector.of((0,) * 4), 3.0).rewards
         assert_allclose(r, shapley_exact(g).values, atol=1e-12)
 
     def test_worked_example(self, ir_counterexample, late_first):
-        r = reward_cumulation_via_linearity(ir_counterexample, late_first, 1.0).rewards
+        r = reward_cumulation(ir_counterexample, late_first, 1.0).rewards
         assert_allclose(r, [0.26, 0.26], atol=1e-12)
 
 
@@ -184,14 +182,14 @@ class TestTimeAwareValue:
     def test_gamma_zero_is_identity(self):
         g = random_superadditive_game(4, seed=3)
         times = TimeVector.of((3, 0, 2, 1))
+        tg = time_aware_game(g, times, 0.0)
         for mask in range(1, 16):
             c = Coalition.from_mask(mask, 4)
-            assert time_aware_value(g, times, 0.0, c) == g.value_mask(mask)
+            assert tg.value(c) == g.value_mask(mask)
 
     def test_discounted_pair_value(self, ir_counterexample, late_first):
-        val = time_aware_value(
-            ir_counterexample, late_first, 1.0, Coalition.of([1, 2], 2)
-        )
+        tg = time_aware_game(ir_counterexample, late_first, 1.0)
+        val = tg.value(Coalition.of([1, 2], 2))
         assert val == pytest.approx(0.6 * math.exp(-4.0) + 0.4, abs=1e-12)
 
     def test_singletons_unaffected(self):
@@ -199,7 +197,7 @@ class TestTimeAwareValue:
         times = TimeVector.of((4, 1, 0, 6, 2))
         for i in range(1, 6):
             for gamma in (0.0, 0.5, 3.0):
-                got = time_aware_value(g, times, gamma, Coalition.of([i], 5))
+                got = time_aware_game(g, times, gamma).value(Coalition.of([i], 5))
                 assert got == pytest.approx(g.value([i]), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -210,9 +208,10 @@ class TestTimeAwareValue:
         times = random_times(rng, n)
         gamma = float(rng.choice([0.0, 0.5, 1.0]))
         reference = time_aware_table_reference(g, times, gamma)
+        tg = time_aware_game(g, times, gamma)
         for mask in range(1, 1 << n):
             c = Coalition.from_mask(mask, n)
-            fast = time_aware_value(g, times, gamma, c)
+            fast = tg.value(c)
             slow = reference[mask]
             assert abs(fast - slow) <= 1e-9
 

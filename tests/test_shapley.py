@@ -23,7 +23,7 @@ def additive_game(values) -> Game:
     table = np.array(
         [sum(values[i] for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
     )
-    return Game(n, lambda m: table[m], table=table)
+    return Game(n, table=table)
 
 
 class TestShapleyExact:
@@ -92,7 +92,7 @@ class TestShapleyExact:
             dividends[int(np.sum(1 << members))] += synergy
             expected[members] += synergy / len(members)
         table = subset_sums(dividends)
-        phi = shapley_exact(Game(n, lambda m: table[m], table=table)).values
+        phi = shapley_exact(Game(n, table=table)).values
         assert_allclose(phi, expected, rtol=1e-12, atol=0.0)
 
 

@@ -257,6 +257,16 @@ class TestGpPlumbing:
         assert m.n_points == 5
         assert m.n_parties == 2
 
+    @pytest.mark.parametrize("length", [5, 7])
+    def test_make_gp_model_rejects_noise_list_of_wrong_length(self, length):
+        # the list used to be indexed by the assignment mask first: IndexError
+        X = np.arange(6, dtype=float)[:, None]
+        data = Dataset(X, np.zeros(6), np.array([1, 0, 2, 2, 1, 0]))
+        with pytest.raises(ValueError, match="noise_variance has"):
+            make_gp_model(data, noise_variance=np.full(length, 0.1))
+        m = make_gp_model(data, noise_variance=np.arange(1.0, 7.0))
+        assert_allclose(m.noise_vector(), [1.0, 3.0, 4.0, 5.0])
+
     def test_load_gp_config(self, tmp_path):
         path = tmp_path / "gp.json"
         path.write_text(
