@@ -86,16 +86,21 @@ REALIZATION_REPORT_SCHEMA = {
 }
 
 
+def _ascii_digits(raw: str) -> bool:
+    """True for a non-empty run of ASCII digits; str.isdigit alone also takes "²" and "١"."""
+    return raw.isascii() and raw.isdigit()
+
+
 def _apply_thread_env():
-    threads = os.environ.get("TIMEREWARD_THREADS")
-    if threads and threads.isdigit():
+    threads = os.environ.get("TIMEREWARD_THREADS", "")
+    if _ascii_digits(threads):
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, threads)
 
 
 def _default_seed() -> int:
     raw = os.environ.get("TIMEREWARD_SEED", "")
-    return int(raw) if raw.lstrip("-").isdigit() else 0
+    return int(raw) if _ascii_digits(raw.removeprefix("-")) else 0
 
 
 def _write_json_atomic(doc: dict, path: str):

@@ -4,10 +4,12 @@ F1 non-negativity, F2 individual rationality, F3 equal-time symmetry,
 F4 equal-time desirability, F5 uselessness, F6 necessity, F7 time-based
 monotonicity, F8 time-based strict monotonicity.  Every quantifier is
 decided exhaustively (never sampled) as an array reduction over the
-2**n value table: F3/F4 and the strictness predicate over submask
-arrays, F5 and F6 over the per-party (without, with) views of the
-table, with one largest |v| per party deciding every F6 pair in
-O(n 2**n).  Party counts above the exact ceiling are refused, and so
+2**n value table: F3/F4 over the two views of the table reshaped as an
+n-axis cube that hold one party of a pair but not the other, F5, F6
+and the strictness predicate over the per-party (without, with) views
+of the table, with one largest |v| per party deciding every F6 pair in
+O(n 2**n) and one earliest synergy time per party deciding every F8
+precondition.  Party counts above the exact ceiling are refused, and so
 is a tolerance that is not finite and >= 0.  F7/F8 recompute rewards
 counterfactually through a reward-scheme closure and are reported
 not_applicable without one.
@@ -29,9 +31,8 @@ from .games import (
     TimeVector,
     _bit_pairs,
     _check_tolerance,
-    _submask_array,
 )
-from .shapley import naive_time_division, shapley_exact
+from .shapley import _coalition_layout, naive_time_division, shapley_exact
 from .rewards import reward_cumulation, reward_time_valuation
 
 __all__ = [
@@ -155,18 +156,44 @@ def necessity_predicate(game: Game, i: int, j: int, tol: float = 1e-9) -> bool:
     return {i, j} <= set(_necessary_parties(game.table(), tol))
 
 
+def _synergy_times(v: np.ndarray, times: TimeVector) -> np.ndarray:
+    """Per party i, the earliest joining time at which it has strict synergy.
+
+    That is the smallest latest-member time over the non-empty C without
+    party i with v(C + i) > v(C) + v(i), or inf if there is none: one
+    reduction over party i's (without, with) views.  C = empty never
+    qualifies, as v(i) > 0 + v(i) is false, and party i's own joining
+    time plays no part.
+    """
+    u, latest, _ = _coalition_layout(times)
+    out = np.full(len(times), np.inf)
+    pairs = zip(_bit_pairs(v), _bit_pairs(latest))
+    for i, ((without, with_i), (latest_without, _)) in enumerate(pairs):
+        ranks = latest_without[with_i > without + v[1 << i]]
+        if ranks.size:
+            out[i] = u[ranks.min()]
+    return out
+
+
 def strictness_predicate(game: Game, times: TimeVector, i: int) -> bool:
     """True iff party i has strict synergy with some coalition of its predecessors.
 
-    Enumerates every subset C of {j : t_j < t_i} and looks for
-    v(C + i) > v(C) + v(i).
+    Some C within {j : t_j < t_i} has v(C + i) > v(C) + v(i) exactly
+    when the earliest such C has its latest member before t_i.
     """
     _guard(game, times)
-    v = game.table()
-    bi = 1 << (i - 1)
-    preds = sum(1 << k for k in range(game.n) if times[k] < times[i - 1])
-    c = _submask_array(preds, game.n)
-    return bool(np.any(v[c | bi] > v[c] + v[bi]))
+    return bool(_synergy_times(game.table(), times)[i - 1] < times[i - 1])
+
+
+def _holding_one(cube: np.ndarray, i: int, j: int) -> np.ndarray:
+    """View of the n-axis value cube over the coalitions holding party i but not j.
+
+    Party p is axis n - p, so views taken for (i, j) and (j, i) align
+    entry by entry on the same coalition of the other parties.
+    """
+    index = [slice(None)] * cube.ndim
+    index[cube.ndim - i], index[cube.ndim - j] = 1, 0
+    return cube[tuple(index)]
 
 
 def _rewards_array(rewards) -> np.ndarray:
@@ -196,6 +223,7 @@ def check_static(
         raise ValueError("rewards length must equal the party count")
     n = game.n
     v = game.table()
+    cube = v.reshape((2,) * n)
     checks: dict[str, IncentiveCheck] = {}
 
     # F1: r_i >= 0
@@ -217,9 +245,7 @@ def check_static(
     for i, j in itertools.combinations(range(1, n + 1), 2):
         if times[i - 1] != times[j - 1]:
             continue
-        bi, bj = 1 << (i - 1), 1 << (j - 1)
-        rest = _submask_array(game.grand_mask ^ bi ^ bj, n)
-        diff = v[rest | bi] - v[rest | bj]
+        diff = _holding_one(cube, i, j) - _holding_one(cube, j, i)
         hi, lo = diff.max(), diff.min()
         if max(abs(hi), abs(lo)) <= tol:
             f3.instances += 1
@@ -269,11 +295,13 @@ def check_temporal(
     For each party i and each t' < t_i, only t_i is changed and the
     scheme is re-run.  F7 requires the reward not to drop; F8 requires a
     strict rise whenever the strict-synergy predicate holds under the
-    counterfactual times.
+    counterfactual times, read off each party's synergy time.
     """
     _check_tolerance(tol)
     _guard(game, times)
     base = scheme(game, times).rewards
+    # moving t_i leaves the other times, and so party i's synergy time, as they are
+    synergy = _synergy_times(game.table(), times) if times.max_time else None
     f7 = IncentiveCheck(PASS)
     f8 = IncentiveCheck(PASS)
     for i in range(1, game.n + 1):
@@ -284,7 +312,7 @@ def check_temporal(
             f7.instances += 1
             if shifted[i - 1] < base[i - 1] - tol:
                 f7.witnesses.append(witness)
-            if strictness_predicate(game, moved, i):
+            if synergy[i - 1] < t_new:
                 f8.instances += 1
                 if not shifted[i - 1] > base[i - 1] + strict_margin:
                     f8.witnesses.append(witness)

@@ -1,10 +1,13 @@
 """Time-aware reward schemes: interval cumulation and time-aware valuation.
 
-Both schemes require a non-negative, superadditive game (checked
-enumeratively and memoised on the game).  Both are the one formula of
-``shapley``: every multi-member coalition T splits its Harsanyi dividend
-d(T) equally among its members, discounted by a function D of the joining
-time t_T of its latest member, and each party keeps its solo value:
+Both schemes require a non-negative, superadditive game, checked by
+``check_axioms`` and memoised on the game: superadditivity is first
+certified from the table's mixed second differences, and only games
+that fail the certificate are scanned pair by pair.  Both are the one
+formula of ``shapley``: every multi-member coalition T splits its
+Harsanyi dividend d(T) equally among its members, discounted by a
+function D of the joining time t_T of its latest member, and each party
+keeps its solo value:
 
     r_i = v({i}) + sum over T containing i, |T| >= 2, of d(T) / |T| * D(t_T)
 

@@ -17,6 +17,7 @@ order whose first worst pair the library reports as its witness.
 
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -39,14 +40,14 @@ from timereward.valuation import GpModel, information_gain, se_kernel
 
 
 def coalition_from_key_reference(key: str, n: int) -> Coalition:
-    """Parse a wire key: comma-separated ascending indices, "" for the empty set."""
+    """Parse a wire key: comma-separated ascending ASCII-digit indices, "" for the empty set."""
     key = key.strip()
     if key == "":
         return Coalition((), n)
     members = []
     for p in key.split(","):
         p = p.strip()
-        if not p.isdigit():
+        if not re.fullmatch("[0-9]+", p):
             raise InvalidCoalitionKey(f"malformed coalition key {key!r}")
         members.append(int(p))
     for a, b in zip(members, members[1:]):
@@ -341,6 +342,29 @@ def strictness_reference(game: Game, times: TimeVector, i: int) -> bool:
     bi = 1 << (i - 1)
     preds = sum(1 << k for k in range(game.n) if times[k] < times[i - 1])
     return any(v[c | bi] > v[c] + v[bi] for c in _submasks(preds))
+
+
+def check_temporal_reference(game: Game, times: TimeVector, scheme, tol: float,
+                             strict_margin: float = 1e-12) -> IncentiveReport:
+    """F7/F8 by re-running the scheme and enumerating strictness per counterfactual."""
+    base = scheme(game, times).rewards
+    f7 = IncentiveCheck("pass")
+    f8 = IncentiveCheck("pass")
+    for i in range(1, game.n + 1):
+        for t_new in range(times[i - 1]):
+            moved = times.with_time(i, t_new)
+            shifted = scheme(game, moved).rewards
+            witness = (i, times[i - 1], t_new, float(base[i - 1]), float(shifted[i - 1]))
+            f7.instances += 1
+            if shifted[i - 1] < base[i - 1] - tol:
+                f7.witnesses.append(witness)
+            if strictness_reference(game, moved, i):
+                f8.instances += 1
+                if not shifted[i - 1] > base[i - 1] + strict_margin:
+                    f8.witnesses.append(witness)
+    for check in (f7, f8):
+        check.status = "fail" if check.witnesses else "pass"
+    return IncentiveReport({"F7": f7, "F8": f8})
 
 
 def check_static_reference(game: Game, times: TimeVector, rewards, tol: float,

@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from timereward import save_game_json
+from timereward import cli, save_game_json
 from timereward.cli import (
     EXIT_CHECK_FAILED,
     EXIT_ERROR,
@@ -151,8 +151,13 @@ class TestMalformedGameFile:
             {"n": 2, "values": {"1": 0.2, "2": 0.2, "1,2": 1.0}, "times": 5},
             {"n": 2, "values": {"1": 0.2, "2": 0.2, "1,2": 1.0}, "times": [0.5, 1]},
             {"n": 2.7, "values": {"1": 0.2, "2": 0.2, "1,2": 1.0}},
+            {"n": 2, "values": {"١": 0.2, "2": 0.2, "1,2": 1.0}},
+            {"n": 2, "values": {"²": 0.2, "2": 0.2, "1,2": 1.0}},
         ],
-        ids=["null-value", "list-value", "values-list", "times-scalar", "times-float", "n-float"],
+        ids=[
+            "null-value", "list-value", "values-list", "times-scalar", "times-float", "n-float",
+            "arabic-indic-key", "superscript-key",
+        ],
     )
     @pytest.mark.parametrize(
         "command", [["check"], ["rewards", "--scheme", "timeval"]], ids=["check", "rewards"]
@@ -235,6 +240,27 @@ class TestGenCommand:
         main(["gen", "friedman", "--count", "30", "--out", str(a)])
         main(["gen", "friedman", "--count", "30", "--seed", "7", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("raw", ["²", "١", "abc", "--7", ""])
+    def test_env_seed_other_than_ascii_digits_means_0(self, raw, tmp_path, monkeypatch):
+        # "²" used to pass str.isdigit and then fail in int()
+        monkeypatch.setenv("TIMEREWARD_SEED", raw)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["gen", "friedman", "--count", "30", "--out", str(a)]) == EXIT_OK
+        main(["gen", "friedman", "--count", "30", "--seed", "0", "--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_negative_env_seed(self, monkeypatch):
+        monkeypatch.setenv("TIMEREWARD_SEED", "-3")
+        assert cli._default_seed() == -3
+
+
+@pytest.mark.parametrize("raw,applied", [("2", True), ("²", False), ("١", False), ("", False)])
+def test_thread_env_takes_ascii_digits_only(raw, applied, monkeypatch):
+    env = {"TIMEREWARD_THREADS": raw}
+    monkeypatch.setattr(cli.os, "environ", env)
+    cli._apply_thread_env()
+    assert env.get("OMP_NUM_THREADS") == (raw if applied else None)
 
 
 class TestRealizeCommand:

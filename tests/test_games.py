@@ -1,12 +1,13 @@
 """Coalition encoding, table games, axiom checks, random game generation."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import table_game_reference
+from oracles import check_axioms_reference, table_game_reference
 
 from timereward import (
     AxiomReport,
@@ -24,7 +25,8 @@ from timereward import (
     random_superadditive_game,
     save_game_json,
 )
-from timereward.games import mask_of, members_of, subset_sums
+from timereward import games
+from timereward.games import _canonical_masks, mask_of, members_of, subset_sums
 
 
 class TestCoalition:
@@ -37,7 +39,7 @@ class TestCoalition:
     def test_of_canonicalizes(self):
         assert Coalition.of([3, 1, 3], 4).members == (1, 3)
 
-    @pytest.mark.parametrize("bad", ["0", "5", "2,1", "1,1", "1,,2", "a", "1, b"])
+    @pytest.mark.parametrize("bad", ["0", "5", "2,1", "1,1", "1,,2", "a", "1, b", "١", "²", "1,٣"])
     def test_malformed_keys(self, bad):
         with pytest.raises(InvalidCoalitionKey):
             Coalition.from_key(bad, 4)
@@ -197,7 +199,7 @@ def game_mappings(draw):
         items.append((" " + key, draw(st.floats(-10.0, 10.0))))
     items = draw(st.permutations(items))
     if draw(st.booleans()):
-        bad = draw(st.sampled_from(["1,1", "2,1", "0", str(n + 1), "a", "1,,2"]))
+        bad = draw(st.sampled_from(["1,1", "2,1", "0", str(n + 1), "a", "1,,2", "١", "1,²"]))
         items.insert(draw(st.integers(min_value=0, max_value=len(items))), (bad, 0.5))
     return n, dict(items), draw(st.sampled_from([None, True, False]))
 
@@ -218,6 +220,17 @@ class TestTableGameMatchesReference:
         with pytest.raises(MissingCoalition, match="coalition '2' not in table"):
             g.table()
         assert g.value([1, 2]) == 0.5
+
+    @pytest.mark.parametrize("digit", ["١", "²"])
+    def test_only_ascii_digits_name_parties(self, digit):
+        # "١" (Arabic-Indic one) used to be read as party 1, "²" to fail in int()
+        with pytest.raises(InvalidCoalitionKey, match="malformed"):
+            make_table_game(2, {digit: 0.5, "2": 0.1, "1,2": 1.0})
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_canonical_key_map(self, n):
+        want = {Coalition.from_mask(mask, n).key(): mask for mask in range(1 << n)}
+        assert _canonical_masks(n) == want
 
     @pytest.mark.parametrize("n,error", [(0, ValueError), (25, TooLarge)])
     def test_party_count_checked_first(self, n, error):
@@ -273,6 +286,55 @@ class TestCheckAxioms:
     def test_report_cached_per_tolerance(self):
         g = random_superadditive_game(3, seed=2)
         assert check_axioms(g, 1e-9) is check_axioms(g, 1e-9)
+
+
+class TestSuperadditivityCertificate:
+    """Convex games skip the 3**n scan; every other verdict is the scan's."""
+
+    @pytest.fixture
+    def no_scan(self, monkeypatch):
+        def scan(v, tol):
+            raise AssertionError("the superadditivity scan ran")
+
+        monkeypatch.setattr(games, "_superadditivity_violation", scan)
+
+    @pytest.mark.parametrize("n,seed", [(16, 4), (20, 1)])
+    def test_convex_game_skips_the_scan(self, no_scan, n, seed):
+        assert check_axioms(random_superadditive_game(n, seed), 1e-9).all_ok
+
+    @pytest.mark.parametrize("pair", list(itertools.combinations(range(4), 2)))
+    def test_every_pair_of_parties_is_differenced(self, pair):
+        # a negative dividend on one pair is the only negative second difference
+        dividends = np.ones(16)
+        dividends[0] = 0.0
+        dividends[(1 << pair[0]) | (1 << pair[1])] = -3.0
+        g = Game(4, table=subset_sums(dividends))
+        report = check_axioms(g, 1e-9)
+        assert not report.superadditive
+        assert report.to_dict() == check_axioms_reference(g, 1e-9).to_dict()
+
+    def test_bound_scales_with_the_pair_sizes(self):
+        # every second difference is -2e-10, a 4-by-4 split loses 16 of them: 3.2e-9
+        sizes = np.array([bin(mask).count("1") for mask in range(1 << 8)], dtype=float)
+        g = Game(8, table=sizes - 2e-10 * sizes * (sizes - 1) / 2)
+        report = check_axioms(g, 1e-9)
+        assert {len(c) for c in report.witnesses["superadditive"]} == {4}
+        assert report.to_dict() == check_axioms_reference(g, 1e-9).to_dict()
+
+    @pytest.mark.parametrize(
+        "table,tol",
+        [
+            # no computed second difference is negative, yet the scan's rounding leaves a gap
+            ([0.0, 0.0003671659539482646, 0.00011648689424288605, 0.0004836528481911506], 0.0),
+            (list(1e8 * subset_sums(np.array([0.0, 0.9447181582680589, 0.3466759743601828, 0.0]))), 1e-9),
+        ],
+        ids=["tol-0", "magnitude-1e8"],
+    )
+    def test_rounding_margin_declines(self, table, tol):
+        g = Game(2, table=table)
+        report = check_axioms(g, tol)
+        assert not report.superadditive
+        assert report.to_dict() == check_axioms_reference(g, tol).to_dict()
 
 
 class TestRandomSuperadditiveGame:

@@ -12,7 +12,10 @@ tables, the eigenvalue tempering curve and the one-factor greedy subset
 are held to the per-coalition and per-step factorizations to 1e-10
 relative to max(1, v(N)), with the same selections and saturated flags.
 The axiom and incentive reports must equal the submask-loop references
-exactly, witnesses and tie-breaks included, on tables with many ties.
+exactly, witnesses and tie-breaks included, on tables with many ties,
+and on convex, large-magnitude, superadditive-but-not-convex and
+failing tables, which the superadditivity certificate either settles or
+must leave to the scan.
 """
 
 import numpy as np
@@ -23,6 +26,7 @@ from oracles import (
     brute_force_shapley,
     check_axioms_reference,
     check_static_reference,
+    check_temporal_reference,
     conditional_ig_table_reference,
     necessity_reference,
     strictness_reference,
@@ -38,10 +42,12 @@ from timereward import (
     TimeVector,
     check_axioms,
     check_static,
+    check_temporal,
     conditional_ig_game,
     gp_ig,
     ig_game,
     interval_shapley_values,
+    naive_scheme,
     necessity_predicate,
     reward_cumulation,
     reward_time_valuation,
@@ -210,6 +216,38 @@ def test_shared_factors_match_per_value_factorizations(case):
 
 
 @st.composite
+def certificate_cases(draw):
+    """Tables the superadditivity certificate settles, and ones it must leave to the scan."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["convex", "large convex", "superadditive", "failing"]))
+    if kind == "superadditive":  # v(S) = g(|S|), superadditive with a negative second difference
+        n = draw(st.integers(3, 4))
+        g = np.array([0.0, 1.0, 2.5, 3.6, 5.0])
+        table = g[[bin(mask).count("1") for mask in range(1 << n)]]
+    else:
+        n = draw(st.integers(1, 7))
+        dividends = rng.uniform(0.0, 1.0, size=1 << n)
+        dividends[rng.uniform(size=1 << n) < draw(st.sampled_from([0.0, 0.7, 1.0]))] = 0.0
+        dividends[1 << np.arange(n)] = rng.uniform(0.0, 1.0, size=n)
+        if kind == "failing" and n > 1:  # one multi-member dividend pushed below 0
+            shared = [mask for mask in range(1 << n) if mask & (mask - 1)]
+            dividends[rng.choice(shared)] -= rng.uniform(0.0, 2.0)
+        dividends[0] = 0.0
+        table = subset_sums(dividends)
+        if kind == "large convex":
+            table *= 10.0 ** draw(st.integers(6, 12))
+    return n, table, draw(st.sampled_from([0.0, 1e-9, 0.5]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(certificate_cases())
+def test_certified_verdicts_match_the_scan(case):
+    n, table, tol = case
+    game = Game(n, table=table)
+    assert check_axioms(game, tol).to_dict() == check_axioms_reference(game, tol).to_dict()
+
+
+@st.composite
 def check_cases(draw):
     """A value table with many ties or few dividends, joining times, rewards and a tol."""
     n = draw(st.integers(1, 7))
@@ -243,6 +281,9 @@ def test_checks_match_submask_loops(case):
     g = game()
     assert check_static(g, times, rewards, tol).to_dict() == (
         check_static_reference(g, times, rewards, tol).to_dict()
+    )
+    assert check_temporal(g, times, naive_scheme(), tol).to_dict() == (
+        check_temporal_reference(g, times, naive_scheme(), tol).to_dict()
     )
     for i in range(1, n + 1):
         assert strictness_predicate(g, times, i) == strictness_reference(g, times, i)
