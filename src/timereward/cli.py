@@ -263,7 +263,7 @@ def _cmd_shapley(args) -> int:
     from .shapley import shapley_exact, shapley_mc
 
     game, _ = load_game_json(args.game)
-    if args.permutations:
+    if args.permutations is not None:
         seed = args.seed if args.seed is not None else _default_seed()
         result = shapley_mc(game, args.permutations, seed)
     else:

@@ -114,6 +114,18 @@ def _check_party_count(n: int):
         raise TooLarge(f"party count {n} outside [1, {MAX_EXACT_PARTIES}]")
 
 
+def _check_per_party(n: int, values, name: str):
+    """Raise ValueError unless values (joining times, rewards) has one entry per party."""
+    if len(values) != n:
+        raise ValueError(f"{name} has {len(values)} entries for an n={n} game")
+
+
+def _check_party(n: int, i: int):
+    """Raise ValueError unless i is a 1-based party index of an n-party game."""
+    if not 1 <= i <= n:
+        raise ValueError(f"party {i} is not one of the parties 1..{n}")
+
+
 def _key_mask(key: str, n: int) -> int:
     """Bitmask of a wire-encoded coalition key within n parties.
 
@@ -159,6 +171,12 @@ class Game:
     ``v(empty) = 0`` is enforced without consulting either.  The fills of
     that table and of the axiom memo are idempotent, so games are safe
     to share across threads.
+
+    This module alone decides what a game can be asked: a table above
+    MAX_EXACT_PARTIES parties is refused when built, and ``table()`` of
+    a larger oracle game raises TooLarge, so exact computations read the
+    table before allocating anything of size 2**n.  The length of a
+    times vector and a party index are checked here too.
     """
 
     def __init__(
@@ -179,6 +197,7 @@ class Game:
         self.declared_superadditive = superadditive
         self._axiom_reports: dict[float, "AxiomReport"] = {}
         if table is not None:
+            _check_party_count(n)
             if len(table) != 1 << n:
                 raise ValueError("table length must be 2**n")
             arr = np.array(table, dtype=float)
@@ -219,8 +238,7 @@ class Game:
         for partial table games and ValueError for non-finite values.
         """
         if self._table is None:
-            if self.n > MAX_EXACT_PARTIES:
-                raise TooLarge(f"cannot enumerate 2**{self.n} coalitions")
+            _check_party_count(self.n)
             arr = np.empty(1 << self.n)
             arr[0] = 0.0
             for mask in range(1, 1 << self.n):
@@ -348,8 +366,7 @@ def random_superadditive_game(n: int, seed: int) -> Game:
     coalition and summed over subsets, which guarantees non-negativity,
     monotonicity, and superadditivity of the synthesized values.
     """
-    if not 1 <= n <= MAX_EXACT_PARTIES:
-        raise TooLarge(f"party count {n} outside [1, {MAX_EXACT_PARTIES}]")
+    _check_party_count(n)
     rng = np.random.default_rng(seed)
     dividends = rng.uniform(0.0, 1.0, size=1 << n)
     dividends[0] = 0.0
@@ -557,8 +574,6 @@ def check_axioms(game: Game, tol: float = 1e-9) -> AxiomReport:
     must be finite and >= 0.
     """
     _check_tolerance(tol)
-    if game.n > MAX_EXACT_PARTIES:
-        raise TooLarge(f"cannot enumerate axioms for n={game.n}")
     cached = game._axiom_reports.get(tol)
     if cached is not None:
         return cached

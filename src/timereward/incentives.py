@@ -9,8 +9,8 @@ n-axis cube that hold one party of a pair but not the other, F5, F6
 and the strictness predicate over the per-party (without, with) views
 of the table, with one largest |v| per party deciding every F6 pair in
 O(n 2**n) and one earliest synergy time per party deciding every F8
-precondition.  Party counts above the exact ceiling are refused, and so
-is a tolerance that is not finite and >= 0.  F7/F8 recompute rewards
+precondition.  Party counts above the exact ceiling are refused (by
+``games``), and so is a tolerance that is not finite and >= 0.  F7/F8 recompute rewards
 counterfactually through a reward-scheme closure and are reported
 not_applicable without one.
 """
@@ -23,13 +23,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import PreconditionViolated, TooLarge
+from .errors import PreconditionViolated
 from .games import (
-    MAX_EXACT_PARTIES,
     Game,
     RewardVector,
     TimeVector,
     _bit_pairs,
+    _check_party,
+    _check_per_party,
     _check_tolerance,
 )
 from .shapley import _coalition_layout, naive_time_division, shapley_exact
@@ -133,13 +134,6 @@ def shapley_scheme() -> RewardScheme:
     )
 
 
-def _guard(game: Game, times: TimeVector):
-    if game.n > MAX_EXACT_PARTIES:
-        raise TooLarge(f"incentive checks need n <= {MAX_EXACT_PARTIES}")
-    if len(times) != game.n:
-        raise ValueError("times length must equal the party count")
-
-
 def _necessary_parties(v: np.ndarray, tol: float) -> list[int]:
     """Parties i with |v| <= tol on every coalition missing i, ascending."""
     pairs = enumerate(_bit_pairs(v), start=1)
@@ -149,10 +143,8 @@ def _necessary_parties(v: np.ndarray, tol: float) -> list[int]:
 def necessity_predicate(game: Game, i: int, j: int, tol: float = 1e-9) -> bool:
     """True iff every coalition missing party i or party j is worthless."""
     _check_tolerance(tol)
-    if game.n > MAX_EXACT_PARTIES:
-        raise TooLarge(f"necessity check needs n <= {MAX_EXACT_PARTIES}")
-    if not (1 <= i <= game.n and 1 <= j <= game.n):
-        raise ValueError(f"parties must lie in 1..{game.n}, got {i} and {j}")
+    _check_party(game.n, i)
+    _check_party(game.n, j)
     return {i, j} <= set(_necessary_parties(game.table(), tol))
 
 
@@ -181,7 +173,8 @@ def strictness_predicate(game: Game, times: TimeVector, i: int) -> bool:
     Some C within {j : t_j < t_i} has v(C + i) > v(C) + v(i) exactly
     when the earliest such C has its latest member before t_i.
     """
-    _guard(game, times)
+    _check_per_party(game.n, times, "times")
+    _check_party(game.n, i)
     return bool(_synergy_times(game.table(), times)[i - 1] < times[i - 1])
 
 
@@ -207,7 +200,6 @@ def check_static(
     times: TimeVector,
     rewards,
     tol: float = 1e-9,
-    strict_margin: float = STRICT_MARGIN,
 ) -> IncentiveReport:
     """Check F1-F6 for a concrete reward vector.
 
@@ -217,10 +209,9 @@ def check_static(
     skipped on F3/F4 rather than guessed at.
     """
     _check_tolerance(tol)
-    _guard(game, times)
+    _check_per_party(game.n, times, "times")
     r = _rewards_array(rewards)
-    if len(r) != game.n:
-        raise ValueError("rewards length must equal the party count")
+    _check_per_party(game.n, r, "rewards")
     n = game.n
     v = game.table()
     cube = v.reshape((2,) * n)
@@ -255,7 +246,7 @@ def check_static(
             # one-sided: the better party must earn strictly more
             a, b = (i, j) if hi > tol else (j, i)
             f4.instances += 1
-            if not r[a - 1] > r[b - 1] + strict_margin:
+            if not r[a - 1] > r[b - 1] + STRICT_MARGIN:
                 f4.witnesses.append((a, b, float(r[a - 1]), float(r[b - 1])))
         else:
             f4.skipped.append((i, j))
@@ -288,20 +279,20 @@ def check_temporal(
     times: TimeVector,
     scheme: RewardScheme,
     tol: float = 1e-9,
-    strict_margin: float = STRICT_MARGIN,
 ) -> IncentiveReport:
     """Check F7/F8 by recomputing rewards for every earlier joining time.
 
     For each party i and each t' < t_i, only t_i is changed and the
     scheme is re-run.  F7 requires the reward not to drop; F8 requires a
-    strict rise whenever the strict-synergy predicate holds under the
-    counterfactual times, read off each party's synergy time.
+    rise above STRICT_MARGIN whenever the strict-synergy predicate holds
+    under the counterfactual times, read off each party's synergy time.
     """
     _check_tolerance(tol)
-    _guard(game, times)
+    _check_per_party(game.n, times, "times")
+    v = game.table()  # refuses a game above the ceiling even if the scheme never reads it
     base = scheme(game, times).rewards
     # moving t_i leaves the other times, and so party i's synergy time, as they are
-    synergy = _synergy_times(game.table(), times) if times.max_time else None
+    synergy = _synergy_times(v, times) if times.max_time else None
     f7 = IncentiveCheck(PASS)
     f8 = IncentiveCheck(PASS)
     for i in range(1, game.n + 1):
@@ -314,7 +305,7 @@ def check_temporal(
                 f7.witnesses.append(witness)
             if synergy[i - 1] < t_new:
                 f8.instances += 1
-                if not shifted[i - 1] > base[i - 1] + strict_margin:
+                if not shifted[i - 1] > base[i - 1] + STRICT_MARGIN:
                     f8.witnesses.append(witness)
     f7.status = FAIL if f7.witnesses else PASS
     f8.status = FAIL if f8.witnesses else PASS
@@ -326,12 +317,11 @@ def full_incentive_report(
     times: TimeVector,
     scheme: RewardScheme,
     tol: float = 1e-9,
-    strict_margin: float = STRICT_MARGIN,
 ) -> tuple[RewardVector, IncentiveReport]:
     """Run a scheme and check all eight incentives against its rewards."""
     rewards = scheme(game, times)
-    static = check_static(game, times, rewards, tol, strict_margin)
-    temporal = check_temporal(game, times, scheme, tol, strict_margin)
+    static = check_static(game, times, rewards, tol)
+    temporal = check_temporal(game, times, scheme, tol)
     return rewards, static.merged(temporal)
 
 
@@ -344,8 +334,10 @@ def check_weak_efficiency(
     times raises PreconditionViolated.  tol must be finite and >= 0.
     """
     _check_tolerance(tol)
-    if times is not None and any(t != 0 for t in times.times):
-        raise PreconditionViolated("weak efficiency is defined for all-zero joining times")
+    if times is not None:
+        _check_per_party(game.n, times, "times")
+        if any(t != 0 for t in times.times):
+            raise PreconditionViolated("weak efficiency is defined for all-zero joining times")
     if isinstance(scaled, RewardVector):
         arr = scaled.scaled if scaled.scaled is not None else scaled.rewards
     else:

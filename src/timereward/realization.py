@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import TargetOutOfRange
-from .games import Game, _check_tolerance
+from .games import Game, _check_party, _check_tolerance
 from .valuation import GpModel, _robust_cholesky, _whitened_kernel, gp_ig
 
 __all__ = [
@@ -187,8 +187,7 @@ def select_subset(source: Game | GpModel, party: int, target: float, seed: int) 
             return float(values[k])
 
     elif isinstance(source, Game):
-        if not 1 <= party <= source.n:
-            raise ValueError(f"party must lie in 1..{source.n}, got {party}")
+        _check_party(source.n, party)
         own = [party]
         donors = [p for p in range(1, source.n + 1) if p != party]
         joining = [donors[pos] for pos in rng.permutation(len(donors))]

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AxiomViolation, TooLarge
+from .errors import AxiomViolation
 from .games import (
-    MAX_EXACT_PARTIES,
     Coalition,
     Game,
     RewardVector,
     TimeVector,
+    _check_per_party,
     check_axioms,
     subset_differences,
     subset_sums,
@@ -51,13 +51,6 @@ __all__ = [
 # exp(-gamma*t) clamps here instead of underflowing to 0, keeping every
 # cooperative ability strictly positive
 _ABILITY_FLOOR = float(np.finfo(float).tiny)
-
-
-def _validate_inputs(game: Game, times: TimeVector):
-    if len(times) != game.n:
-        raise ValueError(f"times has {len(times)} entries for an n={game.n} game")
-    if game.n > MAX_EXACT_PARTIES:
-        raise TooLarge(f"exact reward schemes need n <= {MAX_EXACT_PARTIES}")
 
 
 def _require_axioms(game: Game, tol: float = 1e-9):
@@ -93,7 +86,7 @@ def interval_shapley_values(game: Game, times: TimeVector) -> np.ndarray:
     in with their solo value.  Row tau adds to the solo values the
     dividend shares of every coalition complete by tau.
     """
-    _validate_inputs(game, times)
+    _check_per_party(game.n, times, "times")
     u, shares = _dividend_shares(game, times)
     singles = game.singleton_values()
     cumulative = np.vstack([singles, singles + np.cumsum(shares, axis=1).T])
@@ -110,7 +103,7 @@ def reward_cumulation(game: Game, times: TimeVector, beta: float) -> RewardVecto
     interval from s on, so its dividend is discounted by the weight tail
     sum_{tau >= s} w(tau).  Requires a non-negative superadditive game.
     """
-    _validate_inputs(game, times)
+    _check_per_party(game.n, times, "times")
     _require_axioms(game)
     weights = interval_weights(times, beta)
     u, shares = _dividend_shares(game, times)
@@ -120,8 +113,6 @@ def reward_cumulation(game: Game, times: TimeVector, beta: float) -> RewardVecto
 
 def harsanyi_dividends(game: Game) -> dict[Coalition, float]:
     """Map every coalition to its synergy dividend d(v, T) (n <= 24)."""
-    if game.n > MAX_EXACT_PARTIES:
-        raise TooLarge(f"dividends need n <= {MAX_EXACT_PARTIES}, got {game.n}")
     d = subset_differences(game.table())
     return {
         Coalition.from_mask(mask, game.n): float(d[mask]) for mask in range(1 << game.n)
@@ -144,10 +135,10 @@ def time_aware_game(game: Game, times: TimeVector, gamma: float) -> Game:
     subset sums of the discounted dividends but is exactly v when no
     dividend is discounted.  Solo values are never discounted.
     """
-    _validate_inputs(game, times)
+    _check_per_party(game.n, times, "times")
+    v = game.table()  # first, so a game above the ceiling is refused before any 2**n array
     u, latest, _ = _coalition_layout(times)
     lam = cooperative_abilities(TimeVector.of(u), gamma)
-    v = game.table()
     shortfall = subset_differences(v)
     shortfall *= (1.0 - lam)[latest]
     shortfall[1 << np.arange(game.n)] = 0.0
@@ -163,7 +154,7 @@ def reward_time_valuation(game: Game, times: TimeVector, gamma: float) -> Reward
     non-negative superadditive base game; the time-aware game then
     inherits both properties, which keeps individual rationality.
     """
-    _validate_inputs(game, times)
+    _check_per_party(game.n, times, "times")
     _require_axioms(game)
     u, shares = _dividend_shares(game, times)
     lam = cooperative_abilities(TimeVector.of(u), gamma)
@@ -178,9 +169,10 @@ def scale_rewards(game: Game, rewards: RewardVector) -> RewardVector:
     the game itself is null, scaling is undefined: the rewards are
     returned unchanged with the degenerate flag set.
     """
+    r = rewards.rewards
+    _check_per_party(game.n, r, "rewards")
     phi = shapley_exact(game).values
     top = float(phi.max())
-    r = rewards.rewards
     if top <= 0.0 or not np.any(r != 0.0):
         return RewardVector(r, scaled=r.copy(), rho=None, degenerate=True)
     rho = game.grand_value() / top

@@ -22,11 +22,11 @@ import numpy as np
 
 from .errors import TooLarge
 from .games import (
-    MAX_EXACT_PARTIES,
     Game,
     RewardVector,
     TimeVector,
     _bit_pairs,
+    _check_per_party,
     subset_differences,
 )
 
@@ -73,8 +73,9 @@ def _dividend_shares(game: Game, times: TimeVector) -> tuple[np.ndarray, np.ndar
     Shares are accumulated one party at a time over the masks holding
     that party, so no n x 2**n matrix is formed.
     """
+    v = game.table()  # first, so a game above the ceiling is refused before any 2**n array
     u, latest, sizes = _coalition_layout(times)
-    split = subset_differences(game.table())
+    split = subset_differences(v)
     split[1 << np.arange(game.n)] = 0.0  # solo dividends are never shared or discounted
     split[1:] /= sizes[1:]
     shares = np.empty((game.n, len(u)))
@@ -86,10 +87,7 @@ def _dividend_shares(game: Game, times: TimeVector) -> tuple[np.ndarray, np.ndar
 
 def shapley_exact(game: Game) -> ShapleyResult:
     """Shapley values as solo value plus equal shares of every dividend (n <= 24)."""
-    n = game.n
-    if n > MAX_EXACT_PARTIES:
-        raise TooLarge(f"exact Shapley needs n <= {MAX_EXACT_PARTIES}, got {n}")
-    _, shares = _dividend_shares(game, TimeVector((0,) * n))
+    _, shares = _dividend_shares(game, TimeVector((0,) * game.n))
     return ShapleyResult(values=game.singleton_values() + shares.sum(axis=1), method="exact")
 
 
@@ -153,7 +151,6 @@ def naive_time_division(game: Game, times: TimeVector) -> RewardVector:
     Provided only to demonstrate how dividing by joining time breaks
     individual rationality and necessity; not a recommended scheme.
     """
-    if len(times) != game.n:
-        raise ValueError("times length must equal the party count")
+    _check_per_party(game.n, times, "times")
     phi = shapley_exact(game).values
     return RewardVector(phi / (times.as_array() + 1.0))

@@ -204,6 +204,9 @@ def load_dataset_csv(path) -> Dataset:
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(header):
+                cells = f"{len(row)} cells, the header has {len(header)}"
+                raise ValueError(f"dataset CSV line {reader.line_num} has {cells}")
             feats.append([float(row[k]) for k in x_cols])
             ys.append(float(row[y_col]))
             parties.append(int(row[p_col]))

@@ -24,8 +24,8 @@ from typing import Iterable
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericalFailure, TooLarge
-from .games import MAX_EXACT_PARTIES, Game
+from .errors import NumericalFailure
+from .games import Game, _check_party_count
 from .synthdata import Dataset, PredictiveDistribution
 
 __all__ = [
@@ -84,8 +84,7 @@ class GpModel:
                 raise ValueError("noise_variance must be positive")
         elif noise.shape != (len(X),) or np.any(noise <= 0):
             raise ValueError("per-point noise needs one positive entry per point")
-        if int(own.max()) > MAX_EXACT_PARTIES:
-            raise TooLarge(f"party count {own.max()} exceeds {MAX_EXACT_PARTIES}")
+        _check_party_count(int(own.max()))
         # read-only copies, so values derived from a model never go stale
         for name, arr in (("inputs", X), ("ownership", own), ("lengthscales", ls)):
             arr.flags.writeable = False
@@ -269,8 +268,6 @@ class DualGame(Game):
     """
 
     def __init__(self, base: Game):
-        if base.n > MAX_EXACT_PARTIES:
-            raise TooLarge(f"dual construction needs n <= {MAX_EXACT_PARTIES}")
         v = base.table()
         super().__init__(base.n, table=v[-1] - v[::-1])
         self.base = base
@@ -351,6 +348,8 @@ def load_gp_config(path) -> dict:
     """Read {"lengthscales": [..], "signal_variance": f, "noise_variance": f|[..]}."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"GP config must be a JSON object, got {type(doc).__name__}")
     out = {}
     if "lengthscales" in doc:
         out["lengthscales"] = np.asarray(doc["lengthscales"], dtype=float)

@@ -211,6 +211,15 @@ class TestShapleyCommand:
         assert first["method"] == "monte_carlo"
         assert first["permutations_used"] == 200
 
+    @pytest.mark.parametrize("permutations", ["0", "-1"])
+    def test_non_positive_permutations_exit_1(self, ir_game_file, permutations, capsys):
+        # 0 used to be read as "no --permutations" and give exact values
+        code = main(["shapley", "--game", ir_game_file, "--permutations", permutations])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: permutations")
+
 
 class TestGenCommand:
     def test_byte_identical_runs(self, tmp_path):
@@ -364,6 +373,44 @@ class TestRealizeCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "noise_variance" in captured.err
+
+    @pytest.mark.parametrize("config", ["5", "[1, 2]"], ids=["number", "list"])
+    def test_gp_config_not_an_object_exits_1(self, gp_files, config, tmp_path, capsys):
+        # a number used to end in a TypeError traceback, a list to mean "the defaults"
+        csv_path, _ = gp_files
+        config_path = tmp_path / "config.json"
+        config_path.write_text(config)
+        out = tmp_path / "real.json"
+        code = main(
+            [
+                "realize", "--method", "temper", "--data", csv_path,
+                "--gp-config", str(config_path), "--party", "1",
+                "--target", "0.5", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("error: GP config must be a JSON object")
+
+    @pytest.mark.parametrize("method", ["temper", "subset"])
+    def test_ragged_dataset_row_exits_1(self, method, tmp_path, capsys):
+        # a short row used to end in an IndexError traceback
+        csv_path = tmp_path / "ragged.csv"
+        csv_path.write_text("x0,y,party\n0.1,0.5,1\n0.2,0.3\n0.4,0.1,2\n")
+        out = tmp_path / "real.json"
+        code = main(
+            [
+                "realize", "--method", method, "--data", str(csv_path), "--party", "1",
+                "--target", "0.1", "--seed", "0", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("error: dataset CSV line 3 has 2 cells")
 
     def test_subset_rejects_tol(self, ir_game_file, tmp_path, capsys):
         # select_subset has no tolerance; --tol used to be accepted and ignored

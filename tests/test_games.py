@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,14 +17,28 @@ from timereward import (
     InvalidCoalitionKey,
     LengthMismatch,
     MissingCoalition,
+    RewardScheme,
     RewardVector,
     TimeVector,
     TooLarge,
     check_axioms,
+    check_static,
+    check_temporal,
+    dual_game,
+    full_incentive_report,
+    harsanyi_dividends,
+    interval_shapley_values,
     load_game_json,
     make_table_game,
+    naive_time_division,
+    necessity_predicate,
     random_superadditive_game,
+    reward_cumulation,
+    reward_time_valuation,
     save_game_json,
+    shapley_exact,
+    strictness_predicate,
+    time_aware_game,
 )
 from timereward import games
 from timereward.games import _canonical_masks, mask_of, members_of, subset_sums
@@ -438,3 +453,57 @@ class TestGameJson:
         path.write_text(json.dumps({"n": 2, "values": {"1,2": 1.0}, "times": [0]}))
         with pytest.raises(LengthMismatch):
             load_game_json(path)
+
+
+# A scheme that never reads the game, so the incentive checks must refuse on their own
+ZERO_SCHEME = RewardScheme("zero", None, lambda g, t: RewardVector(np.zeros(g.n)))
+
+# Every exact public entry point as a call on (game, times); games.py
+# decides the party ceiling and the times length for all of them.
+EXACT_ENTRY_POINTS = {
+    "check_axioms": lambda g, t: check_axioms(g),
+    "shapley_exact": lambda g, t: shapley_exact(g),
+    "naive_time_division": naive_time_division,
+    "harsanyi_dividends": lambda g, t: harsanyi_dividends(g),
+    "interval_shapley_values": interval_shapley_values,
+    "reward_cumulation": lambda g, t: reward_cumulation(g, t, 1.0),
+    "reward_time_valuation": lambda g, t: reward_time_valuation(g, t, 1.0),
+    "time_aware_game": lambda g, t: time_aware_game(g, t, 1.0),
+    "check_static": lambda g, t: check_static(g, t, np.zeros(g.n)),
+    "check_temporal": lambda g, t: check_temporal(g, t, ZERO_SCHEME),
+    "full_incentive_report": lambda g, t: full_incentive_report(g, t, ZERO_SCHEME),
+    "strictness_predicate": lambda g, t: strictness_predicate(g, t, 1),
+    "necessity_predicate": lambda g, t: necessity_predicate(g, 1, 2),
+    "dual_game": lambda g, t: dual_game(g),
+}
+TIMED_ENTRY_POINTS = sorted(
+    set(EXACT_ENTRY_POINTS)
+    - {"check_axioms", "shapley_exact", "harsanyi_dividends", "necessity_predicate", "dual_game"}
+)
+
+
+class TestOneGate:
+    @pytest.mark.parametrize("name", sorted(EXACT_ENTRY_POINTS))
+    def test_ceiling_refused_before_any_table(self, name):
+        # the 2**25-entry arrays would be 32 MiB and more each
+        game = Game(25, lambda mask: 0.0)
+        times = TimeVector((0,) * 25)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match="party count 25 outside"):
+                EXACT_ENTRY_POINTS[name](game, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("name", TIMED_ENTRY_POINTS)
+    def test_times_of_wrong_length_refused(self, name, ir_counterexample):
+        with pytest.raises(ValueError, match="times has 3 entries for an n=2 game"):
+            EXACT_ENTRY_POINTS[name](ir_counterexample, TimeVector((0, 1, 2)))
+
+    def test_table_above_ceiling_refused_when_built(self):
+        # the ceiling comes before the length check, so no 2**25 table is needed
+        with pytest.raises(TooLarge, match="party count 25 outside"):
+            Game(25, table=np.zeros(4))
+        assert Game(25, lambda mask: 0.0).n == 25

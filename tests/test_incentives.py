@@ -77,6 +77,12 @@ class TestStrictnessPredicate:
     def test_earliest_party_has_no_predecessors(self, ir_counterexample, late_first):
         assert not strictness_predicate(ir_counterexample, late_first, 2)
 
+    @pytest.mark.parametrize("i", [0, -1, 3])
+    def test_party_out_of_range(self, ir_counterexample, i):
+        # 0 and -1 used to answer for parties 2 and 1, 3 to raise IndexError
+        with pytest.raises(ValueError, match="party"):
+            strictness_predicate(ir_counterexample, TimeVector.of((0, 1)), i)
+
 
 class TestCheckStatic:
     def test_naive_fails_ir(self, ir_counterexample, late_first):
@@ -178,6 +184,10 @@ class TestCheckStatic:
         assert report.checks["F3"].instances == 0
         assert report.status("F3") == "pass"
         assert report.checks["F5"].instances == 0
+
+    def test_rewards_of_wrong_length(self, ir_counterexample, late_first):
+        with pytest.raises(ValueError, match="rewards has 3 entries for an n=2 game"):
+            check_static(ir_counterexample, late_first, np.zeros(3))
 
     def test_too_large(self):
         g = Game(25, lambda m: 0.0)
@@ -296,6 +306,12 @@ class TestWeakEfficiency:
         with pytest.raises(PreconditionViolated):
             check_weak_efficiency(
                 ir_counterexample, np.array([1.0, 1.0]), times=late_first
+            )
+
+    def test_times_of_wrong_length_rejected(self, ir_counterexample):
+        with pytest.raises(ValueError, match="times has 3 entries"):
+            check_weak_efficiency(
+                ir_counterexample, np.array([1.0, 1.0]), times=TimeVector.of((0, 0, 0))
             )
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])

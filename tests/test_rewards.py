@@ -13,6 +13,7 @@ from timereward import (
     AxiomViolation,
     Coalition,
     Game,
+    RewardVector,
     TimeVector,
     TooLarge,
     check_axioms,
@@ -287,6 +288,11 @@ class TestScaleRewards:
         rv = reward_time_valuation(ir_counterexample, late_first, 1.0)
         scaled = scale_rewards(ir_counterexample, rv)
         assert scaled.rho == pytest.approx(1.0 / 0.5, abs=1e-12)
+
+    def test_rewards_of_wrong_length_rejected(self, ir_counterexample):
+        # used to return three scaled values for a two-party game
+        with pytest.raises(ValueError, match="rewards has 3 entries"):
+            scale_rewards(ir_counterexample, RewardVector(np.array([0.5, 0.5, 0.5])))
 
 
 class TestBetaMonotoneResponse:
