@@ -403,6 +403,7 @@ class TimeVector:
 
     def with_time(self, party: int, t: int) -> "TimeVector":
         """Copy with party's (1-based) time replaced; used for counterfactuals."""
+        _check_party(len(self.times), party)
         out = list(self.times)
         out[party - 1] = int(t)
         return TimeVector(tuple(out))

@@ -10,9 +10,13 @@ and the strictness predicate over the per-party (without, with) views
 of the table, with one largest |v| per party deciding every F6 pair in
 O(n 2**n) and one earliest synergy time per party deciding every F8
 precondition.  Party counts above the exact ceiling are refused (by
-``games``), and so is a tolerance that is not finite and >= 0.  F7/F8 recompute rewards
-counterfactually through a reward-scheme closure and are reported
-not_applicable without one.
+``games``), and so is a tolerance that is not finite and >= 0.  F7/F8
+need the rewards every party would get had it joined earlier, so they
+take a reward scheme and are reported not_applicable without one.  For
+a scheme with a discount (cumulation, timeval, plain Shapley) all of
+party i's counterfactual rewards are read off one pass over its
+dividends, bucketed by the latest joining time of the other members;
+any other scheme is re-run once per counterfactual.
 """
 
 from __future__ import annotations
@@ -33,8 +37,13 @@ from .games import (
     _check_per_party,
     _check_tolerance,
 )
-from .shapley import _coalition_layout, naive_time_division, shapley_exact
-from .rewards import reward_cumulation, reward_time_valuation
+from .shapley import _coalition_layout, _split_dividends, naive_time_division, shapley_exact
+from .rewards import (
+    _ability_discount,
+    _cumulation_discount,
+    reward_cumulation,
+    reward_time_valuation,
+)
 
 __all__ = [
     "IncentiveCheck",
@@ -105,22 +114,42 @@ class IncentiveReport:
 
 @dataclass(frozen=True)
 class RewardScheme:
-    """A named, deterministic (game, times) -> rewards closure."""
+    """A named, deterministic (game, times) -> rewards closure.
+
+    A scheme whose rewards are the dividend formula of ``shapley``,
+    r_i = v({i}) + sum over T containing i, |T| >= 2, of d(T) / |T| * D(t_T),
+    may also give its discount: D(latest, horizon) maps the joining times
+    of dividends' latest members, and the latest joining time of all, to
+    their discounts.  ``check_temporal`` then reads every counterfactual
+    reward off one bucketed dividend pass per party instead of re-running
+    ``fn``; without one it re-runs ``fn`` per counterfactual.
+    """
 
     name: str
     param: float | None
     fn: Callable[[Game, TimeVector], RewardVector]
+    discount: Callable[[np.ndarray, int], np.ndarray] | None = None
 
     def __call__(self, game: Game, times: TimeVector) -> RewardVector:
         return self.fn(game, times)
 
 
 def cumulation_scheme(beta: float) -> RewardScheme:
-    return RewardScheme("cumulation", float(beta), lambda g, t: reward_cumulation(g, t, beta))
+    return RewardScheme(
+        "cumulation",
+        float(beta),
+        lambda g, t: reward_cumulation(g, t, beta),
+        _cumulation_discount(beta),
+    )
 
 
 def time_valuation_scheme(gamma: float) -> RewardScheme:
-    return RewardScheme("timeval", float(gamma), lambda g, t: reward_time_valuation(g, t, gamma))
+    return RewardScheme(
+        "timeval",
+        float(gamma),
+        lambda g, t: reward_time_valuation(g, t, gamma),
+        _ability_discount(gamma),
+    )
 
 
 def naive_scheme() -> RewardScheme:
@@ -130,7 +159,10 @@ def naive_scheme() -> RewardScheme:
 def shapley_scheme() -> RewardScheme:
     """Plain Shapley rewards; ignores joining times entirely."""
     return RewardScheme(
-        "shapley", None, lambda g, t: RewardVector(shapley_exact(g).values)
+        "shapley",
+        None,
+        lambda g, t: RewardVector(shapley_exact(g).values),
+        lambda latest, horizon: np.ones(len(latest)),
     )
 
 
@@ -148,17 +180,17 @@ def necessity_predicate(game: Game, i: int, j: int, tol: float = 1e-9) -> bool:
     return {i, j} <= set(_necessary_parties(game.table(), tol))
 
 
-def _synergy_times(v: np.ndarray, times: TimeVector) -> np.ndarray:
+def _synergy_times(v: np.ndarray, layout) -> np.ndarray:
     """Per party i, the earliest joining time at which it has strict synergy.
 
     That is the smallest latest-member time over the non-empty C without
     party i with v(C + i) > v(C) + v(i), or inf if there is none: one
     reduction over party i's (without, with) views.  C = empty never
     qualifies, as v(i) > 0 + v(i) is false, and party i's own joining
-    time plays no part.
+    time plays no part.  layout is the ``_coalition_layout`` of the times.
     """
-    u, latest, _ = _coalition_layout(times)
-    out = np.full(len(times), np.inf)
+    u, latest, _ = layout
+    out = np.full(v.size.bit_length() - 1, np.inf)
     pairs = zip(_bit_pairs(v), _bit_pairs(latest))
     for i, ((without, with_i), (latest_without, _)) in enumerate(pairs):
         ranks = latest_without[with_i > without + v[1 << i]]
@@ -175,7 +207,8 @@ def strictness_predicate(game: Game, times: TimeVector, i: int) -> bool:
     """
     _check_per_party(game.n, times, "times")
     _check_party(game.n, i)
-    return bool(_synergy_times(game.table(), times)[i - 1] < times[i - 1])
+    synergy = _synergy_times(game.table(), _coalition_layout(times))
+    return bool(synergy[i - 1] < times[i - 1])
 
 
 def _holding_one(cube: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -274,39 +307,83 @@ def check_static(
     return IncentiveReport(checks)
 
 
+def _rerun_sweep(game: Game, times: TimeVector, scheme: RewardScheme):
+    """(party, t', reward, reward had the party joined at t') by re-running the scheme."""
+    base = scheme(game, times).rewards
+    for i in range(1, game.n + 1):
+        for t_new in range(times[i - 1]):
+            shifted = scheme(game, times.with_time(i, t_new)).rewards
+            yield i, t_new, base[i - 1], shifted[i - 1]
+
+
+def _dividend_sweep(v: np.ndarray, times: TimeVector, layout, discount):
+    """The same tuples, read off one bucketed dividend pass per party.
+
+    Moving party i to t' leaves every other time as it is, so each T
+    holding i has latest time max(t', u) with u the latest time of
+    T - i.  Summing d(T) / |T| into one bucket s_i[u] per u gives
+    r_i(t') = v({i}) + sum over u of s_i[u] * D(max(t', u)), where D
+    takes the counterfactual horizon max(t', latest time of the others).
+    """
+    u, latest, sizes = layout
+    split = _split_dividends(v, sizes)
+    t = times.as_array()
+    pairs = zip(_bit_pairs(latest), _bit_pairs(split))
+    for i, ((latest_without, _), (_, split_with)) in enumerate(pairs, start=1):
+        if not t[i - 1]:
+            continue
+        shares = np.bincount(latest_without.ravel(), weights=split_with.ravel(), minlength=len(u))
+        others = np.delete(t, i - 1).max(initial=0)
+
+        def reward(t_new: int) -> float:
+            return v[1 << (i - 1)] + shares @ discount(np.maximum(u, t_new), max(t_new, others))
+
+        base = reward(t[i - 1])
+        for t_new in range(t[i - 1]):
+            yield i, t_new, base, reward(t_new)
+
+
 def check_temporal(
     game: Game,
     times: TimeVector,
     scheme: RewardScheme,
     tol: float = 1e-9,
 ) -> IncentiveReport:
-    """Check F7/F8 by recomputing rewards for every earlier joining time.
+    """Check F7/F8 against the rewards for every earlier joining time.
 
-    For each party i and each t' < t_i, only t_i is changed and the
-    scheme is re-run.  F7 requires the reward not to drop; F8 requires a
-    rise above STRICT_MARGIN whenever the strict-synergy predicate holds
-    under the counterfactual times, read off each party's synergy time.
+    For each party i and each t' < t_i, only t_i is changed.  A scheme
+    with a discount has every such reward, and the base reward, read off
+    one bucketed dividend pass per party, and is not run here, so its own
+    preconditions (the axioms cumulation and timeval require) are checked
+    where it runs, as in ``full_incentive_report``; any other scheme is
+    re-run per counterfactual.  F7 requires the reward not to drop; F8
+    requires a rise above STRICT_MARGIN whenever the strict-synergy
+    predicate holds under the counterfactual times, read off each party's
+    synergy time.
     """
     _check_tolerance(tol)
     _check_per_party(game.n, times, "times")
     v = game.table()  # refuses a game above the ceiling even if the scheme never reads it
-    base = scheme(game, times).rewards
+    layout = _coalition_layout(times) if times.max_time else None
+    if scheme.discount is None:
+        sweep = _rerun_sweep(game, times, scheme)
+    elif layout is None:
+        sweep = ()  # every party joined at 0, so none can join earlier
+    else:
+        sweep = _dividend_sweep(v, times, layout, scheme.discount)
     # moving t_i leaves the other times, and so party i's synergy time, as they are
-    synergy = _synergy_times(v, times) if times.max_time else None
+    synergy = _synergy_times(v, layout) if layout is not None else None
     f7 = IncentiveCheck(PASS)
     f8 = IncentiveCheck(PASS)
-    for i in range(1, game.n + 1):
-        for t_new in range(times[i - 1]):
-            moved = times.with_time(i, t_new)
-            shifted = scheme(game, moved).rewards
-            witness = (i, times[i - 1], t_new, float(base[i - 1]), float(shifted[i - 1]))
-            f7.instances += 1
-            if shifted[i - 1] < base[i - 1] - tol:
-                f7.witnesses.append(witness)
-            if synergy[i - 1] < t_new:
-                f8.instances += 1
-                if not shifted[i - 1] > base[i - 1] + STRICT_MARGIN:
-                    f8.witnesses.append(witness)
+    for i, t_new, base, shifted in sweep:
+        witness = (i, times[i - 1], t_new, float(base), float(shifted))
+        f7.instances += 1
+        if shifted < base - tol:
+            f7.witnesses.append(witness)
+        if synergy[i - 1] < t_new:
+            f8.instances += 1
+            if not shifted > base + STRICT_MARGIN:
+                f8.witnesses.append(witness)
     f7.status = FAIL if f7.witnesses else PASS
     f8.status = FAIL if f8.witnesses else PASS
     return IncentiveReport({"F7": f7, "F8": f8})

@@ -69,13 +69,31 @@ def interval_weights(times: TimeVector, beta: float) -> np.ndarray:
     Evaluated in log space so large beta or long horizons cannot
     overflow.  The weights sum to 1 and are strictly geometric in tau.
     """
+    return _interval_weights(times.max_time, beta)
+
+
+def _interval_weights(horizon: int, beta: float) -> np.ndarray:
     if not beta > 0 or not np.isfinite(beta):
         raise ValueError("beta must be positive and finite")
-    horizon = times.max_time
     logs = np.arange(horizon + 1) * np.log(beta)
     logs -= logs.max()
     w = np.exp(logs)
     return w / w.sum()
+
+
+def _cumulation_discount(beta: float):
+    """D(s) = sum over tau >= s of the interval weights up to the horizon.
+
+    The returned function maps the latest-member joining times of some
+    dividends, and the horizon (the latest joining time of all), to
+    their discounts; a time past the horizon gets 0.
+    """
+
+    def discount(latest: np.ndarray, horizon: int) -> np.ndarray:
+        weights = _interval_weights(horizon, beta)
+        return np.array([weights[s:].sum() for s in latest])
+
+    return discount
 
 
 def interval_shapley_values(game: Game, times: TimeVector) -> np.ndarray:
@@ -105,10 +123,9 @@ def reward_cumulation(game: Game, times: TimeVector, beta: float) -> RewardVecto
     """
     _check_per_party(game.n, times, "times")
     _require_axioms(game)
-    weights = interval_weights(times, beta)
+    discount = _cumulation_discount(beta)
     u, shares = _dividend_shares(game, times)
-    tail = np.array([weights[s:].sum() for s in u])
-    return RewardVector(game.singleton_values() + shares @ tail)
+    return RewardVector(game.singleton_values() + shares @ discount(u, times.max_time))
 
 
 def harsanyi_dividends(game: Game) -> dict[Coalition, float]:
@@ -121,10 +138,22 @@ def harsanyi_dividends(game: Game) -> dict[Coalition, float]:
 
 def cooperative_abilities(times: TimeVector, gamma: float) -> np.ndarray:
     """Per-party abilities exp(-gamma * t_i), floored at the tiniest normal float."""
-    if gamma < 0 or not np.isfinite(gamma):
-        raise ValueError("gamma must be non-negative and finite")
-    lam = np.exp(-gamma * times.as_array().astype(float))
-    return np.maximum(lam, _ABILITY_FLOOR)
+    return _ability_discount(gamma)(times.as_array(), times.max_time)
+
+
+def _ability_discount(gamma: float):
+    """D(s) = exp(-gamma * s), floored: the ability of a dividend's latest member.
+
+    Same signature as ``_cumulation_discount``; the horizon plays no part.
+    """
+
+    def discount(latest: np.ndarray, horizon: int) -> np.ndarray:
+        if gamma < 0 or not np.isfinite(gamma):
+            raise ValueError("gamma must be non-negative and finite")
+        lam = np.exp(-gamma * np.asarray(latest).astype(float))
+        return np.maximum(lam, _ABILITY_FLOOR)
+
+    return discount
 
 
 def time_aware_game(game: Game, times: TimeVector, gamma: float) -> Game:
@@ -156,9 +185,9 @@ def reward_time_valuation(game: Game, times: TimeVector, gamma: float) -> Reward
     """
     _check_per_party(game.n, times, "times")
     _require_axioms(game)
+    discount = _ability_discount(gamma)
     u, shares = _dividend_shares(game, times)
-    lam = cooperative_abilities(TimeVector.of(u), gamma)
-    return RewardVector(game.singleton_values() + shares @ lam)
+    return RewardVector(game.singleton_values() + shares @ discount(u, times.max_time))
 
 
 def scale_rewards(game: Game, rewards: RewardVector) -> RewardVector:

@@ -63,6 +63,18 @@ def _coalition_layout(times: TimeVector) -> tuple[np.ndarray, np.ndarray, np.nda
     return u, latest, sizes
 
 
+def _split_dividends(v: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per mask, the dividend d(T) / |T| each member of T gets; 0 for single parties.
+
+    Solo dividends are never shared or discounted, as every party keeps
+    its own value v({i}).
+    """
+    split = subset_differences(v)
+    split[1 << np.arange(v.size.bit_length() - 1)] = 0.0
+    split[1:] /= sizes[1:]
+    return split
+
+
 def _dividend_shares(game: Game, times: TimeVector) -> tuple[np.ndarray, np.ndarray]:
     """Equal dividend shares of multi-member coalitions, bucketed by latest joining time.
 
@@ -75,9 +87,7 @@ def _dividend_shares(game: Game, times: TimeVector) -> tuple[np.ndarray, np.ndar
     """
     v = game.table()  # first, so a game above the ceiling is refused before any 2**n array
     u, latest, sizes = _coalition_layout(times)
-    split = subset_differences(v)
-    split[1 << np.arange(game.n)] = 0.0  # solo dividends are never shared or discounted
-    split[1:] /= sizes[1:]
+    split = _split_dividends(v, sizes)
     shares = np.empty((game.n, len(u)))
     pairs = zip(_bit_pairs(latest), _bit_pairs(split))
     for i, ((_, latest_i), (_, split_i)) in enumerate(pairs):

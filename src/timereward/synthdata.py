@@ -191,7 +191,9 @@ def load_dataset_csv(path) -> Dataset:
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("dataset CSV is empty")
         if "party" not in header:
             raise ValueError("dataset CSV must contain a 'party' column")
         p_col = header.index("party")

@@ -352,12 +352,23 @@ def load_gp_config(path) -> dict:
         raise ValueError(f"GP config must be a JSON object, got {type(doc).__name__}")
     out = {}
     if "lengthscales" in doc:
-        out["lengthscales"] = np.asarray(doc["lengthscales"], dtype=float)
+        out["lengthscales"] = _config_numbers("lengthscales", doc["lengthscales"])
     if "signal_variance" in doc:
-        out["signal_variance"] = float(doc["signal_variance"])
+        out["signal_variance"] = _config_number("signal_variance", doc["signal_variance"])
     if "noise_variance" in doc:
-        noise = doc["noise_variance"]
-        out["noise_variance"] = (
-            float(noise) if np.isscalar(noise) else np.asarray(noise, dtype=float)
-        )
+        out["noise_variance"] = _config_numbers("noise_variance", doc["noise_variance"])
     return out
+
+
+def _config_number(key: str, value) -> float:
+    """A JSON number as a float; null, booleans, strings, lists and objects raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"GP config {key} must be a number, got {type(value).__name__}")
+    return float(value)
+
+
+def _config_numbers(key: str, value) -> float | np.ndarray:
+    """A JSON number as a float, or a list of numbers as an array."""
+    if isinstance(value, list):
+        return np.array([_config_number(key, x) for x in value], dtype=float)
+    return _config_number(key, value)

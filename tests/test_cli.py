@@ -394,6 +394,58 @@ class TestRealizeCommand:
         assert "Traceback" not in captured.err
         assert captured.err.startswith("error: GP config must be a JSON object")
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"signal_variance": None},
+            {"signal_variance": [1.0]},
+            {"signal_variance": {"value": 1.0}},
+            {"signal_variance": True},
+            {"noise_variance": None},
+            {"noise_variance": {"value": 0.2}},
+            {"noise_variance": False},
+        ],
+        ids=["signal-null", "signal-list", "signal-object", "signal-bool",
+             "noise-null", "noise-object", "noise-bool"],
+    )
+    def test_gp_config_field_of_wrong_type_exits_1(self, gp_files, config, tmp_path, capsys):
+        # null, a list or an object used to end in a TypeError traceback, a boolean to mean 1 or 0
+        csv_path, _ = gp_files
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        (key,) = config
+        out = tmp_path / "real.json"
+        code = main(
+            [
+                "realize", "--method", "temper", "--data", csv_path,
+                "--gp-config", str(config_path), "--party", "1",
+                "--target", "0.5", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith(f"error: GP config {key} must be a number")
+
+    @pytest.mark.parametrize("method", ["temper", "subset"])
+    def test_empty_dataset_file_exits_1(self, method, tmp_path, capsys):
+        # a zero-byte file used to end in a StopIteration traceback
+        csv_path = tmp_path / "empty.csv"
+        csv_path.write_text("")
+        out = tmp_path / "real.json"
+        code = main(
+            [
+                "realize", "--method", method, "--data", str(csv_path), "--party", "1",
+                "--target", "0.1", "--seed", "0", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("error: dataset CSV is empty")
+
     @pytest.mark.parametrize("method", ["temper", "subset"])
     def test_ragged_dataset_row_exits_1(self, method, tmp_path, capsys):
         # a short row used to end in an IndexError traceback

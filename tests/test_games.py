@@ -391,6 +391,12 @@ class TestTimeVector:
         assert t.with_time(1, 2).times == (2, 0)
         assert t.times == (4, 0)
 
+    @pytest.mark.parametrize("party", [0, -1, 3])
+    def test_with_time_rejects_party_out_of_range(self, party):
+        # 0 and -1 used to move parties 2 and 1, and 3 raised a bare IndexError
+        with pytest.raises(ValueError, match="not one of the parties 1..2"):
+            TimeVector.of((0, 1)).with_time(party, 5)
+
     @pytest.mark.parametrize("bad", [(-1, 0), (0.5, 1)])
     def test_rejects_bad_entries(self, bad):
         with pytest.raises(ValueError):

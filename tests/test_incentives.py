@@ -1,5 +1,7 @@
 """Incentive checkers F1-F8, predicates, and the scheme closures."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,19 @@ class TestCheckTemporal:
         report = check_temporal(ir_counterexample, late_first, shapley_scheme())
         assert report.status("F7") == "pass"
         assert report.status("F8") == "fail"
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [cumulation_scheme(1.0), time_valuation_scheme(1.0), shapley_scheme()],
+        ids=["cumulation", "timeval", "shapley"],
+    )
+    def test_discounted_scheme_is_not_rerun(self, scheme, ir_counterexample, late_first):
+        def rerun(game, times):
+            raise AssertionError("check_temporal re-ran a scheme that has a discount")
+
+        report = check_temporal(ir_counterexample, late_first, replace(scheme, fn=rerun))
+        assert report.to_dict() == check_temporal(ir_counterexample, late_first, scheme).to_dict()
+        assert report.checks["F7"].instances == 4
 
 
 class TestTimeBasedEqualValueDesirability:

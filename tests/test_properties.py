@@ -11,6 +11,10 @@ On models whose parties own 0-6 points each, the block-Cholesky IG
 tables, the eigenvalue tempering curve and the one-factor greedy subset
 are held to the per-coalition and per-step factorizations to 1e-10
 relative to max(1, v(N)), with the same selections and saturated flags.
+The batched F7/F8 counterfactuals of cumulation, timeval and plain
+Shapley are held to the scheme re-run per counterfactual: the same
+statuses, instance counts and witness order, and witness rewards equal
+to 1e-12 relative to max(1, v(N)).
 The axiom and incentive reports must equal the submask-loop references
 exactly, witnesses and tie-breaks included, on tables with many ties,
 and on convex, large-magnitude, superadditive-but-not-convex and
@@ -44,6 +48,7 @@ from timereward import (
     check_static,
     check_temporal,
     conditional_ig_game,
+    cumulation_scheme,
     gp_ig,
     ig_game,
     interval_shapley_values,
@@ -53,10 +58,12 @@ from timereward import (
     reward_time_valuation,
     select_subset,
     shapley_exact,
+    shapley_scheme,
     strictness_predicate,
     temper,
     tempered_value,
     time_aware_game,
+    time_valuation_scheme,
 )
 from timereward.games import subset_sums
 
@@ -89,6 +96,69 @@ def check_against_oracles(game: Game, times: TimeVector, beta: float, gamma: flo
     close(time_aware_game(game, times, gamma).table(), reference_table)
     reference_game = Game(game.n, table=reference_table)
     close(reward_time_valuation(game, times, gamma).rewards, brute_force_shapley(reference_game))
+
+
+# gamma = 800 puts every ability after time 0 on the floor
+DISCOUNTED_SCHEMES = (
+    [cumulation_scheme(beta) for beta in (0.5, 1.0, 2.0, 1000.0)]
+    + [time_valuation_scheme(gamma) for gamma in (0.0, 1.0, 800.0)]
+    + [shapley_scheme()]
+)
+
+
+def assert_temporal_matches_reruns(game: Game, times: TimeVector, scheme):
+    """The batched F7/F8 report equals the scheme re-run per counterfactual.
+
+    Statuses, instance counts and witness order must be equal, and
+    witness rewards equal to 1e-12 relative to max(1, v(N)).
+    """
+    got = check_temporal(game, times, scheme).to_dict()
+    want = check_temporal_reference(game, times, scheme, 1e-9).to_dict()
+    tol = RTOL * max(1.0, game.grand_value())
+    for key in ("F7", "F8"):
+        assert (got[key]["status"], got[key]["instances"]) == (
+            want[key]["status"], want[key]["instances"]
+        ), (key, scheme.name, scheme.param)
+        got_w, want_w = got[key].get("witnesses", []), want[key].get("witnesses", [])
+        assert [w[:3] for w in got_w] == [w[:3] for w in want_w]
+        for g, w in zip(got_w, want_w):
+            assert max(abs(g[3] - w[3]), abs(g[4] - w[4])) <= tol
+
+
+@st.composite
+def temporal_cases(draw):
+    n = draw(st.integers(1, 5))
+    game = dividend_game(n, draw(st.integers(0, 2**32 - 1)), draw(st.booleans()))
+    times = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["as drawn", "all zero", "shifted", "unique latest", "tied latest"]))
+    if shape == "all zero":
+        times = [0] * n
+    elif shape == "shifted":
+        times = [t + draw(st.integers(1, 3)) for t in times]
+    elif shape == "unique latest":
+        times[draw(st.integers(0, n - 1))] = max(times) + draw(st.integers(1, 3))
+    elif shape == "tied latest" and n >= 2:
+        first, second = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        times[first] = times[second] = max(times) + 1
+    return game, TimeVector.of(times), draw(st.sampled_from(DISCOUNTED_SCHEMES))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(temporal_cases())
+def test_batched_counterfactuals_match_reruns(case):
+    assert_temporal_matches_reruns(*case)
+
+
+@pytest.mark.parametrize("scheme", DISCOUNTED_SCHEMES, ids=lambda s: f"{s.name}-{s.param}")
+@pytest.mark.parametrize(
+    "times",
+    [(0, 1, 4, 2), (0, 0, 0, 0), (2, 3, 5, 2), (1, 3, 3, 0)],
+    ids=["unique-latest-moves", "all-zero", "min-above-0", "tied-latest"],
+)
+def test_batched_counterfactual_edge_cases(times, scheme):
+    # party 3 is the only latest party in the first case: moving it
+    # earlier shrinks the cumulation horizon
+    assert_temporal_matches_reruns(dividend_game(4, 11, False), TimeVector.of(times), scheme)
 
 
 @st.composite
