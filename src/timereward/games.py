@@ -298,7 +298,10 @@ def make_table_game(
         # float is listed first because the Real ABC check is slow
         if isinstance(val, bool) or not isinstance(val, (float, numbers.Real)):
             raise ValueError(f"coalition {key!r} has non-numeric value {val!r}")
-        val = float(val)
+        try:
+            val = float(val)
+        except OverflowError:  # a JSON integer past the float range
+            raise ValueError(f"coalition {key!r} has a value too large for a float") from None
         if not math.isfinite(val):
             raise ValueError(f"coalition {key!r} has non-finite value {val}")
         if mask == 0 and val != 0.0:

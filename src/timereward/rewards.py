@@ -23,6 +23,8 @@ keeps its solo value:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import AxiomViolation
@@ -86,12 +88,21 @@ def _cumulation_discount(beta: float):
 
     The returned function maps the latest-member joining times of some
     dividends, and the horizon (the latest joining time of all), to
-    their discounts; a time past the horizon gets 0.
+    their discounts; a time past the horizon gets 0.  Each tail is kept
+    once summed, as a counterfactual sweep asks for the same few many
+    times.
     """
 
+    @functools.lru_cache(maxsize=1)
+    def weights(horizon: int) -> np.ndarray:
+        return _interval_weights(horizon, beta)
+
+    @functools.lru_cache(maxsize=1024)
+    def tail(start: int, horizon: int) -> float:
+        return float(weights(horizon)[start:].sum())
+
     def discount(latest: np.ndarray, horizon: int) -> np.ndarray:
-        weights = _interval_weights(horizon, beta)
-        return np.array([weights[s:].sum() for s in latest])
+        return np.array([tail(s, horizon) for s in latest.tolist()])
 
     return discount
 

@@ -9,10 +9,11 @@ non-negative, monotone, and superadditive.
 Every information gain is half the log-determinant of I + D^-1/2 K D^-1/2
 over a point set, D holding the points' noise variances.  The plain IG
 of all 2^n coalitions comes from one whitened kernel of all points,
-grouped by party: a depth-first walk over the parties extends the
-prefix coalition's Cholesky factor by one party block at a time (one
-triangular solve and one Schur-complement factorization), and the new
-block's log diagonal is the coalition's gain over its prefix.
+grouped by party: a depth-first walk over the parties carries the
+Schur complement of the later parties' points given the current
+coalition.  Adding a party factors its block of that complement, whose
+log diagonal is the coalition's gain over its parent, and conditions
+the later points on it (one triangular solve and one rank update).
 """
 
 from __future__ import annotations
@@ -204,41 +205,39 @@ def gp_ig(model: GpModel, point_set) -> float:
 def _ig_table(model: GpModel) -> np.ndarray:
     """Plain IG of every coalition, indexed by bitmask, from one whitened kernel.
 
-    Parties are walked depth-first in ascending order.  Rows [0, k) of
-    one m x m buffer hold the Cholesky factor of the current coalition's
-    points; adding party p writes its block below them: the cross block
-    W = L^-1 B[prefix, p] and the factor of the Schur complement
-    B[p, p] - W^T W.  The coalition's IG is its prefix's plus the sum of
-    the log diagonal of that factor, and an empty party adds nothing.
+    Parties are walked depth-first in ascending order, carrying S, the
+    Schur complement of the later parties' points given the current
+    coalition (at the root, I + D^-1/2 K D^-1/2 itself).  Adding party p
+    factors its diagonal block of S, whose log diagonal is the
+    coalition's gain over its parent, and hands the child the points
+    after p with the cross block W = L_p^-1 S[p, later] conditioned
+    out: S[later, later] - W^T W.  An empty party adds nothing, and a
+    party with no points after it needs no solve.
     """
     n = model.n_parties
     order = np.argsort(model.ownership, kind="stable")
     B = _whitened_kernel(model, order)
     B[np.diag_indices_from(B)] += 1.0
     bounds = np.searchsorted(model.ownership[order], np.arange(1, n + 2))
-    L = np.zeros_like(B)
-    rows = np.empty(len(B), dtype=int)  # buffer row -> row of B
     table = np.zeros(1 << n)
 
-    def extend(mask: int, k: int, first: int):
+    def extend(mask: int, S: np.ndarray, first: int):
         for p in range(first, n):
-            start, stop = bounds[p], bounds[p + 1]
-            end = k + stop - start
-            if end > k:
-                schur = B[start:stop, start:stop]
-                if k:
-                    W = scipy.linalg.solve_triangular(
-                        L[:k, :k], B[rows[:k], start:stop], lower=True, check_finite=False
-                    )
-                    L[k:end, :k] = W.T
-                    schur = schur - W.T @ W
-                L[k:end, k:end] = _robust_cholesky(schur)
-                rows[k:end] = np.arange(start, stop)
+            start, stop = bounds[p : p + 2] - bounds[first]
+            later = S[stop:, stop:]
             child = mask | 1 << p
-            table[child] = table[mask] + np.sum(np.log(np.diagonal(L[k:end, k:end])))
-            extend(child, end, p + 1)
+            table[child] = table[mask]
+            if stop > start:
+                L = _robust_cholesky(S[start:stop, start:stop])
+                table[child] += np.sum(np.log(np.diagonal(L)))
+                if len(later):
+                    W = scipy.linalg.solve_triangular(
+                        L, S[start:stop, stop:], lower=True, check_finite=False
+                    )
+                    later = later - W.T @ W
+            extend(child, later, p + 1)
 
-    extend(0, 0, 0)
+    extend(0, B, 0)
     return table
 
 
@@ -361,10 +360,17 @@ def load_gp_config(path) -> dict:
 
 
 def _config_number(key: str, value) -> float:
-    """A JSON number as a float; null, booleans, strings, lists and objects raise ValueError."""
+    """A JSON number as a float.
+
+    null, booleans, strings, lists, objects and integers too large for a
+    float raise ValueError.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"GP config {key} must be a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past the float range
+        raise ValueError(f"GP config {key} is too large for a float") from None
 
 
 def _config_numbers(key: str, value) -> float | np.ndarray:

@@ -121,6 +121,16 @@ class TestCheckCommand:
         assert doc["superadditive"] is False
         assert doc["witnesses"]["superadditive"] == ["1", "2"]
 
+    def test_value_too_large_for_a_float_exits_1(self, tmp_path, capsys):
+        # used to end in an OverflowError traceback
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 1, "values": {"1": 1' + "0" * 400 + "}}")
+        assert main(["check", "--game", str(path)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("error: coalition '1' has a value too large for a float")
+
 
 class TestNonFiniteValues:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -427,6 +437,25 @@ class TestRealizeCommand:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         assert captured.err.startswith(f"error: GP config {key} must be a number")
+
+    def test_gp_config_number_too_large_for_a_float_exits_1(self, gp_files, tmp_path, capsys):
+        # used to end in an OverflowError traceback
+        csv_path, _ = gp_files
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"signal_variance": 1' + "0" * 400 + "}")
+        out = tmp_path / "real.json"
+        code = main(
+            [
+                "realize", "--method", "temper", "--data", csv_path,
+                "--gp-config", str(config_path), "--party", "1",
+                "--target", "0.5", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("error: GP config signal_variance is too large for a float")
 
     @pytest.mark.parametrize("method", ["temper", "subset"])
     def test_empty_dataset_file_exits_1(self, method, tmp_path, capsys):

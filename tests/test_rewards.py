@@ -28,7 +28,7 @@ from timereward import (
     shapley_exact,
     time_aware_game,
 )
-from timereward.rewards import cooperative_abilities
+from timereward.rewards import _cumulation_discount, cooperative_abilities
 
 
 def dividend_array(game) -> np.ndarray:
@@ -63,6 +63,18 @@ class TestIntervalWeights:
     def test_rejects_bad_beta(self, beta):
         with pytest.raises(ValueError):
             interval_weights(TimeVector.of((2, 0)), beta)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 1000.0])
+    @pytest.mark.parametrize("horizon", [0, 1, 5, 8, 10**6])
+    def test_cumulation_discount_is_the_weight_tail(self, beta, horizon):
+        # past the horizon a dividend is never credited; a repeated horizon
+        # reads kept tails, which must not drift from the definition
+        w = interval_weights(TimeVector.of((horizon, 0)), beta)
+        latest = np.array([horizon, 0, horizon // 2, horizon + 1, horizon + 7, 1])
+        want = [w[s:].sum() for s in latest]
+        discount = _cumulation_discount(beta)
+        for _ in range(2):
+            assert np.max(np.abs(discount(latest, horizon) - want)) <= 1e-15
 
 
 class TestRewardCumulation:

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_monotone_submodular
+from oracles import conditional_ig_table_reference
 from timereward import (
     DualGame,
     GpModel,
@@ -135,6 +136,28 @@ class TestConditionalIgGame:
             assert game.value_mask(mask | 0b010) == pytest.approx(
                 game.value_mask(mask), abs=1e-12
             )
+
+    def test_near_singular_model_matches_per_coalition_ig(self):
+        # points repeated within and across parties at noise 1e-9, and party 2 owns none
+        rng = np.random.default_rng(0)
+        base = rng.uniform(size=(4, 2))
+        X = np.vstack([base, base[:2], base[1:], rng.uniform(size=(2, 2)), base[[0, 3]]])
+        own = np.repeat([1, 3, 4, 5], [4, 5, 2, 2])
+        m = GpModel(X, own, np.array([0.5, 0.5]), 1.0, 1e-9)
+        table = ig_game(m).table()
+        plain = np.array([gp_ig(m, m.points_of_mask(mask)) for mask in range(len(table))])
+        assert np.max(np.abs(table - plain)) <= 1e-6 * np.max(np.abs(plain))
+
+    def test_eight_parties_with_first_empty_match_reference(self):
+        rng = np.random.default_rng(8)
+        own = np.repeat(np.arange(2, 9), rng.integers(1, 5, size=7))
+        X = rng.uniform(size=(len(own), 3))
+        noise = rng.uniform(0.01, 0.5, size=len(own))
+        m = GpModel(X, own, np.array([0.4, 0.6, 0.8]), 1.5, noise)
+        reference = conditional_ig_table_reference(m)
+        assert m.n_parties == 8 and len(m.points_of([1])) == 0
+        got = conditional_ig_game(m).table()
+        assert np.max(np.abs(got - reference)) <= 1e-10 * max(1.0, reference[-1])
 
 
 class TestDualGame:
