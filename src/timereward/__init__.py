@@ -58,7 +58,6 @@ from .incentives import (
     time_valuation_scheme,
 )
 from .valuation import (
-    DualGame,
     GpModel,
     conditional_ig_game,
     dual_game,

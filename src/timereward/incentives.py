@@ -12,11 +12,13 @@ O(n 2**n) and one earliest synergy time per party deciding every F8
 precondition.  Party counts above the exact ceiling are refused (by
 ``games``), and so is a tolerance that is not finite and >= 0.  F7/F8
 need the rewards every party would get had it joined earlier, so they
-take a reward scheme and are reported not_applicable without one.  For
-a scheme with a discount (cumulation, timeval, plain Shapley) all of
-party i's counterfactual rewards are read off one pass over its
-dividends, bucketed by the latest joining time of the other members;
-any other scheme is re-run once per counterfactual.
+take a reward scheme and are reported not_applicable without one.  Each
+built-in scheme gives party i's reward as a function of its own joining
+time, the other times held: cumulation, timeval and plain Shapley from
+one bucketing of party i's dividends by the latest joining time of the
+other members, naive from one Shapley value.  So all of party i's
+counterfactual rewards are one array; a caller's scheme that gives no
+such function is re-run once per counterfactual.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .games import (
     _check_per_party,
     _check_tolerance,
 )
-from .shapley import _coalition_layout, _split_dividends, naive_time_division, shapley_exact
+from .shapley import _coalition_layout, _own_time_reward, naive_time_division, shapley_exact
 from .rewards import (
     _ability_discount,
     _cumulation_discount,
@@ -116,22 +118,26 @@ class IncentiveReport:
 class RewardScheme:
     """A named, deterministic (game, times) -> rewards closure.
 
-    A scheme whose rewards are the dividend formula of ``shapley``,
-    r_i = v({i}) + sum over T containing i, |T| >= 2, of d(T) / |T| * D(t_T),
-    may also give its discount: D(latest, horizon) maps the joining times
-    of dividends' latest members, and the latest joining time of all, to
-    their discounts.  ``check_temporal`` then reads every counterfactual
-    reward off one bucketed dividend pass per party instead of re-running
-    ``fn``; without one it re-runs ``fn`` per counterfactual.
+    A scheme may also give its own-time reward: own_time(game, times)
+    returns reward(i, t), party i's rewards at an array t of its own
+    joining times with every other time held, and the scheme's rewards
+    at t = t_i.  ``check_temporal`` then reads all of party i's
+    counterfactual rewards off one call instead of re-running ``fn``
+    once per counterfactual.
     """
 
     name: str
     param: float | None
     fn: Callable[[Game, TimeVector], RewardVector]
-    discount: Callable[[np.ndarray, int], np.ndarray] | None = None
+    own_time: Callable[[Game, TimeVector], Callable[[int, np.ndarray], np.ndarray]] | None = None
 
     def __call__(self, game: Game, times: TimeVector) -> RewardVector:
         return self.fn(game, times)
+
+
+def _discounted(discount):
+    """The own-time reward of the dividend formula of ``shapley`` under a discount."""
+    return lambda game, times: _own_time_reward(game, times, discount)
 
 
 def cumulation_scheme(beta: float) -> RewardScheme:
@@ -139,7 +145,7 @@ def cumulation_scheme(beta: float) -> RewardScheme:
         "cumulation",
         float(beta),
         lambda g, t: reward_cumulation(g, t, beta),
-        _cumulation_discount(beta),
+        _discounted(_cumulation_discount(beta)),
     )
 
 
@@ -148,12 +154,18 @@ def time_valuation_scheme(gamma: float) -> RewardScheme:
         "timeval",
         float(gamma),
         lambda g, t: reward_time_valuation(g, t, gamma),
-        _ability_discount(gamma),
+        _discounted(_ability_discount(gamma)),
     )
 
 
+def _naive_own_time(game: Game, times: TimeVector):
+    """phi_i / (t + 1) from one Shapley value."""
+    phi = shapley_exact(game).values
+    return lambda i, t: phi[np.asarray(i) - 1] / (np.asarray(t) + 1.0)
+
+
 def naive_scheme() -> RewardScheme:
-    return RewardScheme("naive", None, naive_time_division)
+    return RewardScheme("naive", None, naive_time_division, _naive_own_time)
 
 
 def shapley_scheme() -> RewardScheme:
@@ -162,7 +174,7 @@ def shapley_scheme() -> RewardScheme:
         "shapley",
         None,
         lambda g, t: RewardVector(shapley_exact(g).values),
-        lambda latest, horizon: np.ones(len(latest)),
+        _discounted(lambda latest, horizon: np.ones(np.shape(latest))),
     )
 
 
@@ -307,40 +319,26 @@ def check_static(
     return IncentiveReport(checks)
 
 
-def _rerun_sweep(game: Game, times: TimeVector, scheme: RewardScheme):
-    """(party, t', reward, reward had the party joined at t') by re-running the scheme."""
-    base = scheme(game, times).rewards
-    for i in range(1, game.n + 1):
-        for t_new in range(times[i - 1]):
-            shifted = scheme(game, times.with_time(i, t_new)).rewards
-            yield i, t_new, base[i - 1], shifted[i - 1]
+def _rerun(scheme: RewardScheme):
+    """The own-time reward of a scheme that gives none: one run per joining time asked for.
 
-
-def _dividend_sweep(v: np.ndarray, times: TimeVector, layout, discount):
-    """The same tuples, read off one bucketed dividend pass per party.
-
-    Moving party i to t' leaves every other time as it is, so each T
-    holding i has latest time max(t', u) with u the latest time of
-    T - i.  Summing d(T) / |T| into one bucket s_i[u] per u gives
-    r_i(t') = v({i}) + sum over u of s_i[u] * D(max(t', u)), where D
-    takes the counterfactual horizon max(t', latest time of the others).
+    The scheme runs once at the real times when the function is made,
+    and that run answers for each party's own time.
     """
-    u, latest, sizes = layout
-    split = _split_dividends(v, sizes)
-    t = times.as_array()
-    pairs = zip(_bit_pairs(latest), _bit_pairs(split))
-    for i, ((latest_without, _), (_, split_with)) in enumerate(pairs, start=1):
-        if not t[i - 1]:
-            continue
-        shares = np.bincount(latest_without.ravel(), weights=split_with.ravel(), minlength=len(u))
-        others = np.delete(t, i - 1).max(initial=0)
 
-        def reward(t_new: int) -> float:
-            return v[1 << (i - 1)] + shares @ discount(np.maximum(u, t_new), max(t_new, others))
+    def own_time(game: Game, times: TimeVector):
+        base = scheme(game, times).rewards
 
-        base = reward(t[i - 1])
-        for t_new in range(t[i - 1]):
-            yield i, t_new, base, reward(t_new)
+        def reward(i, t) -> np.ndarray:
+            return np.array([
+                base[p - 1] if t_new == times[p - 1]
+                else scheme(game, times.with_time(p, t_new)).rewards[p - 1]
+                for p, t_new in zip(*(a.tolist() for a in np.broadcast_arrays(i, t)))
+            ])
+
+        return reward
+
+    return own_time
 
 
 def check_temporal(
@@ -351,39 +349,39 @@ def check_temporal(
 ) -> IncentiveReport:
     """Check F7/F8 against the rewards for every earlier joining time.
 
-    For each party i and each t' < t_i, only t_i is changed.  A scheme
-    with a discount has every such reward, and the base reward, read off
-    one bucketed dividend pass per party, and is not run here, so its own
-    preconditions (the axioms cumulation and timeval require) are checked
-    where it runs, as in ``full_incentive_report``; any other scheme is
-    re-run per counterfactual.  F7 requires the reward not to drop; F8
-    requires a rise above STRICT_MARGIN whenever the strict-synergy
-    predicate holds under the counterfactual times, read off each party's
-    synergy time.
+    For each party i and each t' < t_i, only t_i is changed.  A scheme's
+    own-time reward gives every party's reward at every t' <= t_i in one
+    call; a scheme with one is not run here, so its own preconditions
+    (the axioms cumulation and timeval require) are checked where it
+    runs, as in ``full_incentive_report``.  Any other scheme is re-run
+    per counterfactual.  F7 requires the reward not to drop; F8 requires
+    a rise above STRICT_MARGIN whenever the strict-synergy predicate
+    holds under the counterfactual times, read off each party's synergy
+    time.  Witnesses are listed by party, then by ascending t'.
     """
     _check_tolerance(tol)
     _check_per_party(game.n, times, "times")
     v = game.table()  # refuses a game above the ceiling even if the scheme never reads it
-    layout = _coalition_layout(times) if times.max_time else None
-    if scheme.discount is None:
-        sweep = _rerun_sweep(game, times, scheme)
-    elif layout is None:
-        sweep = ()  # every party joined at 0, so none can join earlier
-    else:
-        sweep = _dividend_sweep(v, times, layout, scheme.discount)
+    reward = (scheme.own_time or _rerun(scheme))(game, times)
+    # every party at every t' <= t_i in one call, by party, then by ascending t'
+    t = times.as_array()
+    party = np.repeat(np.arange(1, game.n + 1), t + 1)
+    t_new = np.concatenate([np.arange(t_i + 1) for t_i in t])
+    r = reward(party, t_new)
+    earlier = t_new < t[party - 1]
+    base = r[~earlier][party - 1]
     # moving t_i leaves the other times, and so party i's synergy time, as they are
-    synergy = _synergy_times(v, layout) if layout is not None else None
-    f7 = IncentiveCheck(PASS)
-    f8 = IncentiveCheck(PASS)
-    for i, t_new, base, shifted in sweep:
-        witness = (i, times[i - 1], t_new, float(base), float(shifted))
-        f7.instances += 1
-        if shifted < base - tol:
-            f7.witnesses.append(witness)
-        if synergy[i - 1] < t_new:
-            f8.instances += 1
-            if not shifted > base + STRICT_MARGIN:
-                f8.witnesses.append(witness)
+    synergy = _synergy_times(v, _coalition_layout(times))
+    strict = earlier & (synergy[party - 1] < t_new)
+    f7 = IncentiveCheck(PASS, int(t.sum()))
+    f8 = IncentiveCheck(PASS, int(strict.sum()))
+    for check, failed in (
+        (f7, earlier & (r < base - tol)),
+        (f8, strict & ~(r > base + STRICT_MARGIN)),
+    ):
+        k = np.flatnonzero(failed)
+        columns = (party[k], t[party[k] - 1], t_new[k], base[k], r[k])
+        check.witnesses = list(zip(*(c.tolist() for c in columns)))
     f7.status = FAIL if f7.witnesses else PASS
     f8.status = FAIL if f8.witnesses else PASS
     return IncentiveReport({"F7": f7, "F8": f8})

@@ -12,18 +12,20 @@ keeps its solo value:
     r_i = v({i}) + sum over T containing i, |T| >= 2, of d(T) / |T| * D(t_T)
 
 * Interval cumulation: D(s) = sum of the normalized geometric interval
-  weights w(tau) over tau >= s.  This equals blending, with weights
-  w(tau), the Shapley values of the game restricted to the parties
-  present at each interval tau.
+  weights w(tau) over tau >= s, a geometric tail taken in closed form.
+  This equals blending, with weights w(tau), the Shapley values of the
+  game restricted to the parties present at each interval tau.
 * Time-aware valuation: D(s) = exp(-gamma * s), the cooperative ability
   of the latest member.  This equals the Shapley value of the time-aware
   game, whose values sum the discounted dividends over subsets.
 * Per-interval values: row tau uses D(s) = 1 if s <= tau, else 0.
+
+Each scheme is evaluated through ``shapley._own_time_reward``, so its
+rewards and every reward its parties would get at another joining time
+of their own come from the same dividend bucketing.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from .games import (
     subset_differences,
     subset_sums,
 )
-from .shapley import _coalition_layout, _dividend_shares, shapley_exact
+from .shapley import _coalition_layout, _dividend_shares, _own_time_reward, shapley_exact
 
 __all__ = [
     "interval_weights",
@@ -65,44 +67,49 @@ def _require_axioms(game: Game, tol: float = 1e-9):
         )
 
 
+def _check_beta(beta: float):
+    if not beta > 0 or not np.isfinite(beta):
+        raise ValueError("beta must be positive and finite")
+
+
 def interval_weights(times: TimeVector, beta: float) -> np.ndarray:
     """Normalized geometric interval weights w(tau) = beta**tau / sum.
 
     Evaluated in log space so large beta or long horizons cannot
     overflow.  The weights sum to 1 and are strictly geometric in tau.
     """
-    return _interval_weights(times.max_time, beta)
-
-
-def _interval_weights(horizon: int, beta: float) -> np.ndarray:
-    if not beta > 0 or not np.isfinite(beta):
-        raise ValueError("beta must be positive and finite")
-    logs = np.arange(horizon + 1) * np.log(beta)
+    _check_beta(beta)
+    logs = np.arange(times.max_time + 1) * np.log(beta)
     logs -= logs.max()
     w = np.exp(logs)
     return w / w.sum()
 
 
 def _cumulation_discount(beta: float):
-    """D(s) = sum over tau >= s of the interval weights up to the horizon.
+    """D(s, H) = sum over tau >= s of the interval weights up to the horizon H.
 
-    The returned function maps the latest-member joining times of some
-    dividends, and the horizon (the latest joining time of all), to
-    their discounts; a time past the horizon gets 0.  Each tail is kept
-    once summed, as a counterfactual sweep asks for the same few many
-    times.
+    The geometric tail is beta**s (1 - beta**(H-s+1)) / (1 - beta**(H+1)),
+    with expm1 taking both differences in log space so that beta near 1
+    loses no digits.  For beta > 1 both are divided by beta**(H+1), which
+    gives expm1((s-H-1) ln beta) / expm1(-(H+1) ln beta) and keeps every
+    power below 1; at beta = 1 the tail is (H-s+1) / (H+1).  s is clamped
+    to H+1, so a time past the horizon gets 0.  The returned function
+    broadcasts the latest-member joining times of some dividends against
+    the horizon (the latest joining time of all).  beta is checked here,
+    so a scheme built on a bad beta is refused when built.
     """
+    _check_beta(beta)
+    log_beta = float(np.log(beta))
 
-    @functools.lru_cache(maxsize=1)
-    def weights(horizon: int) -> np.ndarray:
-        return _interval_weights(horizon, beta)
-
-    @functools.lru_cache(maxsize=1024)
-    def tail(start: int, horizon: int) -> float:
-        return float(weights(horizon)[start:].sum())
-
-    def discount(latest: np.ndarray, horizon: int) -> np.ndarray:
-        return np.array([tail(s, horizon) for s in latest.tolist()])
+    def discount(latest: np.ndarray, horizon) -> np.ndarray:
+        horizon = np.asarray(horizon, dtype=float)
+        s = np.minimum(latest, horizon + 1)
+        if log_beta == 0.0:
+            return (horizon + 1 - s) / (horizon + 1)
+        if log_beta < 0.0:
+            tail = np.expm1((horizon + 1 - s) * log_beta) / np.expm1((horizon + 1) * log_beta)
+            return beta**s * tail
+        return np.expm1((s - horizon - 1) * log_beta) / np.expm1(-(horizon + 1) * log_beta)
 
     return discount
 
@@ -113,14 +120,17 @@ def interval_shapley_values(game: Game, times: TimeVector) -> np.ndarray:
     Row tau holds each party's Shapley value in the game restricted to
     the parties present at interval tau; parties not yet present stand
     in with their solo value.  Row tau adds to the solo values the
-    dividend shares of every coalition complete by tau.
+    dividend shares of every coalition complete by tau: for a party
+    present at tau, the shares whose other members all joined by tau.
     """
     _check_per_party(game.n, times, "times")
     u, shares = _dividend_shares(game, times)
-    singles = game.singleton_values()
-    cumulative = np.vstack([singles, singles + np.cumsum(shares, axis=1).T])
+    # row m sums the buckets of the m earliest distinct times; party i is
+    # present there iff its own time is one of them
+    cumulative = np.vstack([np.zeros(game.n), np.cumsum(shares, axis=1).T])
+    cumulative *= np.arange(len(u) + 1)[:, None] > np.searchsorted(u, times.as_array())
     present = np.searchsorted(u, np.arange(times.max_time + 1), side="right")
-    return cumulative[present]
+    return (game.singleton_values() + cumulative)[present]
 
 
 def reward_cumulation(game: Game, times: TimeVector, beta: float) -> RewardVector:
@@ -134,9 +144,8 @@ def reward_cumulation(game: Game, times: TimeVector, beta: float) -> RewardVecto
     """
     _check_per_party(game.n, times, "times")
     _require_axioms(game)
-    discount = _cumulation_discount(beta)
-    u, shares = _dividend_shares(game, times)
-    return RewardVector(game.singleton_values() + shares @ discount(u, times.max_time))
+    reward = _own_time_reward(game, times, _cumulation_discount(beta))
+    return RewardVector(reward(np.arange(1, game.n + 1), times.as_array()))
 
 
 def harsanyi_dividends(game: Game) -> dict[Coalition, float]:
@@ -156,13 +165,14 @@ def _ability_discount(gamma: float):
     """D(s) = exp(-gamma * s), floored: the ability of a dividend's latest member.
 
     Same signature as ``_cumulation_discount``; the horizon plays no part.
+    gamma is checked here, so a scheme built on a bad gamma is refused
+    when built.
     """
+    if gamma < 0 or not np.isfinite(gamma):
+        raise ValueError("gamma must be non-negative and finite")
 
-    def discount(latest: np.ndarray, horizon: int) -> np.ndarray:
-        if gamma < 0 or not np.isfinite(gamma):
-            raise ValueError("gamma must be non-negative and finite")
-        lam = np.exp(-gamma * np.asarray(latest).astype(float))
-        return np.maximum(lam, _ABILITY_FLOOR)
+    def discount(latest: np.ndarray, horizon) -> np.ndarray:
+        return np.maximum(np.exp(-gamma * np.asarray(latest, dtype=float)), _ABILITY_FLOOR)
 
     return discount
 
@@ -196,9 +206,8 @@ def reward_time_valuation(game: Game, times: TimeVector, gamma: float) -> Reward
     """
     _check_per_party(game.n, times, "times")
     _require_axioms(game)
-    discount = _ability_discount(gamma)
-    u, shares = _dividend_shares(game, times)
-    return RewardVector(game.singleton_values() + shares @ discount(u, times.max_time))
+    reward = _own_time_reward(game, times, _ability_discount(gamma))
+    return RewardVector(reward(np.arange(1, game.n + 1), times.as_array()))
 
 
 def scale_rewards(game: Game, rewards: RewardVector) -> RewardVector:

@@ -7,11 +7,14 @@ Harsanyi dividends d = Moebius(v) of the game:
 
 where t_T is the joining time of T's latest member.  Plain Shapley takes
 D = 1; the time-aware schemes in ``rewards`` choose other discounts D.
-``_dividend_shares`` evaluates the sum once per distinct joining time,
-at O(n 2**n) cost, after which each D is a matrix-vector product.  The
-Monte-Carlo path is the unbiased permutation-sampling estimator: each
-sampled permutation credits every party its marginal contribution over
-its predecessors.
+``_dividend_shares`` buckets party i's shares by the latest joining time
+u of T's other members, at O(n 2**n) cost.  As t_T = max(t_i, u), that
+one bucketing gives party i's reward at any joining time of its own,
+the other times held (``_own_time_reward``): the scheme's rewards, the
+per-interval values and every F7/F8 counterfactual.  The Monte-Carlo
+path is the unbiased permutation-sampling estimator: each sampled
+permutation credits every party its marginal contribution over its
+predecessors.
 """
 
 from __future__ import annotations
@@ -76,23 +79,50 @@ def _split_dividends(v: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def _dividend_shares(game: Game, times: TimeVector) -> tuple[np.ndarray, np.ndarray]:
-    """Equal dividend shares of multi-member coalitions, bucketed by latest joining time.
+    """Equal dividend shares of multi-member coalitions, bucketed by their other members' times.
 
     Returns the sorted distinct joining times u_0 < ... < u_k and the
     n x (k+1) matrix whose entry [i, j] sums d(T) / |T| over every T
-    with |T| >= 2 that contains party i+1 and whose latest member joined
-    at u_j.  A discount D then gives phi = v({i}) + shares @ D(u).
-    Shares are accumulated one party at a time over the masks holding
-    that party, so no n x 2**n matrix is formed.
+    with |T| >= 2 that contains party i+1 and whose latest member other
+    than party i+1 joined at u_j.  T's latest member then joined at
+    max(t_{i+1}, u_j), whatever party i+1's time is.  Shares are
+    accumulated one party at a time over the masks holding that party,
+    so no n x 2**n matrix is formed.
     """
     v = game.table()  # first, so a game above the ceiling is refused before any 2**n array
     u, latest, sizes = _coalition_layout(times)
     split = _split_dividends(v, sizes)
     shares = np.empty((game.n, len(u)))
     pairs = zip(_bit_pairs(latest), _bit_pairs(split))
-    for i, ((_, latest_i), (_, split_i)) in enumerate(pairs):
-        shares[i] = np.bincount(latest_i.ravel(), weights=split_i.ravel(), minlength=len(u))
+    for i, ((others, _), (_, split_with)) in enumerate(pairs):
+        shares[i] = np.bincount(others.ravel(), weights=split_with.ravel(), minlength=len(u))
     return u, shares
+
+
+def _own_time_reward(game: Game, times: TimeVector, discount):
+    """Each party's reward as a function of its own joining time, the other times held.
+
+    discount(latest, horizon) maps the joining times of dividends'
+    latest members, and the latest joining time of all parties, to the
+    dividends' discounts D; both broadcast.  Returns reward(i, t), party
+    i's rewards v({i}) + sum over u of s_i[u] * D(max(t, u), max(t, o_i))
+    at the joining times t, with o_i the latest time of the others.
+    i and t broadcast together, so reward(arange(1, n + 1), times) gives
+    every party's reward at the real times.
+    """
+    u, shares = _dividend_shares(game, times)
+    singles = game.singleton_values()
+    t = times.as_array()
+    # the latest time of the other parties; the appended 0 serves a lone party
+    first, second = np.sort(np.append(t, 0))[::-1][:2]
+    others = np.where(t == first, second, first)
+
+    def reward(i, t_own) -> np.ndarray:
+        p, t_own = np.asarray(i) - 1, np.asarray(t_own)[..., None]
+        d = discount(np.maximum(t_own, u), np.maximum(t_own, others[p][..., None]))
+        return singles[p] + (shares[p] * d).sum(axis=-1)
+
+    return reward
 
 
 def shapley_exact(game: Game) -> ShapleyResult:

@@ -31,7 +31,6 @@ from .synthdata import Dataset, PredictiveDistribution
 
 __all__ = [
     "GpModel",
-    "DualGame",
     "se_kernel",
     "gp_ig",
     "information_gain",
@@ -250,30 +249,22 @@ def conditional_ig_game(model: GpModel) -> Game:
     """Conditional information-gain game: v(C) = IG(all) - IG(complement's points).
 
     Satisfies non-negativity, monotonicity, and superadditivity, being
-    the dual of the plain (submodular) information gain.  The complement
-    of mask is grand ^ mask, so the table is the plain table reversed.
+    the dual of the plain (submodular) information gain.
     """
-    ig = _ig_table(model)
-    return Game(model.n_parties, table=ig[-1] - ig[::-1], superadditive=True)
+    return dual_game(ig_game(model), superadditive=True)
 
 
-class DualGame(Game):
-    """Dual of a base game: v(C) = base(N) - base(N minus C).
+def dual_game(base: Game, *, superadditive: bool | None = None) -> Game:
+    """Dual of a base game: v(C) = base(N) - base(N minus C), as a table game.
 
     Shares its Shapley values with the base game; when the base is
     monotone submodular the dual is non-negative, monotone, and
-    superadditive.  The complement of mask is grand ^ mask, so the table
-    is the base table reversed and subtracted from base(N).
+    superadditive, which a caller that knows it may declare.  The
+    complement of mask is grand ^ mask, so the table is the base table
+    reversed and subtracted from base(N).
     """
-
-    def __init__(self, base: Game):
-        v = base.table()
-        super().__init__(base.n, table=v[-1] - v[::-1])
-        self.base = base
-
-
-def dual_game(base: Game) -> DualGame:
-    return DualGame(base)
+    v = base.table()
+    return Game(base.n, table=v[-1] - v[::-1], superadditive=superadditive)
 
 
 def gp_predict(

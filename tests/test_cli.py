@@ -97,6 +97,16 @@ class TestRewardsCommand:
             ["rewards", "--game", ir_game_file, "--scheme", "cumulation", "--gamma", "1"]
         ) == EXIT_ERROR
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("cumulation", "--beta", "-1"), ("cumulation", "--beta", "nan"),
+         ("timeval", "--gamma", "-1"), ("timeval", "--gamma", "inf")],
+    )
+    def test_bad_scheme_parameter_is_an_error(self, ir_game_file, flags):
+        scheme, flag, value = flags
+        args = ["rewards", "--game", ir_game_file, "--scheme", scheme, flag, value]
+        assert main(args + ["--times", "0,0"]) == EXIT_ERROR
+
     def test_missing_file_is_an_error(self, tmp_path):
         assert main(
             ["rewards", "--game", str(tmp_path / "nope.json"), "--scheme", "naive"]

@@ -1,5 +1,6 @@
 """Incentive checkers F1-F8, predicates, and the scheme closures."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -255,16 +256,53 @@ class TestCheckTemporal:
 
     @pytest.mark.parametrize(
         "scheme",
-        [cumulation_scheme(1.0), time_valuation_scheme(1.0), shapley_scheme()],
-        ids=["cumulation", "timeval", "shapley"],
+        [cumulation_scheme(1.0), time_valuation_scheme(1.0), shapley_scheme(), naive_scheme()],
+        ids=["cumulation", "timeval", "shapley", "naive"],
     )
     def test_discounted_scheme_is_not_rerun(self, scheme, ir_counterexample, late_first):
         def rerun(game, times):
-            raise AssertionError("check_temporal re-ran a scheme that has a discount")
+            raise AssertionError("check_temporal re-ran a scheme that gives its own-time reward")
 
         report = check_temporal(ir_counterexample, late_first, replace(scheme, fn=rerun))
         assert report.to_dict() == check_temporal(ir_counterexample, late_first, scheme).to_dict()
         assert report.checks["F7"].instances == 4
+
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [cumulation_scheme(0.5), cumulation_scheme(2.0), naive_scheme()],
+        ids=["cumulation-0.5", "cumulation-2", "naive"],
+    )
+    def test_long_horizon_matches_reruns(self, scheme):
+        # 10**5 counterfactuals of party 1: one own-time call, checked
+        # against the scheme re-run at a few of them
+        g = random_superadditive_game(4, 7)
+        times = TimeVector.of((10**5, 0, 1, 2))
+        report = check_temporal(g, times, scheme)
+        assert report.checks["F7"].instances == 100003
+        base = scheme(g, times).rewards[0]
+        sampled = [0, 1, 40, 1000, 50_000, 99_999]
+        own_time = scheme.own_time(g, times)(1, np.array(sampled))
+        witnesses = {
+            w[2]: w for key in ("F7", "F8") for w in report.checks[key].witnesses if w[0] == 1
+        }
+        assert any(t_new in witnesses for t_new in sampled) or scheme.name == "naive"
+        for t_new, got in zip(sampled, own_time):
+            want = scheme(g, times.with_time(1, t_new)).rewards[0]
+            assert abs(got - want) <= 1e-12 * max(1.0, g.grand_value())
+            if t_new in witnesses:
+                _, _, _, w_base, w_shifted = witnesses[t_new]
+                assert abs(w_base - base) <= 1e-12 * max(1.0, g.grand_value())
+                assert abs(w_shifted - want) <= 1e-12 * max(1.0, g.grand_value())
+
+    @pytest.mark.parametrize(
+        "make,param",
+        [(cumulation_scheme, beta) for beta in (-1.0, 0.0, math.nan, math.inf)]
+        + [(time_valuation_scheme, gamma) for gamma in (-1.0, math.nan, math.inf)],
+    )
+    def test_bad_parameter_refused_when_built(self, make, param):
+        with pytest.raises(ValueError, match="beta|gamma"):
+            make(param)
 
 
 class TestTimeBasedEqualValueDesirability:

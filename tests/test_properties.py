@@ -11,8 +11,8 @@ On models whose parties own 0-6 points each, the block-Cholesky IG
 tables, the eigenvalue tempering curve and the one-factor greedy subset
 are held to the per-coalition and per-step factorizations to 1e-10
 relative to max(1, v(N)), with the same selections and saturated flags.
-The batched F7/F8 counterfactuals of cumulation, timeval and plain
-Shapley are held to the scheme re-run per counterfactual: the same
+The batched F7/F8 counterfactuals of cumulation, timeval, plain
+Shapley and naive are held to the scheme re-run per counterfactual: the same
 statuses, instance counts and witness order, and witness rewards equal
 to 1e-12 relative to max(1, v(N)).
 The axiom and incentive reports must equal the submask-loop references
@@ -98,11 +98,12 @@ def check_against_oracles(game: Game, times: TimeVector, beta: float, gamma: flo
     close(reward_time_valuation(game, times, gamma).rewards, brute_force_shapley(reference_game))
 
 
+# Every built-in scheme, each of which gives its own-time reward;
 # gamma = 800 puts every ability after time 0 on the floor
-DISCOUNTED_SCHEMES = (
+OWN_TIME_SCHEMES = (
     [cumulation_scheme(beta) for beta in (0.5, 1.0, 2.0, 1000.0)]
     + [time_valuation_scheme(gamma) for gamma in (0.0, 1.0, 800.0)]
-    + [shapley_scheme()]
+    + [shapley_scheme(), naive_scheme()]
 )
 
 
@@ -140,7 +141,7 @@ def temporal_cases(draw):
     elif shape == "tied latest" and n >= 2:
         first, second = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         times[first] = times[second] = max(times) + 1
-    return game, TimeVector.of(times), draw(st.sampled_from(DISCOUNTED_SCHEMES))
+    return game, TimeVector.of(times), draw(st.sampled_from(OWN_TIME_SCHEMES))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -149,7 +150,7 @@ def test_batched_counterfactuals_match_reruns(case):
     assert_temporal_matches_reruns(*case)
 
 
-@pytest.mark.parametrize("scheme", DISCOUNTED_SCHEMES, ids=lambda s: f"{s.name}-{s.param}")
+@pytest.mark.parametrize("scheme", OWN_TIME_SCHEMES, ids=lambda s: f"{s.name}-{s.param}")
 @pytest.mark.parametrize(
     "times",
     [(0, 1, 4, 2), (0, 0, 0, 0), (2, 3, 5, 2), (1, 3, 3, 0)],

@@ -1,5 +1,6 @@
 """Interval weights, both reward schemes, dividends, and scaling."""
 
+import decimal
 import math
 import warnings
 
@@ -29,6 +30,23 @@ from timereward import (
     time_aware_game,
 )
 from timereward.rewards import _cumulation_discount, cooperative_abilities
+
+
+def exact_tail(beta: float, start: int, horizon: int) -> float:
+    """sum over start <= tau <= horizon of beta**tau / sum over 0 <= tau <= horizon, at 50 digits.
+
+    The exponent range is widened so that beta**(10**6) neither
+    overflows nor underflows; beta is the exact value of the float.
+    """
+    if start > horizon:
+        return 0.0
+    if beta == 1.0:
+        return (horizon + 1 - start) / (horizon + 1)
+    context = decimal.Context(prec=50, Emax=10**8, Emin=-(10**8))
+    b = decimal.Decimal(beta)
+    top = context.power(b, horizon + 1)
+    tail = context.divide(context.subtract(context.power(b, start), top), context.subtract(1, top))
+    return float(tail)
 
 
 def dividend_array(game) -> np.ndarray:
@@ -67,14 +85,27 @@ class TestIntervalWeights:
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 1000.0])
     @pytest.mark.parametrize("horizon", [0, 1, 5, 8, 10**6])
     def test_cumulation_discount_is_the_weight_tail(self, beta, horizon):
-        # past the horizon a dividend is never credited; a repeated horizon
-        # reads kept tails, which must not drift from the definition
-        w = interval_weights(TimeVector.of((horizon, 0)), beta)
+        # past the horizon a dividend is never credited
         latest = np.array([horizon, 0, horizon // 2, horizon + 1, horizon + 7, 1])
-        want = [w[s:].sum() for s in latest]
-        discount = _cumulation_discount(beta)
-        for _ in range(2):
-            assert np.max(np.abs(discount(latest, horizon) - want)) <= 1e-15
+        want = [exact_tail(beta, int(s), horizon) for s in latest]
+        assert np.max(np.abs(_cumulation_discount(beta)(latest, horizon) - want)) <= 1e-15
+
+    @pytest.mark.parametrize("beta", [0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0, 1000.0])
+    def test_cumulation_discount_relative_precision(self, beta):
+        # every horizon and start at once, broadcast; tails below the
+        # smallest normal float carry no relative precision
+        horizon = np.array([0, 1, 7, 1000, 10**5, 10**6])[:, None]
+        start = np.array([0, 1, 2, 5, 40, 700, 1000, 10**5 - 3, 5 * 10**5, 10**6])
+        got = _cumulation_discount(beta)(start, horizon)
+        for h, row in zip(horizon[:, 0], got):
+            for s, tail in zip(start, row):
+                want = exact_tail(beta, int(s), int(h))
+                assert abs(tail - want) <= 1e-13 * want + 1e-300, (h, s)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
+    def test_discount_rejects_bad_beta(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            _cumulation_discount(beta)
 
 
 class TestRewardCumulation:

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from conftest import random_monotone_submodular
 from oracles import conditional_ig_table_reference
 from timereward import (
-    DualGame,
+    Game,
     GpModel,
     NumericalFailure,
     check_axioms,
@@ -164,8 +164,8 @@ class TestDualGame:
     def test_definition_and_type(self):
         base = random_monotone_submodular(np.random.default_rng(0), 4)
         dual = dual_game(base)
-        assert isinstance(dual, DualGame)
-        assert dual.base is base
+        assert type(dual) is Game
+        assert dual.n == base.n and dual.declared_superadditive is None
         assert dual.value([]) == 0.0
         assert dual.grand_value() == pytest.approx(base.grand_value(), abs=1e-12)
         full = base.grand_mask
