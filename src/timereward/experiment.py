@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .games import TimeVector
-from .rewards import reward_cumulation, reward_time_valuation, scale_rewards
+from .incentives import cumulation_scheme, time_valuation_scheme
+from .rewards import scale_rewards
 from .realization import temper
 from .shapley import shapley_exact
 from .synthdata import (
@@ -36,6 +37,13 @@ __all__ = ["FriedmanConfig", "SweepRow", "FriedmanResult", "run_friedman_experim
 
 TREND_TOL = 1e-9
 
+# The data and GP model every sweep uses
+NOISE_STD = 1.0
+TEST_FRACTION = 0.2
+SIGNAL_VARIANCE = 1.0
+NOISE_VARIANCE = 0.05
+LENGTHSCALE = 1.0
+
 
 @dataclass(frozen=True)
 class FriedmanConfig:
@@ -45,11 +53,6 @@ class FriedmanConfig:
     t1_grid: tuple[int, ...] = (0, 1, 2, 3, 4)
     betas: tuple[float, ...] = (0.5, 1.0, 2.0, 1000.0)
     gammas: tuple[float, ...] = (0.0, 0.5, 1.0)
-    noise_std: float = 1.0
-    test_fraction: float = 0.2
-    signal_variance: float = 1.0
-    noise_variance: float = 0.05
-    lengthscale: float = 1.0
     with_mnlp: bool = False
 
 
@@ -73,7 +76,6 @@ class FriedmanResult:
     own_values: np.ndarray | None = None
     shapley_values: np.ndarray | None = None
     grand_value: float = 0.0
-    seed: int = 0
 
     @property
     def all_pass(self) -> bool:
@@ -96,18 +98,24 @@ def _reward_model_mnlp(model, std_targets, test_X, test_y, party, kappa) -> floa
 
 
 def run_friedman_experiment(config: FriedmanConfig = FriedmanConfig()) -> FriedmanResult:
+    if 0 not in config.t1_grid:
+        raise ValueError("t1 grid must include 0: the checks at all-zero times need it")
+    # built first, so a bad beta or gamma is refused before any GP work
+    schemes = [cumulation_scheme(beta) for beta in config.betas] + [
+        time_valuation_scheme(gamma) for gamma in config.gammas
+    ]
     n = len(config.sizes)
-    data = gen_friedman(config.count, config.noise_std, config.seed)
-    train, test = train_test_split(data, config.test_fraction, config.seed + 1)
+    data = gen_friedman(config.count, NOISE_STD, config.seed)
+    train, test = train_test_split(data, TEST_FRACTION, config.seed + 1)
     std_y, y_mean, y_std = standardize(train.targets)
     test_y = (test.targets - y_mean) / y_std
     train_std = Dataset(train.features, std_y, train.party)
     partitioned = partition(train_std, config.sizes, config.seed + 2)
     model = make_gp_model(
         partitioned,
-        lengthscales=np.full(train.features.shape[1], config.lengthscale),
-        signal_variance=config.signal_variance,
-        noise_variance=config.noise_variance,
+        lengthscales=np.full(train.features.shape[1], LENGTHSCALE),
+        signal_variance=SIGNAL_VARIANCE,
+        noise_variance=NOISE_VARIANCE,
     )
     game = conditional_ig_game(model)
     singles = game.singleton_values()
@@ -115,17 +123,12 @@ def run_friedman_experiment(config: FriedmanConfig = FriedmanConfig()) -> Friedm
     grand = game.grand_value()
     model_targets = partitioned.targets[partitioned.party >= 1]
 
-    columns = [("cumulation", beta) for beta in config.betas] + [
-        ("timeval", gamma) for gamma in config.gammas
-    ]
+    columns = [(scheme.name, scheme.param) for scheme in schemes]
     rows: list[SweepRow] = []
-    for scheme, param in columns:
+    for scheme in schemes:
         for t1 in config.t1_grid:
             times = TimeVector.of((int(t1),) + (0,) * (n - 1))
-            if scheme == "cumulation":
-                rewards = reward_cumulation(game, times, param)
-            else:
-                rewards = reward_time_valuation(game, times, param)
+            rewards = scheme(game, times)
             scaled = scale_rewards(game, rewards)
             for party in range(1, n + 1):
                 cell_mnlp = None
@@ -137,8 +140,8 @@ def run_friedman_experiment(config: FriedmanConfig = FriedmanConfig()) -> Friedm
                     )
                 rows.append(
                     SweepRow(
-                        scheme,
-                        float(param),
+                        scheme.name,
+                        scheme.param,
                         int(t1),
                         party,
                         float(rewards.rewards[party - 1]),
@@ -212,7 +215,6 @@ def run_friedman_experiment(config: FriedmanConfig = FriedmanConfig()) -> Friedm
         own_values=singles,
         shapley_values=phi,
         grand_value=grand,
-        seed=config.seed,
     )
 
 

@@ -185,7 +185,6 @@ class Game:
         oracle: Callable[[int], float] | None = None,
         *,
         table: np.ndarray | None = None,
-        superadditive: bool | None = None,
     ):
         if n < 1:
             raise ValueError("party count must be >= 1")
@@ -194,7 +193,6 @@ class Game:
         self.n = n
         self._oracle = oracle
         self._table = None
-        self.declared_superadditive = superadditive
         self._axiom_reports: dict[float, "AxiomReport"] = {}
         if table is not None:
             _check_party_count(n)
@@ -262,9 +260,7 @@ def _canonical_masks(n: int) -> dict[str, int]:
     return dict(zip(keys, range(1 << n)))
 
 
-def make_table_game(
-    n: int, values: Mapping[str, float], *, superadditive: bool | None = None
-) -> Game:
+def make_table_game(n: int, values: Mapping[str, float]) -> Game:
     """Build a game from a coalition-key -> value mapping.
 
     Parameters
@@ -276,8 +272,6 @@ def make_table_game(
         values are finite real numbers.  The empty coalition may be
         omitted or given as 0.  If some non-empty coalition is left out,
         the game is partial: looking it up raises MissingCoalition.
-    superadditive : bool, optional
-        Caller's declaration, recorded but not verified here.
 
     Values go into one dense array with NaN for the coalitions left out,
     so a partial table costs as much memory as a full one.  Keys in the
@@ -309,7 +303,7 @@ def make_table_game(
         table[mask] = val
     table[0] = 0.0
     if not np.isnan(table).any():
-        return Game(n, table=table, superadditive=superadditive)
+        return Game(n, table=table)
 
     def oracle(mask: int) -> float:
         got = table[mask]
@@ -319,7 +313,7 @@ def make_table_game(
             )
         return got
 
-    return Game(n, oracle, superadditive=superadditive)
+    return Game(n, oracle)
 
 
 def _bit_pairs(table: np.ndarray):
@@ -373,7 +367,7 @@ def random_superadditive_game(n: int, seed: int) -> Game:
     rng = np.random.default_rng(seed)
     dividends = rng.uniform(0.0, 1.0, size=1 << n)
     dividends[0] = 0.0
-    return Game(n, table=subset_sums(dividends), superadditive=True)
+    return Game(n, table=subset_sums(dividends))
 
 
 @dataclass(frozen=True)
@@ -607,7 +601,8 @@ def load_game_json(path) -> tuple[Game, TimeVector | None]:
 
     n is an integer, values map coalition keys to numbers, and times,
     when present, are a list of n non-negative integers, normalized so
-    the earliest party is at 0.
+    the earliest party is at 0.  A superadditive field is accepted and
+    ignored: ``check_axioms`` decides the axioms from the values.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -616,7 +611,7 @@ def load_game_json(path) -> tuple[Game, TimeVector | None]:
     n = doc["n"]
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"game file 'n' must be an integer, got {n!r}")
-    game = make_table_game(n, doc["values"], superadditive=doc.get("superadditive"))
+    game = make_table_game(n, doc["values"])
     times = None
     if doc.get("times") is not None:
         raw = doc["times"]
@@ -629,6 +624,7 @@ def load_game_json(path) -> tuple[Game, TimeVector | None]:
 
 
 def save_game_json(path, n: int, values: Mapping[str, float], times=None, superadditive=None):
+    """Write a game file; superadditive, when given, is written for readers of the file only."""
     doc: dict = {"n": n, "values": {k: float(v) for k, v in values.items()}}
     if times is not None:
         doc["times"] = [int(t) for t in times]

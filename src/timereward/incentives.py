@@ -12,13 +12,12 @@ O(n 2**n) and one earliest synergy time per party deciding every F8
 precondition.  Party counts above the exact ceiling are refused (by
 ``games``), and so is a tolerance that is not finite and >= 0.  F7/F8
 need the rewards every party would get had it joined earlier, so they
-take a reward scheme and are reported not_applicable without one.  Each
-built-in scheme gives party i's reward as a function of its own joining
-time, the other times held: cumulation, timeval and plain Shapley from
-one bucketing of party i's dividends by the latest joining time of the
-other members, naive from one Shapley value.  So all of party i's
-counterfactual rewards are one array; a caller's scheme that gives no
-such function is re-run once per counterfactual.
+take a reward scheme and are reported not_applicable without one.  Every
+scheme gives party i's reward as a function of its own joining time,
+the other times held: cumulation and timeval from one bucketing of
+party i's dividends by the latest joining time of the other members,
+naive and plain Shapley from one Shapley value.  So all of party i's
+counterfactual rewards are one array, and no scheme is re-run.
 """
 
 from __future__ import annotations
@@ -118,18 +117,17 @@ class IncentiveReport:
 class RewardScheme:
     """A named, deterministic (game, times) -> rewards closure.
 
-    A scheme may also give its own-time reward: own_time(game, times)
+    A scheme also gives its own-time reward: own_time(game, times)
     returns reward(i, t), party i's rewards at an array t of its own
     joining times with every other time held, and the scheme's rewards
-    at t = t_i.  ``check_temporal`` then reads all of party i's
-    counterfactual rewards off one call instead of re-running ``fn``
-    once per counterfactual.
+    at t = t_i.  ``check_temporal`` reads all of party i's
+    counterfactual rewards off one call of it and never runs ``fn``.
     """
 
     name: str
     param: float | None
     fn: Callable[[Game, TimeVector], RewardVector]
-    own_time: Callable[[Game, TimeVector], Callable[[int, np.ndarray], np.ndarray]] | None = None
+    own_time: Callable[[Game, TimeVector], Callable[[int, np.ndarray], np.ndarray]]
 
     def __call__(self, game: Game, times: TimeVector) -> RewardVector:
         return self.fn(game, times)
@@ -158,14 +156,20 @@ def time_valuation_scheme(gamma: float) -> RewardScheme:
     )
 
 
-def _naive_own_time(game: Game, times: TimeVector):
-    """phi_i / (t + 1) from one Shapley value."""
-    phi = shapley_exact(game).values
-    return lambda i, t: phi[np.asarray(i) - 1] / (np.asarray(t) + 1.0)
+def _from_shapley(share):
+    """The own-time reward share(phi_i, t) of one Shapley value phi."""
+
+    def own_time(game: Game, times: TimeVector):
+        phi = shapley_exact(game).values
+        return lambda i, t: share(phi[np.asarray(i) - 1], np.asarray(t))
+
+    return own_time
 
 
 def naive_scheme() -> RewardScheme:
-    return RewardScheme("naive", None, naive_time_division, _naive_own_time)
+    return RewardScheme(
+        "naive", None, naive_time_division, _from_shapley(lambda phi, t: phi / (t + 1.0))
+    )
 
 
 def shapley_scheme() -> RewardScheme:
@@ -174,7 +178,7 @@ def shapley_scheme() -> RewardScheme:
         "shapley",
         None,
         lambda g, t: RewardVector(shapley_exact(g).values),
-        _discounted(lambda latest, horizon: np.ones(np.shape(latest))),
+        _from_shapley(lambda phi, t: phi + np.zeros(t.shape)),
     )
 
 
@@ -319,28 +323,6 @@ def check_static(
     return IncentiveReport(checks)
 
 
-def _rerun(scheme: RewardScheme):
-    """The own-time reward of a scheme that gives none: one run per joining time asked for.
-
-    The scheme runs once at the real times when the function is made,
-    and that run answers for each party's own time.
-    """
-
-    def own_time(game: Game, times: TimeVector):
-        base = scheme(game, times).rewards
-
-        def reward(i, t) -> np.ndarray:
-            return np.array([
-                base[p - 1] if t_new == times[p - 1]
-                else scheme(game, times.with_time(p, t_new)).rewards[p - 1]
-                for p, t_new in zip(*(a.tolist() for a in np.broadcast_arrays(i, t)))
-            ])
-
-        return reward
-
-    return own_time
-
-
 def check_temporal(
     game: Game,
     times: TimeVector,
@@ -349,20 +331,20 @@ def check_temporal(
 ) -> IncentiveReport:
     """Check F7/F8 against the rewards for every earlier joining time.
 
-    For each party i and each t' < t_i, only t_i is changed.  A scheme's
-    own-time reward gives every party's reward at every t' <= t_i in one
-    call; a scheme with one is not run here, so its own preconditions
-    (the axioms cumulation and timeval require) are checked where it
-    runs, as in ``full_incentive_report``.  Any other scheme is re-run
-    per counterfactual.  F7 requires the reward not to drop; F8 requires
-    a rise above STRICT_MARGIN whenever the strict-synergy predicate
-    holds under the counterfactual times, read off each party's synergy
-    time.  Witnesses are listed by party, then by ascending t'.
+    For each party i and each t' < t_i, only t_i is changed.  The
+    scheme's own-time reward gives every party's reward at every
+    t' <= t_i in one call; the scheme itself is not run here, so its own
+    preconditions (the axioms cumulation and timeval require) are
+    checked where it runs, as in ``full_incentive_report``.  F7 requires
+    the reward not to drop; F8 requires a rise above STRICT_MARGIN
+    whenever the strict-synergy predicate holds under the counterfactual
+    times, read off each party's synergy time.  Witnesses are listed by
+    party, then by ascending t'.
     """
     _check_tolerance(tol)
     _check_per_party(game.n, times, "times")
     v = game.table()  # refuses a game above the ceiling even if the scheme never reads it
-    reward = (scheme.own_time or _rerun(scheme))(game, times)
+    reward = scheme.own_time(game, times)
     # every party at every t' <= t_i in one call, by party, then by ascending t'
     t = times.as_array()
     party = np.repeat(np.arange(1, game.n + 1), t + 1)

@@ -193,7 +193,7 @@ def time_aware_game(game: Game, times: TimeVector, gamma: float) -> Game:
     shortfall *= (1.0 - lam)[latest]
     shortfall[1 << np.arange(game.n)] = 0.0
     table = v - subset_sums(shortfall)
-    return Game(game.n, table=table, superadditive=game.declared_superadditive)
+    return Game(game.n, table=table)
 
 
 def reward_time_valuation(game: Game, times: TimeVector, gamma: float) -> RewardVector:

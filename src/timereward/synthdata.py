@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +98,8 @@ def gen_friedman(count: int, noise_std: float = 1.0, seed: int = 0) -> Dataset:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if noise_std < 0:
-        raise ValueError("noise_std must be >= 0")
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.0, 1.0, size=(count, 6))
     y = friedman_signal(X) + rng.normal(0.0, 1.0, size=count) * noise_std

@@ -251,20 +251,19 @@ def conditional_ig_game(model: GpModel) -> Game:
     Satisfies non-negativity, monotonicity, and superadditivity, being
     the dual of the plain (submodular) information gain.
     """
-    return dual_game(ig_game(model), superadditive=True)
+    return dual_game(ig_game(model))
 
 
-def dual_game(base: Game, *, superadditive: bool | None = None) -> Game:
+def dual_game(base: Game) -> Game:
     """Dual of a base game: v(C) = base(N) - base(N minus C), as a table game.
 
     Shares its Shapley values with the base game; when the base is
     monotone submodular the dual is non-negative, monotone, and
-    superadditive, which a caller that knows it may declare.  The
-    complement of mask is grand ^ mask, so the table is the base table
-    reversed and subtracted from base(N).
+    superadditive.  The complement of mask is grand ^ mask, so the table
+    is the base table reversed and subtracted from base(N).
     """
     v = base.table()
-    return Game(base.n, table=v[-1] - v[::-1], superadditive=superadditive)
+    return Game(base.n, table=v[-1] - v[::-1])
 
 
 def gp_predict(
@@ -274,14 +273,13 @@ def gp_predict(
     X_test: np.ndarray,
     *,
     point_noise: np.ndarray | None = None,
-    test_noise: float | None = None,
 ) -> PredictiveDistribution:
     """GP posterior predictive at test inputs from a subset of the design points.
 
     point_noise overrides the model's noise for the conditioning points
     (used for tempered model rewards).  The predictive variance includes
-    observation noise: test_noise if given, else the model's scalar
-    noise, else the mean of its per-point noise.
+    observation noise: the model's scalar noise, else the mean of its
+    per-point noise.
     """
     idx = np.asarray(list(point_indices), dtype=int)
     y = np.asarray(targets, dtype=float)[idx]
@@ -289,9 +287,7 @@ def gp_predict(
     noise = model.noise_vector()[idx] if point_noise is None else np.asarray(point_noise)
     if len(noise) != len(idx) or not np.all((noise > 0) & np.isfinite(noise)):
         raise ValueError("need one positive finite noise entry per conditioning point")
-    if test_noise is None:
-        base = np.asarray(model.noise_variance, dtype=float)
-        test_noise = float(base) if base.ndim == 0 else float(base.mean())
+    obs_noise = float(np.mean(model.noise_variance))  # a scalar is its own mean
 
     K = se_kernel(Xs, model.lengthscales, model.signal_variance) + np.diag(noise)
     L = _robust_cholesky(K)
@@ -301,7 +297,7 @@ def gp_predict(
     mean = K_star.T @ alpha
     Q = scipy.linalg.solve_triangular(L, K_star, lower=True)
     var_f = model.signal_variance - np.sum(Q * Q, axis=0)
-    var = np.maximum(var_f, 0.0) + test_noise
+    var = np.maximum(var_f, 0.0) + obs_noise
     return PredictiveDistribution(mean, var)
 
 

@@ -56,7 +56,7 @@ def coalition_from_key_reference(key: str, n: int) -> Coalition:
     return Coalition(tuple(members), n)
 
 
-def table_game_reference(n: int, values, *, superadditive=None) -> Game:
+def table_game_reference(n: int, values) -> Game:
     """A coalition-key -> value mapping as an oracle game, one Coalition per key."""
     if n < 1:
         raise ValueError("party count must be >= 1")
@@ -78,7 +78,7 @@ def table_game_reference(n: int, values, *, superadditive=None) -> Game:
                 f"coalition {Coalition.from_mask(mask, n).key()!r} not in table"
             ) from None
 
-    return Game(n, oracle, superadditive=superadditive)
+    return Game(n, oracle)
 
 
 def restrict_game(game: Game, members) -> tuple[Game, tuple[int, ...]]:
@@ -101,7 +101,7 @@ def restrict_game(game: Game, members) -> tuple[Game, tuple[int, ...]]:
             j += 1
         return game.value_mask(parent)
 
-    return Game(len(members), oracle, superadditive=game.declared_superadditive), members
+    return Game(len(members), oracle), members
 
 
 def brute_force_shapley(game: Game) -> np.ndarray:

@@ -283,6 +283,15 @@ class TestGenCommand:
         monkeypatch.setenv("TIMEREWARD_SEED", "-3")
         assert cli._default_seed() == -3
 
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-inf", "-1"])
+    def test_noise_std_not_finite_and_non_negative_exits_1(self, noise, tmp_path, capsys):
+        # NaN used to pass the `< 0` test and write nan targets
+        path = tmp_path / "x.csv"
+        code = main(["gen", "friedman", f"--noise-std={noise}", "--count", "10", "--out", str(path)])
+        assert code == EXIT_ERROR
+        assert not path.exists()
+        assert capsys.readouterr().err.startswith("error: noise_std must be finite and >= 0")
+
 
 @pytest.mark.parametrize("raw,applied", [("2", True), ("²", False), ("١", False), ("", False)])
 def test_thread_env_takes_ascii_digits_only(raw, applied, monkeypatch):
@@ -592,3 +601,26 @@ class TestExperimentCommand:
         ]
         # 4 columns x 3 times x 3 parties
         assert len(lines) - 1 == 4 * 3 * 3
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            # the all-zero-times checks need t1 = 0; this used to end in
+            # "error: max() arg is an empty sequence" after the whole sweep
+            ("--t1-grid", "1,2", "error: t1 grid must include 0"),
+            ("--betas", "1,0", "error: beta must be"),
+            ("--gammas", "nan", "error: gamma must be"),
+        ],
+        ids=["t1-grid-without-0", "beta-0", "gamma-nan"],
+    )
+    def test_bad_sweep_exits_1(self, flag, value, message, tmp_path, capsys):
+        csv_out = tmp_path / "sweep.csv"
+        code = main(
+            [
+                "experiment-friedman", "--seed", "0", "--count", "60",
+                "--sizes", "10,10", f"{flag}={value}", "--out-csv", str(csv_out),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert not csv_out.exists()
+        assert capsys.readouterr().err.startswith(message)

@@ -187,7 +187,7 @@ def _outcome(build):
         table = game.table().tolist()
     except MissingCoalition as exc:
         table = str(exc)
-    return lookups, table, game.declared_superadditive
+    return lookups, table
 
 
 @st.composite
@@ -216,16 +216,16 @@ def game_mappings(draw):
     if draw(st.booleans()):
         bad = draw(st.sampled_from(["1,1", "2,1", "0", str(n + 1), "a", "1,,2", "١", "1,²"]))
         items.insert(draw(st.integers(min_value=0, max_value=len(items))), (bad, 0.5))
-    return n, dict(items), draw(st.sampled_from([None, True, False]))
+    return n, dict(items)
 
 
 class TestTableGameMatchesReference:
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(case=game_mappings())
     def test_same_values_and_errors(self, case):
-        n, values, declared = case
-        got = _outcome(lambda: make_table_game(n, values, superadditive=declared))
-        want = _outcome(lambda: table_game_reference(n, values, superadditive=declared))
+        n, values = case
+        got = _outcome(lambda: make_table_game(n, values))
+        want = _outcome(lambda: table_game_reference(n, values))
         assert got == want
 
     def test_partial_table_names_first_missing_mask(self):
@@ -421,12 +421,14 @@ class TestRewardVector:
 
 class TestGameJson:
     def test_round_trip(self, tmp_path):
+        # a file carrying the superadditive field still loads; the field is ignored
         path = tmp_path / "game.json"
         save_game_json(path, 2, {"1": 0.2, "2": 0.2, "1,2": 1.0}, times=(4, 0), superadditive=True)
+        assert json.loads(path.read_text())["superadditive"] is True
         game, times = load_game_json(path)
+        assert game.table().tolist() == [0.0, 0.2, 0.2, 1.0]
         assert game.value([1, 2]) == 1.0
         assert times.times == (4, 0)
-        assert game.declared_superadditive is True
 
     def test_times_normalized_on_load(self, tmp_path):
         path = tmp_path / "game.json"
@@ -462,7 +464,12 @@ class TestGameJson:
 
 
 # A scheme that never reads the game, so the incentive checks must refuse on their own
-ZERO_SCHEME = RewardScheme("zero", None, lambda g, t: RewardVector(np.zeros(g.n)))
+ZERO_SCHEME = RewardScheme(
+    "zero",
+    None,
+    lambda g, t: RewardVector(np.zeros(g.n)),
+    lambda g, t: lambda i, t_own: np.zeros(np.broadcast(i, t_own).shape),
+)
 
 # Every exact public entry point as a call on (game, times); games.py
 # decides the party ceiling and the times length for all of them.

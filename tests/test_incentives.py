@@ -48,7 +48,7 @@ def symmetric_pair_game(seed=0, n=3):
     from timereward.games import subset_sums
 
     table = subset_sums(d)
-    return Game(n, table=table, superadditive=True)
+    return Game(n, table=table)
 
 
 class TestNecessityPredicate:
@@ -335,6 +335,31 @@ class TestFullReport:
         doc = report.to_dict()
         assert set(doc) == {f"F{k}" for k in range(1, 9)}
         assert all("status" in v and "instances" in v for v in doc.values())
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [cumulation_scheme(0.5), time_valuation_scheme(800.0), shapley_scheme(), naive_scheme()],
+        ids=["cumulation", "timeval", "shapley", "naive"],
+    )
+    def test_witness_base_is_the_reported_reward(self, scheme):
+        # the shapley scheme's witnesses used to re-sum the dividends in
+        # another order and miss its own rewards in the last bits;
+        # gamma = 800 floors every later ability, so timeval fails F8 too
+        witnesses = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            n = 5 + seed % 4
+            times = random_times(rng, n, max_t=3)
+            rewards, report = full_incentive_report(
+                random_superadditive_game(n, seed), times, scheme
+            )
+            for key in ("F7", "F8"):
+                for party, t, _, base, _ in report.checks[key].witnesses:
+                    assert t == times[party - 1]
+                    assert base == rewards.rewards[party - 1]
+                    witnesses += 1
+        # cumulation and naive pass F7/F8 on these games
+        assert witnesses > 0 or scheme.name in ("cumulation", "naive")
 
 
 class TestWeakEfficiency:

@@ -69,6 +69,9 @@ class TestFriedman:
             gen_friedman(0, seed=0)
         with pytest.raises(ValueError):
             gen_friedman(10, noise_std=-1.0, seed=0)
+        for noise in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                gen_friedman(10, noise_std=noise, seed=0)
 
 
 class TestPartition:

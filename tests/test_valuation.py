@@ -165,7 +165,7 @@ class TestDualGame:
         base = random_monotone_submodular(np.random.default_rng(0), 4)
         dual = dual_game(base)
         assert type(dual) is Game
-        assert dual.n == base.n and dual.declared_superadditive is None
+        assert dual.n == base.n
         assert dual.value([]) == 0.0
         assert dual.grand_value() == pytest.approx(base.grand_value(), abs=1e-12)
         full = base.grand_mask
@@ -312,6 +312,6 @@ class TestGpPlumbing:
         X = rng.uniform(size=(10, 1))
         y = np.sin(3.0 * X[:, 0])
         m = GpModel(X, np.ones(10, dtype=int), np.array([0.5]), 1.0, 1e-8)
-        pred = gp_predict(m, y, range(10), X, test_noise=1e-8)
+        pred = gp_predict(m, y, range(10), X)
         assert np.max(np.abs(pred.mean - y)) < 1e-4
         assert np.all(pred.variance > 0)
