@@ -1,9 +1,9 @@
 """Batch command-line interface.
 
 Subcommands: rewards, check, shapley, gen, realize, experiment-friedman.
-Exit codes: 0 = success, 1 = I/O or validation error, 2 = a check failed
-(an incentive, axiom, or experiment trend), so CI can assert that the
-naive baseline fails and the time-aware schemes pass.
+Exit codes: 0 = success, 1 = usage, I/O or validation error, 2 = a
+check failed (an incentive, axiom, or experiment trend), so CI can
+assert that the naive baseline fails and the time-aware schemes pass.
 
 Environment: TIMEREWARD_SEED supplies the default seed; TIMEREWARD_THREADS
 caps BLAS thread counts (applied before numeric imports).
@@ -125,16 +125,32 @@ def _emit(doc: dict, out: str | None):
         sys.stdout.write("\n")
 
 
-def _int_list(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split(",") if tok.strip() != ""]
+def _list_of(item):
+    """An argparse type for a comma-separated list with no empty item."""
+
+    def parse(raw: str) -> list:
+        tokens = raw.split(",")
+        if not all(tok.strip() for tok in tokens):
+            raise argparse.ArgumentTypeError(f"empty item in the list {raw!r}")
+        return [item(tok) for tok in tokens]
+
+    parse.__name__ = f"comma-separated {item.__name__}"
+    return parse
 
 
-def _float_list(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+_int_list = _list_of(int)
+_float_list = _list_of(float)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Usage errors exit 1 like any other bad input: 2 means a check failed."""
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="timereward",
         description="Time-aware reward values for collaborative data sharing.",
     )
@@ -142,7 +158,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rewards", help="compute rewards and check incentives")
     p.add_argument("--game", required=True, help="game JSON file")
-    p.add_argument("--times", help="comma-separated joining times (overrides the file)")
+    p.add_argument(
+        "--times", type=_int_list, help="comma-separated joining times (overrides the file)"
+    )
     p.add_argument("--scheme", required=True, choices=["cumulation", "timeval", "naive", "shapley"])
     p.add_argument("--beta", type=float, help="cumulation weight base (scheme=cumulation only)")
     p.add_argument("--gamma", type=float, help="ability decay rate (scheme=timeval only)")
@@ -165,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--noise-std", type=float, default=1.0)
     p.add_argument("--seed", type=int)
-    p.add_argument("--sizes", help="comma-separated per-party sizes to partition")
+    p.add_argument("--sizes", type=_int_list, help="comma-separated per-party sizes to partition")
     p.add_argument("--out", required=True, help="CSV path")
 
     p = sub.add_parser("realize", help="realize a target reward value")
@@ -182,10 +200,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment-friedman", help="end-to-end Friedman sweep")
     p.add_argument("--seed", type=int)
     p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--sizes", default="300,300,200")
-    p.add_argument("--t1-grid", default="0,1,2,3,4")
-    p.add_argument("--betas", default="0.5,1,2,1000")
-    p.add_argument("--gammas", default="0,0.5,1")
+    p.add_argument("--sizes", type=_int_list, default="300,300,200")
+    p.add_argument("--t1-grid", type=_int_list, default="0,1,2,3,4")
+    p.add_argument("--betas", type=_float_list, default="0.5,1,2,1000")
+    p.add_argument("--gammas", type=_float_list, default="0,0.5,1")
     p.add_argument("--mnlp", action="store_true", help="also realize rewards and report MNLP")
     p.add_argument("--out-csv", required=True, help="tidy sweep CSV path")
     p.add_argument("--out", help="summary JSON path")
@@ -198,7 +216,7 @@ def _load_game_and_times(args):
 
     game, times = load_game_json(args.game)
     if getattr(args, "times", None):
-        times = TimeVector.of(_int_list(args.times)).normalize()
+        times = TimeVector.of(args.times).normalize()
     return game, times
 
 
@@ -286,7 +304,7 @@ def _cmd_gen(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     data = gen_friedman(args.count, args.noise_std, seed)
     if args.sizes:
-        data = partition(data, _int_list(args.sizes), seed + 1)
+        data = partition(data, args.sizes, seed + 1)
     save_dataset_csv(data, args.out)
     return EXIT_OK
 
@@ -342,11 +360,11 @@ def _cmd_experiment(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     config = FriedmanConfig(
         count=args.count,
-        sizes=tuple(_int_list(args.sizes)),
+        sizes=tuple(args.sizes),
         seed=seed,
-        t1_grid=tuple(_int_list(args.t1_grid)),
-        betas=tuple(_float_list(args.betas)),
-        gammas=tuple(_float_list(args.gammas)),
+        t1_grid=tuple(args.t1_grid),
+        betas=tuple(args.betas),
+        gammas=tuple(args.gammas),
         with_mnlp=args.mnlp,
     )
     result = run_friedman_experiment(config)

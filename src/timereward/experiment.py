@@ -3,18 +3,20 @@
 Generates a Friedman dataset, splits 80-20, standardizes the targets,
 partitions the training points among the parties, values coalitions by
 conditional information gain, and sweeps party 1's joining time while
-everyone else stays at 0.  Both reward schemes run over their parameter
-grids; the qualitative trend checks mirror the reported behaviour
-(scaled rewards stay individually rational, the delayed party's reward
-never rises with its joining time, the weakest party never overtakes
-the strongest at time zero, and at all-zero times the best scaled
-reward equals the full-collaboration value).
+everyone else stays at 0.  Each beta (cumulation) and gamma (time
+valuation) is one scheme k, and the sweep fills arrays indexed
+[k, j, party - 1] for entry j of the t1 grid: the rewards, the scaled
+rewards and, on request, the MNLP of each realized reward.  Each trend
+check is one reduction of the scaled rewards: none falls below the
+party's own value; party 1's never rises along the stably sorted grid;
+at every t1 = 0 entry the weakest party stays at or below the strongest
+party's first t1 = 0 entry; and each scheme's best t1 = 0 entry is v(N).
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -100,10 +102,14 @@ def _reward_model_mnlp(model, std_targets, test_X, test_y, party, kappa) -> floa
 def run_friedman_experiment(config: FriedmanConfig = FriedmanConfig()) -> FriedmanResult:
     if 0 not in config.t1_grid:
         raise ValueError("t1 grid must include 0: the checks at all-zero times need it")
+    if min(config.t1_grid) < 0:
+        raise ValueError(f"t1 grid entries must be non-negative, got {config.t1_grid!r}")
     # built first, so a bad beta or gamma is refused before any GP work
     schemes = [cumulation_scheme(beta) for beta in config.betas] + [
         time_valuation_scheme(gamma) for gamma in config.gammas
     ]
+    if not schemes:
+        raise ValueError("the sweep needs at least one beta or gamma")
     n = len(config.sizes)
     data = gen_friedman(config.count, NOISE_STD, config.seed)
     train, test = train_test_split(data, TEST_FRACTION, config.seed + 1)
@@ -123,95 +129,68 @@ def run_friedman_experiment(config: FriedmanConfig = FriedmanConfig()) -> Friedm
     grand = game.grand_value()
     model_targets = partitioned.targets[partitioned.party >= 1]
 
-    columns = [(scheme.name, scheme.param) for scheme in schemes]
-    rows: list[SweepRow] = []
-    for scheme in schemes:
-        for t1 in config.t1_grid:
-            times = TimeVector.of((int(t1),) + (0,) * (n - 1))
-            rewards = scheme(game, times)
-            scaled = scale_rewards(game, rewards)
-            for party in range(1, n + 1):
-                cell_mnlp = None
-                if config.with_mnlp:
-                    target = min(float(scaled.scaled[party - 1]), grand)
-                    realized = temper(model, party, target, tol=1e-6)
-                    cell_mnlp = _reward_model_mnlp(
-                        model, model_targets, test.features, test_y, party, realized.kappa
-                    )
-                rows.append(
-                    SweepRow(
-                        scheme.name,
-                        scheme.param,
-                        int(t1),
-                        party,
-                        float(rewards.rewards[party - 1]),
-                        float(scaled.scaled[party - 1]),
-                        float(singles[party - 1]),
-                        cell_mnlp,
-                    )
+    grid = [int(t1) for t1 in config.t1_grid]
+    reward = np.empty((len(schemes), len(grid), n))
+    scaled = np.empty_like(reward)
+    cell_mnlp = np.empty_like(reward)
+    for k, scheme in enumerate(schemes):
+        for j, t1 in enumerate(grid):
+            rewards = scheme(game, TimeVector.of((t1,) + (0,) * (n - 1)))
+            reward[k, j] = rewards.rewards
+            scaled[k, j] = scale_rewards(game, rewards).scaled
+            if not config.with_mnlp:
+                continue
+            for p in range(n):
+                target = min(float(scaled[k, j, p]), grand)
+                realized = temper(model, p + 1, target, tol=1e-6)
+                cell_mnlp[k, j, p] = _reward_model_mnlp(
+                    model, model_targets, test.features, test_y, p + 1, realized.kappa
                 )
 
-    checks: dict[str, bool] = {}
-    witnesses: dict[str, list] = {}
+    def column(k):
+        return schemes[k].name, schemes[k].param
 
-    bad = [
-        (r.scheme, r.param, r.t1, r.party, r.scaled_reward, r.own_value)
-        for r in rows
-        if r.scaled_reward < r.own_value - TREND_TOL
+    rows = [
+        SweepRow(
+            *column(k),
+            grid[j],
+            p + 1,
+            float(reward[k, j, p]),
+            float(scaled[k, j, p]),
+            float(singles[p]),
+            float(cell_mnlp[k, j, p]) if config.with_mnlp else None,
+        )
+        for k, j, p in np.ndindex(reward.shape)
     ]
-    checks["individual_rationality"] = not bad
-    if bad:
-        witnesses["individual_rationality"] = bad
-
-    bad = []
-    for scheme, param in columns:
-        series = sorted(
-            (r for r in rows if r.scheme == scheme and r.param == param and r.party == 1),
-            key=lambda r: r.t1,
-        )
-        for earlier, later in zip(series, series[1:]):
-            if later.scaled_reward > earlier.scaled_reward + TREND_TOL:
-                bad.append((scheme, param, earlier.t1, later.t1))
-    checks["late_party_reward_non_increasing"] = not bad
-    if bad:
-        witnesses["late_party_reward_non_increasing"] = bad
-
-    low = int(np.argmin(singles)) + 1
-    high = int(np.argmax(singles)) + 1
-    bad = [
-        (r.scheme, r.param, low, high)
-        for r in rows
-        if r.t1 == 0
-        and r.party == low
-        and r.scaled_reward
-        > next(
-            x.scaled_reward
-            for x in rows
-            if x.scheme == r.scheme and x.param == r.param and x.t1 == 0 and x.party == high
-        )
-        + TREND_TOL
-    ]
-    checks["value_gap_preserved_at_zero"] = not bad
-    if bad:
-        witnesses["value_gap_preserved_at_zero"] = bad
-
-    bad = []
-    for scheme, param in columns:
-        top = max(
-            r.scaled_reward
-            for r in rows
-            if r.scheme == scheme and r.param == param and r.t1 == 0
-        )
-        if abs(top - grand) > TREND_TOL:
-            bad.append((scheme, param, top, grand))
-    checks["weak_efficiency_at_zero"] = not bad
-    if bad:
-        witnesses["weak_efficiency_at_zero"] = bad
-
+    order = np.argsort(grid, kind="stable")
+    series = scaled[:, order, 0]  # party 1, joining later along axis 1
+    zeros = [j for j, t1 in enumerate(grid) if t1 == 0]
+    low, high = int(np.argmin(singles)), int(np.argmax(singles))
+    top = scaled[:, zeros].max(axis=(1, 2))
+    found = {
+        "individual_rationality": [
+            (*column(k), grid[j], p + 1, float(scaled[k, j, p]), float(singles[p]))
+            for k, j, p in np.argwhere(scaled < singles - TREND_TOL).tolist()
+        ],
+        "late_party_reward_non_increasing": [
+            (*column(k), grid[order[i]], grid[order[i + 1]])
+            for k, i in np.argwhere(series[:, 1:] > series[:, :-1] + TREND_TOL).tolist()
+        ],
+        "value_gap_preserved_at_zero": [
+            (*column(k), low + 1, high + 1)
+            for k, _ in np.argwhere(
+                scaled[:, zeros, low] > scaled[:, zeros[:1], high] + TREND_TOL
+            ).tolist()
+        ],
+        "weak_efficiency_at_zero": [
+            (*column(k), float(top[k]), grand)
+            for k in np.flatnonzero(np.abs(top - grand) > TREND_TOL).tolist()
+        ],
+    }
     return FriedmanResult(
         rows=rows,
-        checks=checks,
-        witnesses=witnesses,
+        checks={name: not bad for name, bad in found.items()},
+        witnesses={name: bad for name, bad in found.items() if bad},
         own_values=singles,
         shapley_values=phi,
         grand_value=grand,
@@ -220,21 +199,11 @@ def run_friedman_experiment(config: FriedmanConfig = FriedmanConfig()) -> Friedm
 
 def write_rows_csv(rows: list[SweepRow], path):
     """Tidy per-(scheme, param, t1, party) CSV for external plotting."""
+
+    def cell(x):
+        return f"{x:.17g}" if isinstance(x, float) else "" if x is None else x
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["scheme", "param", "t1", "party", "reward", "scaled_reward", "own_value", "mnlp"]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    r.scheme,
-                    f"{r.param:.17g}",
-                    r.t1,
-                    r.party,
-                    f"{r.reward:.17g}",
-                    f"{r.scaled_reward:.17g}",
-                    f"{r.own_value:.17g}",
-                    "" if r.mnlp is None else f"{r.mnlp:.17g}",
-                ]
-            )
+        writer.writerow([f.name for f in fields(SweepRow)])
+        writer.writerows([cell(x) for x in astuple(row)] for row in rows)

@@ -610,8 +610,10 @@ class TestExperimentCommand:
             ("--t1-grid", "1,2", "error: t1 grid must include 0"),
             ("--betas", "1,0", "error: beta must be"),
             ("--gammas", "nan", "error: gamma must be"),
+            # used to build the whole model first, then fail on the joining times
+            ("--t1-grid", "-1,0", "error: t1 grid entries must be non-negative"),
         ],
-        ids=["t1-grid-without-0", "beta-0", "gamma-nan"],
+        ids=["t1-grid-without-0", "beta-0", "gamma-nan", "t1-grid-negative"],
     )
     def test_bad_sweep_exits_1(self, flag, value, message, tmp_path, capsys):
         csv_out = tmp_path / "sweep.csv"
@@ -624,3 +626,57 @@ class TestExperimentCommand:
         assert code == EXIT_ERROR
         assert not csv_out.exists()
         assert capsys.readouterr().err.startswith(message)
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--scheme", "bogus"], "argument --scheme: invalid choice"),
+            ([], "the following arguments are required: --scheme"),
+            # empty items used to be dropped, so 1,,0 ran as 1,0 and "," crashed in min()
+            (["--scheme", "naive", "--times", "1,,0"], "argument --times: empty item"),
+            (["--scheme", "naive", "--times", ","], "argument --times: empty item"),
+            (["--scheme", "naive", "--times="], "argument --times: empty item"),
+            (["--scheme", "naive", "--times", "1,x"], "argument --times: invalid"),
+        ],
+        ids=["bad-choice", "missing-scheme", "times-gap", "times-comma", "times-empty", "times-word"],
+    )
+    def test_rewards_usage_error_exits_1(self, argv, message, ir_game_file, tmp_path, capsys):
+        # argparse exits 2, which the CLI keeps for "a check failed"
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["rewards", "--game", ir_game_file, "--out", str(out), *argv])
+        assert exc.value.code == EXIT_ERROR
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("usage: timereward rewards")
+        assert f"timereward rewards: error: {message}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # argparse reads -inf as an option
+            ["gen", "friedman", "--noise-std", "-inf"],
+            ["gen", "friedman", "--sizes="],
+            # no beta and no gamma used to pass all four checks with no rows
+            ["experiment-friedman", "--betas=", "--gammas="],
+            ["experiment-friedman", "--t1-grid", "0,,1"],
+        ],
+        ids=["noise-minus-inf", "gen-sizes-empty", "sweep-no-schemes", "sweep-grid-gap"],
+    )
+    def test_usage_error_exits_1_without_output(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        flag = "--out" if argv[0] == "gen" else "--out-csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, str(out)])
+        assert exc.value.code == EXIT_ERROR
+        assert not out.exists()
+        assert f"timereward {argv[0]}: error: argument " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["rewards", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: timereward")

@@ -1,5 +1,7 @@
 """Likelihood tempering and greedy subset selection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from timereward import (
     temper,
     tempered_value,
 )
-from timereward.experiment import FriedmanConfig, run_friedman_experiment
+from timereward import experiment
+from timereward.experiment import FriedmanConfig, SweepRow, run_friedman_experiment, write_rows_csv
 from timereward.realization import conditional_point_value
 from timereward.valuation import information_gain, se_kernel
 
@@ -255,3 +258,101 @@ class TestFriedmanMnlp:
         assert len(result.rows) == 2 * 5 * 3
         assert all(np.isfinite(row.mnlp) for row in result.rows)
         assert result.all_pass, result.witnesses
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"t1_grid": (1, 2)}, "t1 grid must include 0"),
+        ({"t1_grid": (-1, 0)}, "t1 grid entries must be non-negative"),
+        # used to pass all four checks with no rows
+        ({"betas": (), "gammas": ()}, "at least one beta or gamma"),
+        ({"betas": (0.0,)}, "beta must be"),
+    ],
+    ids=["grid-without-0", "grid-negative", "no-schemes", "beta-0"],
+)
+def test_bad_sweep_refused_before_gp_work(change, message, monkeypatch):
+    def no_data(*args):
+        raise AssertionError("generated data for a sweep it should have refused")
+
+    monkeypatch.setattr(experiment, "gen_friedman", no_data)
+    with pytest.raises(ValueError, match=message):
+        run_friedman_experiment(FriedmanConfig(**change))
+
+
+def test_trend_check_witnesses(monkeypatch):
+    """Every check fails once the scaled rewards are flipped and halved.
+
+    The grid repeats an out-of-order 0 and beta 1 appears twice, so the
+    witness order covers the stable t1 sort, each t1 = 0 entry, and one
+    entry per (scheme, param) column even when two columns coincide.
+    """
+    scale = experiment.scale_rewards
+
+    def flipped(game, rewards):
+        scaled = scale(game, rewards)
+        return dataclasses.replace(scaled, scaled=-0.5 * scaled.scaled)
+
+    monkeypatch.setattr(experiment, "scale_rewards", flipped)
+    result = run_friedman_experiment(
+        FriedmanConfig(
+            count=60, sizes=(24, 14, 6), seed=0, t1_grid=(2, 0, 1, 0),
+            betas=(1.0, 1.0, 1000.0), gammas=(0.0, 1.0),
+        )
+    )
+    rows = result.rows
+    assert len(rows) == 5 * 4 * 3
+    assert result.checks == dict.fromkeys(
+        [
+            "individual_rationality",
+            "late_party_reward_non_increasing",
+            "value_gap_preserved_at_zero",
+            "weak_efficiency_at_zero",
+        ],
+        False,
+    )
+    w = result.witnesses
+    assert w["individual_rationality"] == [
+        (r.scheme, r.param, r.t1, r.party, r.scaled_reward, r.own_value) for r in rows
+    ]
+    # timeval with gamma 0 never discounts, so party 1's series is flat there
+    assert w["late_party_reward_non_increasing"] == [
+        ("cumulation", 1.0, 0, 1), ("cumulation", 1.0, 1, 2),
+        ("cumulation", 1.0, 0, 1), ("cumulation", 1.0, 1, 2),
+        ("cumulation", 1000.0, 0, 1), ("cumulation", 1000.0, 1, 2),
+        ("timeval", 1.0, 0, 1), ("timeval", 1.0, 1, 2),
+    ]
+    # party 3 holds the fewest points, party 1 the most
+    assert w["value_gap_preserved_at_zero"] == [
+        (scheme, param, 3, 1)
+        for scheme, param in [("cumulation", 1.0)] * 4
+        + [("cumulation", 1000.0)] * 2 + [("timeval", 0.0)] * 2 + [("timeval", 1.0)] * 2
+    ]
+    # at all-zero times every scheme gives the same rewards
+    top = max(r.scaled_reward for r in rows if r.t1 == 0)
+    assert w["weak_efficiency_at_zero"] == [
+        (scheme, param, top, result.grand_value)
+        for scheme, param in [
+            ("cumulation", 1.0), ("cumulation", 1.0), ("cumulation", 1000.0),
+            ("timeval", 0.0), ("timeval", 1.0),
+        ]
+    ]
+    # the CLI writes each entry with str(), so no numpy scalars
+    assert {type(x) for ws in w.values() for witness in ws for x in witness} == {str, int, float}
+
+
+def test_write_rows_csv_golden(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_rows_csv(
+        [
+            SweepRow("cumulation", 1000.0, 0, 1, 0.5, 2.0, 0.25),
+            SweepRow("timeval", 0.1, 3, 2, 1 / 3, 0.1 + 0.2, 2 / 3, -0.1),
+        ],
+        path,
+    )
+    assert path.read_bytes() == (
+        b"scheme,param,t1,party,reward,scaled_reward,own_value,mnlp\r\n"
+        b"cumulation,1000,0,1,0.5,2,0.25,\r\n"
+        b"timeval,0.10000000000000001,3,2,0.33333333333333331,0.30000000000000004,"
+        b"0.66666666666666663,-0.10000000000000001\r\n"
+    )
