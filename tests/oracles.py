@@ -288,8 +288,7 @@ def check_axioms_reference(game: Game, tol: float) -> AxiomReport:
     witnesses = {}
 
     worst_mask = int(np.argmin(v))
-    nonneg = v[worst_mask] >= -tol
-    if not nonneg:
+    if v[worst_mask] < -tol:
         witnesses["nonneg"] = (Coalition.from_mask(worst_mask, n),)
 
     worst_gap = tol
@@ -303,8 +302,7 @@ def check_axioms_reference(game: Game, tol: float) -> AxiomReport:
                 worst_gap = gap
                 worst_pair = (sub, c_mask)
             sub = (sub - 1) & c_mask
-    monotone = worst_pair is None
-    if not monotone:
+    if worst_pair is not None:
         witnesses["monotone"] = tuple(Coalition.from_mask(m, n) for m in worst_pair)
 
     worst_gap = tol
@@ -320,11 +318,10 @@ def check_axioms_reference(game: Game, tol: float) -> AxiomReport:
                     worst_gap = gap
                     worst_pair = (b_mask, sub)
             sub = (sub - 1) & comp
-    superadditive = worst_pair is None
-    if not superadditive:
+    if worst_pair is not None:
         witnesses["superadditive"] = tuple(Coalition.from_mask(m, n) for m in worst_pair)
 
-    return AxiomReport(bool(nonneg), monotone, superadditive, witnesses)
+    return AxiomReport(witnesses)
 
 
 def necessity_reference(game: Game, i: int, j: int, tol: float) -> bool:
@@ -348,8 +345,8 @@ def check_temporal_reference(game: Game, times: TimeVector, scheme, tol: float,
                              strict_margin: float = 1e-12) -> IncentiveReport:
     """F7/F8 by re-running the scheme and enumerating strictness per counterfactual."""
     base = scheme(game, times).rewards
-    f7 = IncentiveCheck("pass")
-    f8 = IncentiveCheck("pass")
+    f7 = IncentiveCheck()
+    f8 = IncentiveCheck()
     for i in range(1, game.n + 1):
         for t_new in range(times[i - 1]):
             moved = times.with_time(i, t_new)
@@ -362,8 +359,6 @@ def check_temporal_reference(game: Game, times: TimeVector, scheme, tol: float,
                 f8.instances += 1
                 if not shifted[i - 1] > base[i - 1] + strict_margin:
                     f8.witnesses.append(witness)
-    for check in (f7, f8):
-        check.status = "fail" if check.witnesses else "pass"
     return IncentiveReport({"F7": f7, "F8": f8})
 
 
@@ -377,14 +372,14 @@ def check_static_reference(game: Game, times: TimeVector, rewards, tol: float,
     checks = {}
 
     bad = [(i + 1, float(r[i])) for i in range(n) if r[i] < -tol]
-    checks["F1"] = IncentiveCheck("fail" if bad else "pass", n, bad)
+    checks["F1"] = IncentiveCheck(n, bad)
 
     singles = game.singleton_values()
     bad = [(i + 1, float(r[i]), float(singles[i])) for i in range(n) if r[i] < singles[i] - tol]
-    checks["F2"] = IncentiveCheck("fail" if bad else "pass", n, bad)
+    checks["F2"] = IncentiveCheck(n, bad)
 
-    f3 = IncentiveCheck("pass")
-    f4 = IncentiveCheck("pass")
+    f3 = IncentiveCheck()
+    f4 = IncentiveCheck()
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if times[i - 1] != times[j - 1]:
@@ -406,30 +401,26 @@ def check_static_reference(game: Game, times: TimeVector, rewards, tol: float,
                     f4.witnesses.append((j, i, float(r[j - 1]), float(r[i - 1])))
             else:
                 f4.skipped.append((i, j))
-    for key, check in (("F3", f3), ("F4", f4)):
-        check.status = "fail" if check.witnesses else "pass"
-        checks[key] = check
+    checks["F3"], checks["F4"] = f3, f4
 
-    f5 = IncentiveCheck("pass")
+    f5 = IncentiveCheck()
     for i in range(1, n + 1):
         bi = 1 << (i - 1)
         if all(abs(v[c | bi] - v[c]) <= tol for c in _submasks(full ^ bi)):
             f5.instances += 1
             if abs(r[i - 1]) > tol:
                 f5.witnesses.append((i, float(r[i - 1])))
-    f5.status = "fail" if f5.witnesses else "pass"
     checks["F5"] = f5
 
-    f6 = IncentiveCheck("pass")
+    f6 = IncentiveCheck()
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if necessity_reference(game, i, j, tol):
                 f6.instances += 1
                 if abs(r[i - 1] - r[j - 1]) > tol:
                     f6.witnesses.append((i, j, float(r[i - 1]), float(r[j - 1])))
-    f6.status = "fail" if f6.witnesses else "pass"
     checks["F6"] = f6
 
-    checks["F7"] = IncentiveCheck("not_applicable")
-    checks["F8"] = IncentiveCheck("not_applicable")
+    checks["F7"] = IncentiveCheck(witnesses=None)
+    checks["F8"] = IncentiveCheck(witnesses=None)
     return IncentiveReport(checks)

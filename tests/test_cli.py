@@ -107,6 +107,23 @@ class TestRewardsCommand:
         args = ["rewards", "--game", ir_game_file, "--scheme", scheme, flag, value]
         assert main(args + ["--times", "0,0"]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_time_past_int64_exits_1(self, source, tmp_path, capsys):
+        # used to end in an OverflowError traceback
+        huge = 10**20
+        path = tmp_path / "late.json"
+        times = (huge, 0) if source == "file" else None
+        save_game_json(path, 2, {"1": 0.2, "2": 0.2, "1,2": 1.0}, times=times)
+        args = ["rewards", "--game", str(path), "--scheme", "naive"]
+        if source == "flag":
+            args += ["--times", f"{huge},0"]
+        assert main(args) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: joining time {huge} is past the int64 range (at most {2**63 - 1})\n"
+        )
+
     def test_missing_file_is_an_error(self, tmp_path):
         assert main(
             ["rewards", "--game", str(tmp_path / "nope.json"), "--scheme", "naive"]
@@ -239,6 +256,50 @@ class TestShapleyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: permutations")
+
+
+class TestAtomicOutput:
+    """A writer that fails midway leaves the old file as it was and no temp file."""
+
+    @staticmethod
+    def half_then_fail(fd):
+        with open(fd, "w") as fh:
+            fh.write("half")
+        raise OSError("disk full")
+
+    def test_helper(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("old\n")
+        with pytest.raises(OSError, match="disk full"):
+            cli._write_atomic(str(target), self.half_then_fail)
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    @pytest.mark.parametrize(
+        "module,writer,argv",
+        [
+            ("synthdata", "save_dataset_csv", ["gen", "friedman", "--count", "60", "--out"]),
+            (
+                "experiment",
+                "write_rows_csv",
+                [
+                    "experiment-friedman", "--seed", "0", "--count", "60", "--sizes", "10,10",
+                    "--t1-grid", "0,1", "--betas", "1", "--gammas", "1", "--out-csv",
+                ],
+            ),
+        ],
+        ids=["gen", "experiment-friedman"],
+    )
+    def test_csv_outputs(self, module, writer, argv, tmp_path, monkeypatch, capsys):
+        # both used to write in place, leaving a half-written file
+        fail = self.half_then_fail
+        monkeypatch.setattr(f"timereward.{module}.{writer}", lambda _, fd: fail(fd))
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+        assert main([*argv, str(target)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 class TestGenCommand:
@@ -612,8 +673,10 @@ class TestExperimentCommand:
             ("--gammas", "nan", "error: gamma must be"),
             # used to build the whole model first, then fail on the joining times
             ("--t1-grid", "-1,0", "error: t1 grid entries must be non-negative"),
+            # used to exit 0 with every trend check vacuously true
+            ("--sizes", "0,10", "error: party sizes must be at least 1, got (0, 10)"),
         ],
-        ids=["t1-grid-without-0", "beta-0", "gamma-nan", "t1-grid-negative"],
+        ids=["t1-grid-without-0", "beta-0", "gamma-nan", "t1-grid-negative", "sizes-0"],
     )
     def test_bad_sweep_exits_1(self, flag, value, message, tmp_path, capsys):
         csv_out = tmp_path / "sweep.csv"

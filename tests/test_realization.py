@@ -268,8 +268,12 @@ class TestFriedmanMnlp:
         # used to pass all four checks with no rows
         ({"betas": (), "gammas": ()}, "at least one beta or gamma"),
         ({"betas": (0.0,)}, "beta must be"),
+        # used to pass all four checks vacuously
+        ({"sizes": (0, 10)}, "party sizes must be at least 1"),
+        # used to build the GP model first, then fail on the joining times
+        ({"sizes": (10, 0)}, "party sizes must be at least 1"),
     ],
-    ids=["grid-without-0", "grid-negative", "no-schemes", "beta-0"],
+    ids=["grid-without-0", "grid-negative", "no-schemes", "beta-0", "empty-first", "empty-last"],
 )
 def test_bad_sweep_refused_before_gp_work(change, message, monkeypatch):
     def no_data(*args):

@@ -305,6 +305,33 @@ class TestRewardTimeValuation:
             reward_time_valuation(bad, late_first, 1.0)
 
 
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        (
+            {"1": 0.6, "2": 0.6, "1,2": 1.0},
+            "game fails A3; witnesses: {'superadditive': ['1', '2']}",
+        ),
+        (
+            {"1": -0.5, "2": 0.4, "1,2": 0.1},
+            "game fails A1; witnesses: {'nonneg': ['1'], 'monotone': ['2', '1,2']}",
+        ),
+        (
+            {"1": -0.1, "2": 0.6, "1,2": 0.3},
+            "game fails A1+A3; witnesses: "
+            "{'nonneg': ['1'], 'monotone': ['2', '1,2'], 'superadditive': ['1', '2']}",
+        ),
+    ],
+    ids=["A3", "A1-and-monotone", "A1+A3"],
+)
+@pytest.mark.parametrize("scheme", [reward_cumulation, reward_time_valuation])
+def test_axiom_violation_message(values, message, scheme, late_first):
+    """The refusal names the failing required axioms and lists every witness."""
+    with pytest.raises(AxiomViolation) as raised:
+        scheme(make_table_game(2, values), late_first, 1.0)
+    assert str(raised.value) == message
+
+
 class TestScaleRewards:
     def test_weak_efficiency_at_zero_times(self, ir_counterexample):
         rv = reward_cumulation(ir_counterexample, TimeVector.of((0, 0)), 1.0)
