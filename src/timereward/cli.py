@@ -110,10 +110,15 @@ def _write_atomic(path: str, write):
     of a path and closes when its with block ends (reopening the temp
     file by name slowed a batch of small reports by about a tenth).  If
     write raises, path is left as it was and the temp file is removed.
+    ``mkstemp`` creates the file 0600 whatever the umask, so it is given
+    the mode a plain ``open`` would: 0666 less the umask.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         write(fd)
         os.replace(tmp, path)
     except BaseException:

@@ -507,25 +507,60 @@ def _monotonicity_violation(v: np.ndarray, tol: float) -> tuple[int, int] | None
     return int(subs[np.argmax(v[subs] - v[c] == gap[c])]), c
 
 
+# parties of the low block in the superadditivity scan: 3**8 disjoint pairs per block
+_SCAN_BLOCK_PARTIES = 8
+
+
+def _disjoint_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks (B, S) of the 3**k disjoint pairs over k parties.
+
+    Each pair is a ternary string with one digit per party: 0 = in
+    neither, 1 = in B, 2 = in S.
+    """
+    b = s = np.zeros(1, dtype=np.intp)
+    for i in range(k):
+        b, s = np.concatenate((b, b | 1 << i, b)), np.concatenate((s, s, s | 1 << i))
+    return b, s
+
+
 def _superadditivity_violation(v: np.ndarray, tol: float) -> tuple[int, int] | None:
     """Disjoint (B, S) with the largest v(B) + v(S) - v(B | S) above tol, or None.
 
-    A mask holding party n pairs only with smaller masks, so B runs below
-    2**(n-1); the S disjoint from B are read off the n-axis cube of all
-    masks with B's axes at 0.  S = 0 and pairs met again as (S, B) give 0
-    or an earlier gap, which the strict test never takes, so B < S and
-    ties go to the smallest B, then to the largest S.
+    The pairs are scanned as ternary strings (see ``_disjoint_pairs``) in
+    blocks: the low parties' 3**8 strings (fewer when n <= 8) are built
+    once, and each block fixes the digits of the parties above them, so
+    one gather per coalition reads a block's v(B), v(S) and v(B | S).
+    Party n is never in B, so a pair without party n is met both as
+    (B, S) and as (S, B), and the float gap is the same both ways (the
+    sum is commutative).  The smallest coalition among the pairs with
+    the largest gap cannot hold party n, so it is met as B: ties go to
+    the smallest B, then to the largest S, which gives B < S.  A pair
+    with an empty side has gap v(empty) = 0, never above tol.
     """
     n = len(v).bit_length() - 1
-    mask_cube = np.arange(len(v)).reshape((2,) * n)
-    worst, pair = tol, None
-    for b in range(1, 1 << (n - 1)):
-        s = mask_cube[tuple(0 if b >> i & 1 else slice(None) for i in reversed(range(n)))].ravel()
-        gap = v[b] + v[s] - v[b | s]
-        k = len(gap) - 1 - int(np.argmax(gap[::-1]))
-        if gap[k] > worst:
-            worst, pair = gap[k], (b, int(s[k]))
-    return pair
+    low = min(n - 1, _SCAN_BLOCK_PARTIES)
+    b_low, s_low = _disjoint_pairs(low)
+    u_low = b_low | s_low
+    width = 1 << low
+    high_b, high_s = _disjoint_pairs(n - 1 - low)
+    top = 1 << (n - 1 - low)  # party n: in neither or in S
+    high_b = np.concatenate((high_b, high_b)) << low
+    high_s = np.concatenate((high_s, high_s | top)) << low
+    gap, part = np.empty(len(b_low)), np.empty(len(b_low))
+    worst, pairs = tol, []
+    for b0, s0 in zip(high_b.tolist(), high_s.tolist()):
+        u0 = b0 | s0
+        np.take(v[b0:b0 + width], b_low, out=gap, mode="clip")
+        gap += np.take(v[s0:s0 + width], s_low, out=part, mode="clip")
+        gap -= np.take(v[u0:u0 + width], u_low, out=part, mode="clip")
+        most = gap.max()
+        if most > worst:
+            worst, pairs = most, []
+        if most == worst > tol:
+            k = np.flatnonzero(gap == most)
+            b, s = b0 + b_low[k], s0 + s_low[k]
+            pairs.append((int(b.min()), int(s[b == b.min()].max())))
+    return min(pairs, key=lambda pair: (pair[0], -pair[1]), default=None)
 
 
 def _superadditivity_certified(v: np.ndarray, tol: float) -> bool:
@@ -581,10 +616,12 @@ def check_axioms(game: Game, tol: float = 1e-9) -> AxiomReport:
     is first certified from the smallest mixed second difference of the
     table, O(n**2 2**n), which settles convex games; only a game that
     fails the certificate is scanned over every disjoint pair, O(3**n),
-    vectorized over the second coalition.  Either way the verdict is the
-    scan's.  On failure the worst violating coalition pair is returned
-    as a witness.  Results are memoised on the game per tolerance, which
-    must be finite and >= 0.
+    in blocks of 3**8 pairs with one gather of each coalition's values
+    per block.  Either way the verdict is the scan's.  On failure the
+    worst violating coalition pair is returned as a witness: ties go to
+    the smallest B, then to the largest S (nested pairs: the smallest C,
+    then the largest B).  Results are memoised on the game per
+    tolerance, which must be finite and >= 0.
     """
     _check_tolerance(tol)
     cached = game._axiom_reports.get(tol)

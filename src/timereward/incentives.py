@@ -334,6 +334,13 @@ def check_temporal(
     """
     _check_tolerance(tol)
     _check_per_party(game.n, times, "times")
+    # counted in Python ints: t + 1 wraps in int64 at the top joining time
+    sweep = sum(t + 1 for t in times.times)
+    if sweep > np.iinfo(np.intp).max // 8:  # numpy's size limit for one float64 array
+        raise ValueError(
+            f"joining times {', '.join(map(str, times.times))} need {sweep} rewards "
+            "in the F7/F8 sweep, more than one float64 array can hold"
+        )
     v = game.table()  # refuses a game above the ceiling even if the scheme never reads it
     reward = scheme.own_time(game, times)
     # every party at every t' <= t_i in one call, by party, then by ascending t'

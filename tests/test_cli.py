@@ -1,6 +1,8 @@
 """CLI subcommands, exit codes, and report formats."""
 
 import json
+import os
+import stat
 
 import jsonschema
 import numpy as np
@@ -122,6 +124,20 @@ class TestRewardsCommand:
         assert captured.out == ""
         assert captured.err == (
             f"error: joining time {huge} is past the int64 range (at most {2**63 - 1})\n"
+        )
+
+    @pytest.mark.parametrize("late", [2**63 - 1, 2**62])
+    @pytest.mark.parametrize("scheme", ["naive", "cumulation"])
+    def test_sweep_past_one_array_exits_1(self, ir_game_file, late, scheme, capsys):
+        # 2**63 - 1 used to wrap in t + 1 ("repeats may not contain negative
+        # values"), 2**62 to end in numpy's "array is too big"
+        args = ["rewards", "--game", ir_game_file, "--scheme", scheme, "--times", f"{late},0"]
+        assert main(args) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: joining times {late}, 0 need {late + 2} rewards in the F7/F8 sweep, "
+            "more than one float64 array can hold\n"
         )
 
     def test_missing_file_is_an_error(self, tmp_path):
@@ -300,6 +316,21 @@ class TestAtomicOutput:
         assert capsys.readouterr().err == "error: disk full\n"
         assert target.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    @pytest.fixture
+    def umask(self, request):
+        old = os.umask(request.param)
+        yield request.param
+        os.umask(old)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], indirect=True, ids=["022", "027"])
+    def test_outputs_follow_the_umask(self, umask, ir_game_file, tmp_path):
+        # mkstemp made every output 0600 whatever the umask
+        report, data = tmp_path / "report.json", tmp_path / "data.csv"
+        assert main(["check", "--game", ir_game_file, "--out", str(report)]) == EXIT_OK
+        assert main(["gen", "friedman", "--count", "60", "--out", str(data)]) == EXIT_OK
+        for path in (report, data):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
 
 class TestGenCommand:

@@ -19,7 +19,9 @@ The axiom and incentive reports must equal the submask-loop references
 exactly, witnesses and tie-breaks included, on tables with many ties,
 and on convex, large-magnitude, superadditive-but-not-convex and
 failing tables, which the superadditivity certificate either settles or
-must leave to the scan.
+must leave to the scan.  The blocked superadditivity scan is held to the
+same reference on n = 1-11 tables, whole-number ones with many exactly
+tied gaps among them, at tol 0 and 1e-9.
 """
 
 import numpy as np
@@ -65,6 +67,7 @@ from timereward import (
     time_aware_game,
     time_valuation_scheme,
 )
+from timereward import games
 from timereward.games import subset_sums
 
 RTOL = 1e-12
@@ -316,6 +319,58 @@ def test_certified_verdicts_match_the_scan(case):
     n, table, tol = case
     game = Game(n, table=table)
     assert check_axioms(game, tol).to_dict() == check_axioms_reference(game, tol).to_dict()
+
+
+def scan_table(rng, n: int, kind: str) -> np.ndarray:
+    """A table most of whose games fail the certificate, so the blocked scan decides them.
+
+    "integer" and "cut" draw dividends from [-0.5, 1), so few games are
+    convex; "integer" rounds the values to whole numbers, which ties
+    many gaps exactly, and "cut" lowers one to three coalitions.
+    """
+    if kind == "float":
+        table = rng.normal(size=1 << n)
+    else:
+        dividends = rng.uniform(-0.5, 1.0, size=1 << n)
+        dividends[0] = 0.0
+        table = subset_sums(dividends)
+        if kind == "integer":
+            table = np.round(table)
+        else:
+            cut = rng.integers(1, 1 << n, size=rng.integers(1, 4))
+            table[cut] *= rng.uniform(0.0, 0.9, size=len(cut))
+    table[0] = 0.0
+    return table
+
+
+@st.composite
+def scan_cases(draw):
+    n = draw(st.integers(1, 11))
+    kind = draw(st.sampled_from(["float", "integer", "cut"]))
+    table = scan_table(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, kind)
+    return n, table, draw(st.sampled_from([0.0, 1e-9]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(scan_cases())
+def test_blocked_scan_matches_the_reference(case):
+    n, table, tol = case
+    game = Game(n, table=table)
+    assert check_axioms(game, tol).to_dict() == check_axioms_reference(game, tol).to_dict()
+
+
+# n = 1, 2: no party above the low block; 9: only party n above it; 10, 11: several blocks
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 11])
+@pytest.mark.parametrize("kind", ["float", "integer", "cut"])
+def test_blocked_scan_pins(n, kind):
+    game = Game(n, table=scan_table(np.random.default_rng(n), n, kind))
+    for tol in (0.0, 1e-9):
+        reference = check_axioms_reference(game, tol)
+        assert check_axioms(game, tol).to_dict() == reference.to_dict()
+        # the scan alone, which check_axioms skips on a certified game
+        witness = reference.witnesses.get("superadditive")
+        want = None if witness is None else tuple(c.mask for c in witness)
+        assert games._superadditivity_violation(game.table(), tol) == want
 
 
 @st.composite
