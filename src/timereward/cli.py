@@ -244,7 +244,6 @@ def _cmd_rewards(args) -> int:
         shapley_scheme,
         time_valuation_scheme,
     )
-    from .rewards import scale_rewards
 
     if args.beta is not None and args.scheme != "cumulation":
         raise ValueError("--beta is only valid with --scheme cumulation")
@@ -264,15 +263,14 @@ def _cmd_rewards(args) -> int:
         scheme = shapley_scheme()
 
     rewards, report = full_incentive_report(game, times, scheme, args.tol)
-    scaled = scale_rewards(game, rewards)
     doc = {
         "scheme": scheme.name,
         "param": scheme.param,
         "times": list(times.times),
-        "rewards": [float(x) for x in scaled.rewards],
-        "scaled_rewards": [float(x) for x in scaled.scaled],
-        "rho": scaled.rho,
-        "degenerate": scaled.degenerate,
+        "rewards": [float(x) for x in rewards.rewards],
+        "scaled_rewards": [float(x) for x in rewards.scaled],
+        "rho": rewards.rho,
+        "degenerate": rewards.degenerate,
         "n": game.n,
         "grand_value": game.grand_value(),
         "tol": args.tol,
@@ -414,6 +412,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (TimeRewardError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .games import TimeVector
 from .incentives import cumulation_scheme, time_valuation_scheme
-from .rewards import scale_rewards
+from .rewards import _scale
 from .realization import temper
 from .shapley import shapley_exact
 from .synthdata import (
@@ -147,9 +147,8 @@ def run_friedman_experiment(config: FriedmanConfig = FriedmanConfig()) -> Friedm
     cell_mnlp = np.empty_like(reward)
     for k, scheme in enumerate(schemes):
         for j, t1 in enumerate(grid):
-            rewards = scheme(game, TimeVector.of((t1,) + (0,) * (n - 1)))
-            reward[k, j] = rewards.rewards
-            scaled[k, j] = scale_rewards(game, rewards).scaled
+            reward[k, j] = scheme(game, TimeVector.of((t1,) + (0,) * (n - 1))).rewards
+            scaled[k, j] = _scale(game, reward[k, j], phi).scaled
             if not config.with_mnlp:
                 continue
             for p in range(n):

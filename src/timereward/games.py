@@ -168,9 +168,10 @@ class Game:
     exact-enumeration ceiling, a partial game file) give an oracle
     instead: a bitmask -> value map called on every lookup, which
     ``table()`` materializes once.  Give exactly one of the two.
-    ``v(empty) = 0`` is enforced without consulting either.  The fills of
-    that table and of the axiom memo are idempotent, so games are safe
-    to share across threads.
+    ``v(empty) = 0`` is enforced: an oracle is never asked for it, and a
+    table whose entry 0 is not 0 is refused.  The fills of that table
+    and of the axiom memo are idempotent, so games are safe to share
+    across threads.
 
     This module alone decides what a game can be asked: a table above
     MAX_EXACT_PARTIES parties is refused when built, and ``table()`` of
@@ -200,6 +201,8 @@ class Game:
                 raise ValueError("table length must be 2**n")
             arr = np.array(table, dtype=float)
             _require_finite(arr)
+            if arr[0] != 0.0:
+                raise ValueError(f"the empty coalition must have value 0, got {arr[0]}")
             arr.flags.writeable = False
             self._table = arr
 

@@ -14,10 +14,12 @@ precondition.  Party counts above the exact ceiling are refused (by
 need the rewards every party would get had it joined earlier, so they
 take a reward scheme and are reported not_applicable without one.  Every
 scheme gives party i's reward as a function of its own joining time,
-the other times held: cumulation and timeval from one bucketing of
-party i's dividends by the latest joining time of the other members,
-naive and plain Shapley from one Shapley value.  So all of party i's
-counterfactual rewards are one array, and no scheme is re-run.
+the other times held, together with the plain Shapley values:
+cumulation and timeval from one bucketing of party i's dividends by the
+latest joining time of the other members, naive and plain Shapley from
+one Shapley value.  So all of party i's counterfactual rewards are one
+array, no scheme is re-run, and a full report scales the rewards with
+the Shapley values of that same call.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ from .shapley import _coalition_layout, _own_time_reward, naive_time_division, s
 from .rewards import (
     _ability_discount,
     _cumulation_discount,
+    _require_axioms,
+    _scale,
     reward_cumulation,
     reward_time_valuation,
 )
@@ -112,24 +116,30 @@ class RewardScheme:
     """A named, deterministic (game, times) -> rewards closure.
 
     A scheme also gives its own-time reward: own_time(game, times)
-    returns reward(i, t), party i's rewards at an array t of its own
-    joining times with every other time held, and the scheme's rewards
-    at t = t_i.  ``check_temporal`` reads all of party i's
-    counterfactual rewards off one call of it and never runs ``fn``.
+    returns (phi, reward), the plain Shapley values and reward(i, t),
+    party i's rewards at an array t of its own joining times with every
+    other time held; at t = t_i these are the scheme's rewards.
+    ``check_temporal`` reads all of party i's counterfactual rewards off
+    one call of it and never runs ``fn``.
     """
 
     name: str
     param: float | None
     fn: Callable[[Game, TimeVector], RewardVector]
-    own_time: Callable[[Game, TimeVector], Callable[[int, np.ndarray], np.ndarray]]
+    own_time: Callable[[Game, TimeVector], tuple[np.ndarray, Callable[..., np.ndarray]]]
 
     def __call__(self, game: Game, times: TimeVector) -> RewardVector:
         return self.fn(game, times)
 
 
 def _discounted(discount):
-    """The own-time reward of the dividend formula of ``shapley`` under a discount."""
-    return lambda game, times: _own_time_reward(game, times, discount)
+    """The own-time reward of the dividend formula of ``shapley`` under a discount; needs A1, A3."""
+
+    def own_time(game: Game, times: TimeVector):
+        _require_axioms(game)
+        return _own_time_reward(game, times, discount)
+
+    return own_time
 
 
 def cumulation_scheme(beta: float) -> RewardScheme:
@@ -155,7 +165,7 @@ def _from_shapley(share):
 
     def own_time(game: Game, times: TimeVector):
         phi = shapley_exact(game).values
-        return lambda i, t: share(phi[np.asarray(i) - 1], np.asarray(t))
+        return phi, lambda i, t: share(phi[np.asarray(i) - 1], np.asarray(t))
 
     return own_time
 
@@ -314,24 +324,8 @@ def check_static(
     return IncentiveReport(checks)
 
 
-def check_temporal(
-    game: Game,
-    times: TimeVector,
-    scheme: RewardScheme,
-    tol: float = 1e-9,
-) -> IncentiveReport:
-    """Check F7/F8 against the rewards for every earlier joining time.
-
-    For each party i and each t' < t_i, only t_i is changed.  The
-    scheme's own-time reward gives every party's reward at every
-    t' <= t_i in one call; the scheme itself is not run here, so its own
-    preconditions (the axioms cumulation and timeval require) are
-    checked where it runs, as in ``full_incentive_report``.  F7 requires
-    the reward not to drop; F8 requires a rise above STRICT_MARGIN
-    whenever the strict-synergy predicate holds under the counterfactual
-    times, read off each party's synergy time.  Witnesses are listed by
-    party, then by ascending t'.
-    """
+def _sweep(game: Game, times: TimeVector, scheme: RewardScheme, tol: float):
+    """The Shapley values and the F7/F8 report, from one own_time call."""
     _check_tolerance(tol)
     _check_per_party(game.n, times, "times")
     # counted in Python ints: t + 1 wraps in int64 at the top joining time
@@ -342,7 +336,7 @@ def check_temporal(
             "in the F7/F8 sweep, more than one float64 array can hold"
         )
     v = game.table()  # refuses a game above the ceiling even if the scheme never reads it
-    reward = scheme.own_time(game, times)
+    phi, reward = scheme.own_time(game, times)
     # every party at every t' <= t_i in one call, by party, then by ascending t'
     t = times.as_array()
     party = np.repeat(np.arange(1, game.n + 1), t + 1)
@@ -359,9 +353,30 @@ def check_temporal(
         columns = (party[k], t[party[k] - 1], t_new[k], base[k], r[k])
         return IncentiveCheck(int(fired.sum()), list(zip(*(c.tolist() for c in columns))))
 
-    return IncentiveReport(
+    report = IncentiveReport(
         {"F7": check(earlier, r < base - tol), "F8": check(strict, ~(r > base + STRICT_MARGIN))}
     )
+    return phi, report
+
+
+def check_temporal(
+    game: Game,
+    times: TimeVector,
+    scheme: RewardScheme,
+    tol: float = 1e-9,
+) -> IncentiveReport:
+    """Check F7/F8 against the rewards for every earlier joining time.
+
+    For each party i and each t' < t_i, only t_i is changed.  One call
+    of the scheme's own-time function gives every party's reward at
+    every t' <= t_i; it runs the scheme's own preconditions, so
+    cumulation and timeval refuse a game failing A1 or A3 with
+    AxiomViolation.  F7 requires the reward not to drop; F8 requires a
+    rise above STRICT_MARGIN whenever the strict-synergy predicate holds
+    under the counterfactual times, read off each party's synergy time.
+    Witnesses are listed by party, then by ascending t'.
+    """
+    return _sweep(game, times, scheme, tol)[1]
 
 
 def full_incentive_report(
@@ -370,10 +385,14 @@ def full_incentive_report(
     scheme: RewardScheme,
     tol: float = 1e-9,
 ) -> tuple[RewardVector, IncentiveReport]:
-    """Run a scheme and check all eight incentives against its rewards."""
-    rewards = scheme(game, times)
+    """Run a scheme, check all eight incentives, and scale the rewards as ``scale_rewards``.
+
+    The Shapley values behind rho come from the F7/F8 own-time call.
+    """
+    r = scheme(game, times)
+    phi, temporal = _sweep(game, times, scheme, tol)
+    rewards = _scale(game, r.rewards, phi)
     static = check_static(game, times, rewards, tol)
-    temporal = check_temporal(game, times, scheme, tol)
     return rewards, IncentiveReport({**static.checks, **temporal.checks})
 
 

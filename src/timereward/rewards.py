@@ -142,7 +142,7 @@ def reward_cumulation(game: Game, times: TimeVector, beta: float) -> RewardVecto
     """
     _check_per_party(game.n, times, "times")
     _require_axioms(game)
-    reward = _own_time_reward(game, times, _cumulation_discount(beta))
+    _, reward = _own_time_reward(game, times, _cumulation_discount(beta))
     return RewardVector(reward(np.arange(1, game.n + 1), times.as_array()))
 
 
@@ -204,7 +204,7 @@ def reward_time_valuation(game: Game, times: TimeVector, gamma: float) -> Reward
     """
     _check_per_party(game.n, times, "times")
     _require_axioms(game)
-    reward = _own_time_reward(game, times, _ability_discount(gamma))
+    _, reward = _own_time_reward(game, times, _ability_discount(gamma))
     return RewardVector(reward(np.arange(1, game.n + 1), times.as_array()))
 
 
@@ -216,9 +216,18 @@ def scale_rewards(game: Game, rewards: RewardVector) -> RewardVector:
     the game itself is null, scaling is undefined: the rewards are
     returned unchanged, as scaled rewards with no rho (degenerate).
     """
-    r = rewards.rewards
+    return _scale(game, rewards.rewards, shapley_exact(game).values)
+
+
+def _scale(game: Game, r: np.ndarray, phi) -> RewardVector:
+    """Rewards r scaled by rho = v(N) / max phi, phi the plain Shapley values.
+
+    The rule of ``scale_rewards``, for callers that already hold phi.
+    """
     _check_per_party(game.n, r, "rewards")
-    phi = shapley_exact(game).values
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (game.n,):
+        raise ValueError(f"phi has shape {phi.shape}, not ({game.n},)")
     top = float(phi.max())
     if top <= 0.0 or not np.any(r != 0.0):
         return RewardVector(r, scaled=r.copy())

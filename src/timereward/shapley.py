@@ -11,7 +11,8 @@ D = 1; the time-aware schemes in ``rewards`` choose other discounts D.
 u of T's other members, at O(n 2**n) cost.  As t_T = max(t_i, u), that
 one bucketing gives party i's reward at any joining time of its own,
 the other times held (``_own_time_reward``): the scheme's rewards, the
-per-interval values and every F7/F8 counterfactual.  The Monte-Carlo
+per-interval values and every F7/F8 counterfactual.  Summed over u it
+gives plain Shapley, so one pass yields both.  The Monte-Carlo
 path is the unbiased permutation-sampling estimator: each sampled
 permutation credits every party its marginal contribution over its
 predecessors.
@@ -100,15 +101,17 @@ def _dividend_shares(game: Game, times: TimeVector) -> tuple[np.ndarray, np.ndar
 
 
 def _own_time_reward(game: Game, times: TimeVector, discount):
-    """Each party's reward as a function of its own joining time, the other times held.
+    """Plain Shapley values, and each party's reward as a function of its own joining time.
 
     discount(latest, horizon) maps the joining times of dividends'
     latest members, and the latest joining time of all parties, to the
-    dividends' discounts D; both broadcast.  Returns reward(i, t), party
-    i's rewards v({i}) + sum over u of s_i[u] * D(max(t, u), max(t, o_i))
-    at the joining times t, with o_i the latest time of the others.
-    i and t broadcast together, so reward(arange(1, n + 1), times) gives
-    every party's reward at the real times.
+    dividends' discounts D; both broadcast.  Returns (phi, reward) from
+    one dividend pass: phi_i = v({i}) + sum over u of s_i[u], and
+    reward(i, t), party i's rewards v({i}) + sum over u of
+    s_i[u] * D(max(t, u), max(t, o_i)) at the joining times t, the other
+    times held, with o_i the latest time of the others.  i and t
+    broadcast together, so reward(arange(1, n + 1), times) gives every
+    party's reward at the real times.
     """
     u, shares = _dividend_shares(game, times)
     singles = game.singleton_values()
@@ -122,7 +125,7 @@ def _own_time_reward(game: Game, times: TimeVector, discount):
         d = discount(np.maximum(t_own, u), np.maximum(t_own, others[p][..., None]))
         return singles[p] + (shares[p] * d).sum(axis=-1)
 
-    return reward
+    return singles + shares.sum(axis=1), reward
 
 
 def shapley_exact(game: Game) -> ShapleyResult:

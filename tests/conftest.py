@@ -1,9 +1,9 @@
-"""Shared fixtures: the two counterexample games and random generators."""
+"""Shared fixtures: the two counterexample games, random generators, a pass counter."""
 
 import numpy as np
 import pytest
 
-from timereward import Game, TimeVector, make_table_game
+from timereward import Game, TimeVector, make_table_game, shapley
 
 
 @pytest.fixture
@@ -43,3 +43,16 @@ def random_monotone_submodular(rng: np.random.Generator, n: int) -> Game:
         total = sum(weights[i] for i in range(n) if mask >> i & 1)
         table[mask] = total**alpha
     return Game(n, table=table)
+
+
+def count_dividend_passes(monkeypatch) -> list:
+    """Wrap ``shapley._dividend_shares``; the list gets the times of every pass."""
+    passes = []
+    inner = shapley._dividend_shares
+
+    def counted(game, times):
+        passes.append(times)
+        return inner(game, times)
+
+    monkeypatch.setattr(shapley, "_dividend_shares", counted)
+    return passes

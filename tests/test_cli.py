@@ -8,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from conftest import count_dividend_passes
 from timereward import cli, save_game_json
 from timereward.cli import (
     EXIT_CHECK_FAILED,
@@ -139,6 +140,25 @@ class TestRewardsCommand:
             f"error: joining times {late}, 0 need {late + 2} rewards in the F7/F8 sweep, "
             "more than one float64 array can hold\n"
         )
+
+    def test_sweep_allocation_failure_exits_1(self, ir_game_file, capsys):
+        # within the one-array bound, but the 8 EiB sweep cannot be
+        # allocated: it used to end in a MemoryError traceback
+        late = 2**60 - 3
+        args = ["rewards", "--game", ir_game_file, "--scheme", "naive", "--times", f"{late},0"]
+        assert main(args) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory: ")
+
+    @pytest.mark.parametrize("scheme", ["cumulation", "timeval", "naive", "shapley"])
+    def test_two_dividend_passes_per_run(self, scheme, ir_game_file, monkeypatch, capsys):
+        # the scheme's rewards, then the F7/F8 sweep, which also gives rho
+        passes = count_dividend_passes(monkeypatch)
+        assert main(["rewards", "--game", ir_game_file, "--scheme", scheme]) in (
+            EXIT_OK, EXIT_CHECK_FAILED
+        )
+        assert len(passes) == 2
 
     def test_missing_file_is_an_error(self, tmp_path):
         assert main(

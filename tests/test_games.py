@@ -106,6 +106,10 @@ class TestTableGame:
     def test_nonzero_empty_rejected(self):
         with pytest.raises(InvalidCoalitionKey):
             make_table_game(2, {"": 0.5, "1": 0.1, "2": 0.1, "1,2": 1.0})
+        # every table reduction reads entry 0: this game's Shapley values
+        # came out as [3.25, 3.25], summing to 6.5, not v(N) = 1.5
+        with pytest.raises(ValueError, match="empty coalition must have value 0, got 5.0"):
+            Game(2, table=[5.0, 1.0, 1.0, 1.5])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_values_rejected(self, bad):
@@ -471,7 +475,7 @@ ZERO_SCHEME = RewardScheme(
     "zero",
     None,
     lambda g, t: RewardVector(np.zeros(g.n)),
-    lambda g, t: lambda i, t_own: np.zeros(np.broadcast(i, t_own).shape),
+    lambda g, t: (np.zeros(g.n), lambda i, t_own: np.zeros(np.broadcast(i, t_own).shape)),
 )
 
 # Every exact public entry point as a call on (game, times); games.py

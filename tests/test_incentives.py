@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_times
+from conftest import count_dividend_passes, random_times
 from timereward import (
+    AxiomViolation,
     Game,
     PreconditionViolated,
     RewardVector,
@@ -267,6 +268,48 @@ class TestCheckTemporal:
         assert report.to_dict() == check_temporal(ir_counterexample, late_first, scheme).to_dict()
         assert report.checks["F7"].instances == 4
 
+    @pytest.mark.parametrize(
+        "scheme",
+        [cumulation_scheme(1.0), time_valuation_scheme(1.0), shapley_scheme(), naive_scheme()],
+        ids=["cumulation", "timeval", "shapley", "naive"],
+    )
+    def test_two_dividend_passes_per_report(self, scheme, ir_counterexample, late_first, monkeypatch):
+        # one for the scheme's rewards, one for every F7/F8 counterfactual
+        # and the Shapley values behind rho; a report plus scale_rewards
+        # used to make three
+        passes = count_dividend_passes(monkeypatch)
+        rewards, report = full_incentive_report(ir_counterexample, late_first, scheme)
+        assert len(passes) == 2
+        assert report.checks["F7"].instances == 4
+        assert rewards.rho is not None
+
+    @staticmethod
+    def _with_phi(phi):
+        base = shapley_scheme()
+        return replace(base, own_time=lambda g, t: (phi, base.own_time(g, t)[1]))
+
+    @pytest.mark.parametrize("phi", [np.ones(3), np.ones((2, 1)), np.float64(1.0)])
+    def test_own_time_shapley_values_of_another_shape_are_refused(
+        self, phi, ir_counterexample, late_first
+    ):
+        with pytest.raises(ValueError, match="phi has shape"):
+            full_incentive_report(ir_counterexample, late_first, self._with_phi(phi))
+
+    def test_own_time_shapley_values_may_be_a_list(self, ir_counterexample, late_first):
+        rewards, _ = full_incentive_report(ir_counterexample, late_first, self._with_phi([1.0, 0.5]))
+        assert rewards.rho == ir_counterexample.grand_value()
+
+    @pytest.mark.parametrize(
+        "scheme", [cumulation_scheme(1.0), time_valuation_scheme(1.0)], ids=["cumulation", "timeval"]
+    )
+    @pytest.mark.parametrize(
+        "values,axiom",
+        [({"1": -0.1, "2": 0.2, "1,2": 1.0}, "A1"), ({"1": 0.6, "2": 0.6, "1,2": 1.0}, "A3")],
+    )
+    def test_axioms_gate_the_sweep(self, scheme, values, axiom, late_first):
+        with pytest.raises(AxiomViolation, match=f"game fails {axiom}"):
+            check_temporal(make_table_game(2, values), late_first, scheme)
+
 
     @pytest.mark.parametrize(
         "scheme",
@@ -282,7 +325,8 @@ class TestCheckTemporal:
         assert report.checks["F7"].instances == 100003
         base = scheme(g, times).rewards[0]
         sampled = [0, 1, 40, 1000, 50_000, 99_999]
-        own_time = scheme.own_time(g, times)(1, np.array(sampled))
+        _, reward = scheme.own_time(g, times)
+        own_time = reward(1, np.array(sampled))
         witnesses = {
             w[2]: w for key in ("F7", "F8") for w in report.checks[key].witnesses if w[0] == 1
         }

@@ -15,6 +15,9 @@ The batched F7/F8 counterfactuals of cumulation, timeval, plain
 Shapley and naive are held to the scheme re-run per counterfactual: the same
 statuses, instance counts and witness order, and witness rewards equal
 to 1e-12 relative to max(1, v(N)).
+A full report's rewards are the scheme's bit for bit; its rho and
+scaled rewards are those of ``scale_rewards`` to 1e-12 relative, and
+exactly at all-equal joining times and for naive and plain Shapley.
 The axiom and incentive reports must equal the submask-loop references
 exactly, witnesses and tie-breaks included, on tables with many ties,
 and on convex, large-magnitude, superadditive-but-not-convex and
@@ -51,6 +54,7 @@ from timereward import (
     check_temporal,
     conditional_ig_game,
     cumulation_scheme,
+    full_incentive_report,
     gp_ig,
     ig_game,
     interval_shapley_values,
@@ -58,6 +62,7 @@ from timereward import (
     necessity_predicate,
     reward_cumulation,
     reward_time_valuation,
+    scale_rewards,
     select_subset,
     shapley_exact,
     shapley_scheme,
@@ -163,6 +168,30 @@ def test_batched_counterfactual_edge_cases(times, scheme):
     # party 3 is the only latest party in the first case: moving it
     # earlier shrinks the cumulation horizon
     assert_temporal_matches_reruns(dividend_game(4, 11, False), TimeVector.of(times), scheme)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(temporal_cases())
+def test_report_rewards_are_the_schemes(case):
+    """The report's rewards are the scheme's bit for bit, and its scaling that of scale_rewards.
+
+    rho takes the Shapley values from the report's own dividend pass,
+    summed by bucket of joining times: within 1e-12 relative of
+    ``scale_rewards``, and equal to it when one bucket holds everything
+    or when the scheme takes them from ``shapley_exact`` itself.
+    """
+    game, times, scheme = case
+    got, _ = full_incentive_report(game, times, scheme)
+    direct = scheme(game, times)
+    assert got.rewards.tobytes() == direct.rewards.tobytes()
+    want = scale_rewards(game, direct)
+    assert (got.rho is None) == (want.rho is None)
+    if len(set(times.times)) == 1 or scheme.name in ("naive", "shapley"):
+        assert got.rho == want.rho
+        assert got.scaled.tobytes() == want.scaled.tobytes()
+    elif want.rho is not None:
+        assert abs(got.rho - want.rho) <= RTOL * want.rho
+        assert np.max(np.abs(got.scaled - want.scaled)) <= RTOL * np.max(np.abs(want.scaled))
 
 
 @st.composite

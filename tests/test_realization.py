@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import count_dividend_passes
 from timereward import (
     GpModel,
     TargetOutOfRange,
@@ -291,13 +292,13 @@ def test_trend_check_witnesses(monkeypatch):
     witness order covers the stable t1 sort, each t1 = 0 entry, and one
     entry per (scheme, param) column even when two columns coincide.
     """
-    scale = experiment.scale_rewards
+    scale = experiment._scale
 
-    def flipped(game, rewards):
-        scaled = scale(game, rewards)
+    def flipped(game, rewards, phi):
+        scaled = scale(game, rewards, phi)
         return dataclasses.replace(scaled, scaled=-0.5 * scaled.scaled)
 
-    monkeypatch.setattr(experiment, "scale_rewards", flipped)
+    monkeypatch.setattr(experiment, "_scale", flipped)
     result = run_friedman_experiment(
         FriedmanConfig(
             count=60, sizes=(24, 14, 6), seed=0, t1_grid=(2, 0, 1, 0),
@@ -343,6 +344,16 @@ def test_trend_check_witnesses(monkeypatch):
     ]
     # the CLI writes each entry with str(), so no numpy scalars
     assert {type(x) for ws in w.values() for witness in ws for x in witness} == {str, int, float}
+
+
+def test_one_dividend_pass_per_sweep_cell(monkeypatch):
+    # one for the Shapley values, then one per (scheme, t1) cell; each
+    # cell used to run a second one to scale its rewards
+    passes = count_dividend_passes(monkeypatch)
+    run_friedman_experiment(
+        FriedmanConfig(count=60, sizes=(24, 14, 6), t1_grid=(0, 2, 1), betas=(1.0,), gammas=(0.5,))
+    )
+    assert len(passes) == 1 + 2 * 3
 
 
 def test_write_rows_csv_golden(tmp_path):
