@@ -5,8 +5,11 @@ Exit codes: 0 = success, 1 = usage, I/O or validation error, 2 = a
 check failed (an incentive, axiom, or experiment trend), so CI can
 assert that the naive baseline fails and the time-aware schemes pass.
 
-Environment: TIMEREWARD_SEED supplies the default seed; TIMEREWARD_THREADS
-caps BLAS thread counts (applied before numeric imports).
+A flag the chosen command or method would not read is refused with
+exit 1 rather than ignored.  TIMEREWARD_SEED supplies the default seed.
+BLAS thread counts follow the standard OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS, which must be set before the
+process starts: importing timereward loads numpy.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ REWARD_REPORT_SCHEMA = {
                         "status": {"enum": ["pass", "fail", "not_applicable"]},
                         "instances": {"type": "integer", "minimum": 0},
                         "witnesses": {"type": "array"},
+                        "witness_count": {"type": "integer", "minimum": 0},
                         "skipped": {"type": "array"},
                     },
                 }
@@ -86,21 +90,14 @@ REALIZATION_REPORT_SCHEMA = {
 }
 
 
-def _ascii_digits(raw: str) -> bool:
-    """True for a non-empty run of ASCII digits; str.isdigit alone also takes "²" and "١"."""
-    return raw.isascii() and raw.isdigit()
-
-
-def _apply_thread_env():
-    threads = os.environ.get("TIMEREWARD_THREADS", "")
-    if _ascii_digits(threads):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
-
 def _default_seed() -> int:
+    """TIMEREWARD_SEED if it is ASCII digits after at most one "-", else 0.
+
+    str.isdigit alone also takes "²" and "١", which int() then refuses.
+    """
     raw = os.environ.get("TIMEREWARD_SEED", "")
-    return int(raw) if _ascii_digits(raw.removeprefix("-")) else 0
+    digits = raw.removeprefix("-")
+    return int(raw) if digits.isascii() and digits.isdigit() else 0
 
 
 def _write_atomic(path: str, write):
@@ -172,6 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rewards", help="compute rewards and check incentives")
+    p.set_defaults(handler=_cmd_rewards)
     p.add_argument("--game", required=True, help="game JSON file")
     p.add_argument(
         "--times", type=_int_list, help="comma-separated joining times (overrides the file)"
@@ -183,17 +181,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="report JSON path (stdout when omitted)")
 
     p = sub.add_parser("check", help="run the axiom checks on a game file")
+    p.set_defaults(handler=_cmd_check)
     p.add_argument("--game", required=True)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out")
 
     p = sub.add_parser("shapley", help="exact or Monte-Carlo Shapley values")
+    p.set_defaults(handler=_cmd_shapley)
     p.add_argument("--game", required=True)
     p.add_argument("--permutations", type=int, help="use Monte-Carlo estimation")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
 
     p = sub.add_parser("gen", help="generate a synthetic dataset CSV")
+    p.set_defaults(handler=_cmd_gen)
     p.add_argument("dataset", choices=["friedman"])
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--noise-std", type=float, default=1.0)
@@ -202,6 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV path")
 
     p = sub.add_parser("realize", help="realize a target reward value")
+    p.set_defaults(handler=_cmd_realize)
     p.add_argument("--method", required=True, choices=["temper", "subset"])
     p.add_argument("--game", help="table game JSON (subset method)")
     p.add_argument("--data", help="dataset CSV (GP-backed methods)")
@@ -213,6 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("experiment-friedman", help="end-to-end Friedman sweep")
+    p.set_defaults(handler=_cmd_experiment)
     p.add_argument("--seed", type=int)
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--sizes", type=_int_list, default="300,300,200")
@@ -226,17 +229,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_game_and_times(args):
-    from .games import TimeVector, load_game_json
-
-    game, times = load_game_json(args.game)
-    if getattr(args, "times", None):
-        times = TimeVector.of(args.times).normalize()
-    return game, times
-
-
 def _cmd_rewards(args) -> int:
-    from .games import TimeVector
+    from .games import TimeVector, load_game_json
     from .incentives import (
         cumulation_scheme,
         full_incentive_report,
@@ -250,8 +244,10 @@ def _cmd_rewards(args) -> int:
     if args.gamma is not None and args.scheme != "timeval":
         raise ValueError("--gamma is only valid with --scheme timeval")
 
-    game, times = _load_game_and_times(args)
-    if times is None:
+    game, times = load_game_json(args.game)
+    if args.times is not None:
+        times = TimeVector.of(args.times).normalize()
+    elif times is None:
         times = TimeVector.of([0] * game.n)
     if args.scheme == "cumulation":
         scheme = cumulation_scheme(1.0 if args.beta is None else args.beta)
@@ -293,6 +289,8 @@ def _cmd_shapley(args) -> int:
     from .games import load_game_json
     from .shapley import shapley_exact, shapley_mc
 
+    if args.seed is not None and args.permutations is None:
+        raise ValueError("--seed is only valid with --permutations")
     game, _ = load_game_json(args.game)
     if args.permutations is not None:
         seed = args.seed if args.seed is not None else _default_seed()
@@ -329,6 +327,10 @@ def _cmd_realize(args) -> int:
 
     if args.tol is not None and args.method != "temper":
         raise ValueError("--tol is only valid with --method temper")
+    if args.game is not None and args.method != "subset":
+        raise ValueError("--game is only valid with --method subset")
+    if args.game is not None and (args.data is not None or args.gp_config is not None):
+        raise ValueError("--data and --gp-config are not read with --game")
     seed = args.seed if args.seed is not None else _default_seed()
 
     def gp_source():
@@ -348,8 +350,7 @@ def _cmd_realize(args) -> int:
             "flags": [],
         }
     else:
-        source = None
-        if args.game:
+        if args.game is not None:
             from .games import load_game_json
 
             source, _ = load_game_json(args.game)
@@ -396,20 +397,11 @@ def _cmd_experiment(args) -> int:
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "rewards": _cmd_rewards,
-        "check": _cmd_check,
-        "shapley": _cmd_shapley,
-        "gen": _cmd_gen,
-        "realize": _cmd_realize,
-        "experiment-friedman": _cmd_experiment,
-    }
     from .errors import TimeRewardError
 
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (TimeRewardError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -67,6 +67,9 @@ __all__ = [
 ]
 
 STRICT_MARGIN = 1e-12
+# A report lists at most this many witnesses of a check, above the
+# C(24, 2) = 276 pairs of F3/F4/F6, so only a long F7/F8 sweep is cut.
+MAX_REPORTED_WITNESSES = 1000
 
 
 @dataclass
@@ -84,9 +87,12 @@ class IncentiveCheck:
         return "fail" if self.witnesses else "pass"
 
     def to_dict(self) -> dict:
+        """The first MAX_REPORTED_WITNESSES witnesses, with witness_count if cut."""
         out = {"status": self.status, "instances": self.instances}
         if self.witnesses:
-            out["witnesses"] = self.witnesses
+            out["witnesses"] = self.witnesses[:MAX_REPORTED_WITNESSES]
+            if len(self.witnesses) > MAX_REPORTED_WITNESSES:
+                out["witness_count"] = len(self.witnesses)
         if self.skipped:
             out["skipped"] = self.skipped
         return out

@@ -171,6 +171,25 @@ class TestRewardsCommand:
         doc = json.loads(out.read_text())
         assert json.loads(json.dumps(doc)) == doc
 
+    def test_long_f8_witness_list_is_cut_to_1000(self, tmp_path):
+        # listing all 99,962 F8 witnesses used to write a 9.8 MB report
+        from timereward import TimeVector, check_temporal, cumulation_scheme, load_game_json
+
+        path = tmp_path / "game.json"
+        save_game_json(path, 2, {"1": 0.2, "2": 0.2, "1,2": 1.0})
+        out = tmp_path / "long.json"
+        args = ["--scheme", "cumulation", "--beta", "0.5", "--times", "100000,0"]
+        assert main(["rewards", "--game", str(path), *args, "--out", str(out)]) == EXIT_CHECK_FAILED
+        assert out.stat().st_size < 200_000
+        doc = json.loads(out.read_text())
+        jsonschema.validate(doc, REWARD_REPORT_SCHEMA)
+        game, _ = load_game_json(path)
+        report = check_temporal(game, TimeVector.of([100000, 0]), cumulation_scheme(0.5))
+        witnesses = report.checks["F8"].witnesses
+        f8 = doc["incentive_report"]["F8"]
+        assert f8["witnesses"] == [list(w) for w in witnesses[:1000]]
+        assert f8["witness_count"] == len(witnesses)
+
 
 class TestCheckCommand:
     def test_good_game(self, ir_game_file):
@@ -293,6 +312,14 @@ class TestShapleyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: permutations")
 
+    def test_seed_without_permutations_exits_1(self, ir_game_file, tmp_path, capsys):
+        # exact values draw nothing: the seed used to be ignored
+        out = tmp_path / "shapley.json"
+        code = main(["shapley", "--game", ir_game_file, "--seed", "5", "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: --seed is only valid with --permutations\n"
+
 
 class TestAtomicOutput:
     """A writer that fails midway leaves the old file as it was and no temp file."""
@@ -403,14 +430,6 @@ class TestGenCommand:
         assert code == EXIT_ERROR
         assert not path.exists()
         assert capsys.readouterr().err.startswith("error: noise_std must be finite and >= 0")
-
-
-@pytest.mark.parametrize("raw,applied", [("2", True), ("²", False), ("١", False), ("", False)])
-def test_thread_env_takes_ascii_digits_only(raw, applied, monkeypatch):
-    env = {"TIMEREWARD_THREADS": raw}
-    monkeypatch.setattr(cli.os, "environ", env)
-    cli._apply_thread_env()
-    assert env.get("OMP_NUM_THREADS") == (raw if applied else None)
 
 
 class TestRealizeCommand:
@@ -637,6 +656,35 @@ class TestRealizeCommand:
         assert not out.exists()
         assert "--tol" in capsys.readouterr().err
 
+    def test_temper_rejects_game(self, gp_files, ir_game_file, tmp_path, capsys):
+        # tempering reads only the GP data: --game used to be ignored
+        csv_path, _ = gp_files
+        out = tmp_path / "real.json"
+        code = main(
+            [
+                "realize", "--method", "temper", "--game", ir_game_file, "--data", csv_path,
+                "--party", "1", "--target", "10", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: --game is only valid with --method subset\n"
+
+    def test_subset_game_rejects_data_and_gp_config(self, ir_game_file, tmp_path, capsys):
+        # the table game is the source: the two paths used to be ignored unread
+        out = tmp_path / "real.json"
+        code = main(
+            [
+                "realize", "--method", "subset", "--game", ir_game_file,
+                "--data", str(tmp_path / "missing.csv"),
+                "--gp-config", str(tmp_path / "missing.json"),
+                "--party", "1", "--target", "0.2", "--seed", "0", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: --data and --gp-config are not read with --game\n"
+
     @pytest.mark.parametrize("method", ["temper", "subset"])
     def test_gp_party_without_points_exits_1(self, method, tmp_path, capsys):
         from timereward.synthdata import Dataset, save_dataset_csv
@@ -713,6 +761,23 @@ class TestExperimentCommand:
         ]
         # 4 columns x 3 times x 3 parties
         assert len(lines) - 1 == 4 * 3 * 3
+
+    def test_flag_defaults_are_the_config_defaults(self, tmp_path, monkeypatch):
+        from timereward import experiment
+
+        class Stop(Exception):
+            pass
+
+        def capture(config):
+            seen.append(config)
+            raise Stop
+
+        seen = []
+        monkeypatch.delenv("TIMEREWARD_SEED", raising=False)
+        monkeypatch.setattr(experiment, "run_friedman_experiment", capture)
+        with pytest.raises(Stop):
+            main(["experiment-friedman", "--out-csv", str(tmp_path / "sweep.csv")])
+        assert seen == [experiment.FriedmanConfig()]
 
     @pytest.mark.parametrize(
         "flag,value,message",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import count_dividend_passes, random_times
+from timereward.incentives import IncentiveCheck
 from timereward import (
     AxiomViolation,
     Game,
@@ -379,6 +380,14 @@ class TestFullReport:
         doc = report.to_dict()
         assert set(doc) == {f"F{k}" for k in range(1, 9)}
         assert all("status" in v and "instances" in v for v in doc.values())
+
+    @pytest.mark.parametrize("count", [1000, 1001])
+    def test_to_dict_lists_at_most_1000_witnesses(self, count):
+        check = IncentiveCheck(instances=count, witnesses=list(range(count)))
+        doc = check.to_dict()
+        assert doc["witnesses"] == list(range(1000))
+        assert doc.get("witness_count") == (count if count > 1000 else None)
+        assert len(check.witnesses) == count
 
     @pytest.mark.parametrize(
         "scheme",
