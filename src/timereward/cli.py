@@ -6,7 +6,8 @@ check failed (an incentive, axiom, or experiment trend), so CI can
 assert that the naive baseline fails and the time-aware schemes pass.
 
 A flag the chosen command or method would not read is refused with
-exit 1 rather than ignored.  TIMEREWARD_SEED supplies the default seed.
+exit 1 rather than ignored.  Every seed is --seed, 0 when not given.
+The parser is built on the first main() call and reused by later ones.
 BLAS thread counts follow the standard OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS, which must be set before the
 process starts: importing timereward loads numpy.
@@ -15,10 +16,23 @@ process starts: importing timereward loads numpy.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import tempfile
+from dataclasses import fields
+
+from .errors import TimeRewardError
+from .games import TimeVector, check_axioms, load_game_json
+from .incentives import (
+    cumulation_scheme,
+    full_incentive_report,
+    naive_scheme,
+    shapley_scheme,
+    time_valuation_scheme,
+)
+from .shapley import shapley_exact, shapley_mc
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -90,16 +104,6 @@ REALIZATION_REPORT_SCHEMA = {
 }
 
 
-def _default_seed() -> int:
-    """TIMEREWARD_SEED if it is ASCII digits after at most one "-", else 0.
-
-    str.isdigit alone also takes "²" and "١", which int() then refuses.
-    """
-    raw = os.environ.get("TIMEREWARD_SEED", "")
-    digits = raw.removeprefix("-")
-    return int(raw) if digits.isascii() and digits.isdigit() else 0
-
-
 def _write_atomic(path: str, write):
     """Have write(fd) fill a temp file beside path, then rename it over path.
 
@@ -138,13 +142,13 @@ def _emit(doc: dict, out: str | None):
 
 
 def _list_of(item):
-    """An argparse type for a comma-separated list with no empty item."""
+    """An argparse type for a comma-separated tuple with no empty item."""
 
-    def parse(raw: str) -> list:
+    def parse(raw: str) -> tuple:
         tokens = raw.split(",")
         if not all(tok.strip() for tok in tokens):
             raise argparse.ArgumentTypeError(f"empty item in the list {raw!r}")
-        return [item(tok) for tok in tokens]
+        return tuple(item(tok) for tok in tokens)
 
     parse.__name__ = f"comma-separated {item.__name__}"
     return parse
@@ -161,7 +165,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The six-command parser; built once, since parse_args leaves it unchanged."""
     parser = _Parser(
         prog="timereward",
         description="Time-aware reward values for collaborative data sharing.",
@@ -190,7 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_shapley)
     p.add_argument("--game", required=True)
     p.add_argument("--permutations", type=int, help="use Monte-Carlo estimation")
-    p.add_argument("--seed", type=int)
+    # None when not given, so a command that draws nothing can refuse it
+    p.add_argument("--seed", type=int, help="Monte-Carlo seed (default 0)")
     p.add_argument("--out")
 
     p = sub.add_parser("gen", help="generate a synthetic dataset CSV")
@@ -198,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", choices=["friedman"])
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--noise-std", type=float, default=1.0)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sizes", type=_int_list, help="comma-separated per-party sizes to partition")
     p.add_argument("--out", required=True, help="CSV path")
 
@@ -210,19 +217,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gp-config", help="GP config JSON")
     p.add_argument("--party", type=int, required=True)
     p.add_argument("--target", type=float, required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="subset shuffle seed (method=subset only; 0)")
     p.add_argument("--tol", type=float, help="bisection tolerance (method=temper only; 1e-6)")
     p.add_argument("--out")
 
+    # each sweep flag is named after its FriedmanConfig field and left out
+    # of the namespace when not given, so the config's defaults apply
     p = sub.add_parser("experiment-friedman", help="end-to-end Friedman sweep")
     p.set_defaults(handler=_cmd_experiment)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--sizes", type=_int_list, default="300,300,200")
-    p.add_argument("--t1-grid", type=_int_list, default="0,1,2,3,4")
-    p.add_argument("--betas", type=_float_list, default="0.5,1,2,1000")
-    p.add_argument("--gammas", type=_float_list, default="0,0.5,1")
-    p.add_argument("--mnlp", action="store_true", help="also realize rewards and report MNLP")
+    unset = argparse.SUPPRESS
+    p.add_argument("--seed", type=int, default=unset)
+    p.add_argument("--count", type=int, default=unset)
+    p.add_argument("--sizes", type=_int_list, default=unset)
+    p.add_argument("--t1-grid", type=_int_list, default=unset)
+    p.add_argument("--betas", type=_float_list, default=unset)
+    p.add_argument("--gammas", type=_float_list, default=unset)
+    p.add_argument(
+        "--mnlp", dest="with_mnlp", action="store_true", default=unset,
+        help="also realize rewards and report MNLP",
+    )
     p.add_argument("--out-csv", required=True, help="tidy sweep CSV path")
     p.add_argument("--out", help="summary JSON path")
 
@@ -230,15 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_rewards(args) -> int:
-    from .games import TimeVector, load_game_json
-    from .incentives import (
-        cumulation_scheme,
-        full_incentive_report,
-        naive_scheme,
-        shapley_scheme,
-        time_valuation_scheme,
-    )
-
     if args.beta is not None and args.scheme != "cumulation":
         raise ValueError("--beta is only valid with --scheme cumulation")
     if args.gamma is not None and args.scheme != "timeval":
@@ -277,8 +281,6 @@ def _cmd_rewards(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .games import check_axioms, load_game_json
-
     game, _ = load_game_json(args.game)
     report = check_axioms(game, args.tol)
     _emit(report.to_dict(), args.out)
@@ -286,15 +288,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_shapley(args) -> int:
-    from .games import load_game_json
-    from .shapley import shapley_exact, shapley_mc
-
     if args.seed is not None and args.permutations is None:
         raise ValueError("--seed is only valid with --permutations")
     game, _ = load_game_json(args.game)
     if args.permutations is not None:
-        seed = args.seed if args.seed is not None else _default_seed()
-        result = shapley_mc(game, args.permutations, seed)
+        result = shapley_mc(game, args.permutations, args.seed or 0)
     else:
         result = shapley_exact(game)
     doc = {
@@ -312,10 +310,9 @@ def _cmd_shapley(args) -> int:
 def _cmd_gen(args) -> int:
     from .synthdata import gen_friedman, partition, save_dataset_csv
 
-    seed = args.seed if args.seed is not None else _default_seed()
-    data = gen_friedman(args.count, args.noise_std, seed)
+    data = gen_friedman(args.count, args.noise_std, args.seed)
     if args.sizes:
-        data = partition(data, args.sizes, seed + 1)
+        data = partition(data, args.sizes, args.seed + 1)
     _write_atomic(args.out, lambda fd: save_dataset_csv(data, fd))
     return EXIT_OK
 
@@ -329,9 +326,10 @@ def _cmd_realize(args) -> int:
         raise ValueError("--tol is only valid with --method temper")
     if args.game is not None and args.method != "subset":
         raise ValueError("--game is only valid with --method subset")
+    if args.seed is not None and args.method != "subset":
+        raise ValueError("--seed is only valid with --method subset")
     if args.game is not None and (args.data is not None or args.gp_config is not None):
         raise ValueError("--data and --gp-config are not read with --game")
-    seed = args.seed if args.seed is not None else _default_seed()
 
     def gp_source():
         if not args.data:
@@ -343,6 +341,7 @@ def _cmd_realize(args) -> int:
     if args.method == "temper":
         tol = {} if args.tol is None else {"tol": args.tol}
         result = temper(gp_source(), args.party, args.target, **tol)
+        seed = None
         record = {
             "kappa": result.kappa,
             "achieved": result.achieved_value,
@@ -350,12 +349,8 @@ def _cmd_realize(args) -> int:
             "flags": [],
         }
     else:
-        if args.game is not None:
-            from .games import load_game_json
-
-            source, _ = load_game_json(args.game)
-        else:
-            source = gp_source()
+        source = load_game_json(args.game)[0] if args.game is not None else gp_source()
+        seed = args.seed or 0
         result = select_subset(source, args.party, args.target, seed)
         record = {
             "selected": [int(k) for k in result.selected],
@@ -371,20 +366,14 @@ def _cmd_realize(args) -> int:
 def _cmd_experiment(args) -> int:
     from .experiment import FriedmanConfig, run_friedman_experiment, write_rows_csv
 
-    seed = args.seed if args.seed is not None else _default_seed()
+    given = vars(args)
     config = FriedmanConfig(
-        count=args.count,
-        sizes=tuple(args.sizes),
-        seed=seed,
-        t1_grid=tuple(args.t1_grid),
-        betas=tuple(args.betas),
-        gammas=tuple(args.gammas),
-        with_mnlp=args.mnlp,
+        **{f.name: given[f.name] for f in fields(FriedmanConfig) if f.name in given}
     )
     result = run_friedman_experiment(config)
     _write_atomic(args.out_csv, lambda fd: write_rows_csv(result.rows, fd))
     doc = {
-        "seed": seed,
+        "seed": config.seed,
         "checks": result.checks,
         "witnesses": {k: [list(map(str, w)) for w in v] for k, v in result.witnesses.items()},
         "own_values": [float(x) for x in result.own_values],
@@ -398,8 +387,6 @@ def _cmd_experiment(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    from .errors import TimeRewardError
-
     try:
         return args.handler(args)
     except (TimeRewardError, ValueError, OSError, json.JSONDecodeError) as exc:

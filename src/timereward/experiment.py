@@ -125,6 +125,10 @@ def run_friedman_experiment(config: FriedmanConfig = FriedmanConfig()) -> Friedm
     n = len(config.sizes)
     data = gen_friedman(config.count, NOISE_STD, config.seed)
     train, test = train_test_split(data, TEST_FRACTION, config.seed + 1)
+    if config.with_mnlp and len(test) == 0:
+        raise ValueError(
+            f"{config.count} points leave an empty {TEST_FRACTION:.0%} test split: MNLP needs one"
+        )
     std_y, y_mean, y_std = standardize(train.targets)
     test_y = (test.targets - y_mean) / y_std
     train_std = Dataset(train.features, std_y, train.party)

@@ -275,11 +275,16 @@ def make_table_game(n: int, values: Mapping[str, float]) -> Game:
         values are finite real numbers.  The empty coalition may be
         omitted or given as 0.  If some non-empty coalition is left out,
         the game is partial: looking it up raises MissingCoalition.
+        Two keys for one coalition ("1" and " 1" or "01") raise
+        InvalidCoalitionKey, naming the first key in mapping order that
+        repeats an earlier one, once every key and value is valid.
 
     Values go into one dense array with NaN for the coalitions left out,
     so a partial table costs as much memory as a full one.  Keys in the
     canonical ``Coalition.key()`` form are looked up in a key -> mask map
     built once per call; only other keys (padded or malformed) are parsed.
+    Only a mapping that repeats a coalition pays for a second pass to
+    name it.
     """
     if n < 1:
         raise ValueError("party count must be >= 1")
@@ -304,6 +309,17 @@ def make_table_game(n: int, values: Mapping[str, float]) -> Game:
         if mask == 0 and val != 0.0:
             raise InvalidCoalitionKey("empty coalition must have value 0")
         table[mask] = val
+    # every value is finite, so fewer filled entries than keys means two keys share a mask
+    if np.count_nonzero(~np.isnan(table)) < len(values):
+        first: dict[int, str] = {}
+        for key in values:
+            mask = canonical[key] if key in canonical else _key_mask(key, n)
+            if mask in first:
+                raise InvalidCoalitionKey(
+                    f"coalition {Coalition.from_mask(mask, n).key()!r} is named twice, "
+                    f"as {first[mask]!r} and {key!r}"
+                )
+            first[mask] = key
     table[0] = 0.0
     if not np.isnan(table).any():
         return Game(n, table=table)
@@ -650,16 +666,30 @@ def check_axioms(game: Game, tol: float = 1e-9) -> AxiomReport:
     return report
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A ``json`` object_pairs_hook that refuses a key given twice in one object."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InvalidCoalitionKey(f"game file names key {key!r} twice")
+            seen.add(key)
+    return doc
+
+
 def load_game_json(path) -> tuple[Game, TimeVector | None]:
     """Read a game file: {"n", "values", "times"?, "superadditive"?}.
 
     n is an integer, values map coalition keys to numbers, and times,
     when present, are a list of n non-negative integers, normalized so
     the earliest party is at 0.  A superadditive field is accepted and
-    ignored: ``check_axioms`` decides the axioms from the values.
+    ignored: ``check_axioms`` decides the axioms from the values.  A key
+    repeated within one JSON object raises InvalidCoalitionKey, where
+    ``json`` alone would keep the last value.
     """
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(doc, dict) or "n" not in doc or "values" not in doc:
         raise InvalidCoalitionKey("game file must contain 'n' and 'values'")
     n = doc["n"]

@@ -159,10 +159,12 @@ def standardize(targets) -> tuple[np.ndarray, float, float]:
 
 
 def mnlp(pred: PredictiveDistribution, truths) -> float:
-    """Mean negative log predictive probability; lower is better."""
+    """Mean negative log predictive probability over at least one point; lower is better."""
     y = np.asarray(truths, dtype=float)
     if len(y) != len(pred.mean):
         raise LengthMismatch(f"{len(pred.mean)} predictions for {len(y)} truths")
+    if len(y) == 0:
+        raise ValueError("MNLP needs at least one point")
     var = pred.variance
     return float(
         np.mean(0.5 * (np.log(2.0 * np.pi * var) + (pred.mean - y) ** 2 / var))

@@ -57,10 +57,16 @@ def coalition_from_key_reference(key: str, n: int) -> Coalition:
 
 
 def table_game_reference(n: int, values) -> Game:
-    """A coalition-key -> value mapping as an oracle game, one Coalition per key."""
+    """A coalition-key -> value mapping as an oracle game, one Coalition per key.
+
+    Once every key and value is valid, the first key that names the
+    coalition of an earlier key is refused.
+    """
     if n < 1:
         raise ValueError("party count must be >= 1")
     by_mask: dict[int, float] = {}
+    named: dict[int, str] = {}  # mask -> the first key that names it
+    repeats = []
     for key, val in values.items():
         coalition = coalition_from_key_reference(key, n)
         val = float(val)
@@ -69,6 +75,15 @@ def table_game_reference(n: int, values) -> Game:
         if coalition.mask == 0 and val != 0.0:
             raise InvalidCoalitionKey("empty coalition must have value 0")
         by_mask[coalition.mask] = val
+        if coalition.mask in named:
+            repeats.append((coalition, named[coalition.mask], key))
+        else:
+            named[coalition.mask] = key
+    if repeats:
+        coalition, first, second = repeats[0]
+        raise InvalidCoalitionKey(
+            f"coalition {coalition.key()!r} is named twice, as {first!r} and {second!r}"
+        )
 
     def oracle(mask: int) -> float:
         try:

@@ -1,8 +1,12 @@
 """CLI subcommands, exit codes, and report formats."""
 
+import dataclasses
 import json
 import os
 import stat
+import subprocess
+import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -402,25 +406,26 @@ class TestGenCommand:
         data = load_dataset_csv(path)
         assert list(np.bincount(data.party)) == [10, 20, 20]
 
-    def test_env_seed_used_as_default(self, tmp_path, monkeypatch):
+    def test_env_seed_changes_no_output(self, ir_game_file, tmp_path, monkeypatch, capsys):
+        # TIMEREWARD_SEED used to set the default seed: --seed is now the one source
+        def outputs():
+            path = tmp_path / "a.csv"
+            main(["gen", "friedman", "--count", "30", "--out", str(path)])
+            main(["shapley", "--game", ir_game_file, "--permutations", "50"])
+            return path.read_bytes(), capsys.readouterr().out
+
+        plain = outputs()
         monkeypatch.setenv("TIMEREWARD_SEED", "7")
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(["gen", "friedman", "--count", "30", "--out", str(a)])
-        main(["gen", "friedman", "--count", "30", "--seed", "7", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
+        assert outputs() == plain
 
     @pytest.mark.parametrize("raw", ["²", "١", "abc", "--7", ""])
     def test_env_seed_other_than_ascii_digits_means_0(self, raw, tmp_path, monkeypatch):
-        # "²" used to pass str.isdigit and then fail in int()
+        # no variable sets the seed, whatever its value: the default is 0
         monkeypatch.setenv("TIMEREWARD_SEED", raw)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["gen", "friedman", "--count", "30", "--out", str(a)]) == EXIT_OK
         main(["gen", "friedman", "--count", "30", "--seed", "0", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
-
-    def test_negative_env_seed(self, monkeypatch):
-        monkeypatch.setenv("TIMEREWARD_SEED", "-3")
-        assert cli._default_seed() == -3
 
     @pytest.mark.parametrize("noise", ["nan", "inf", "-inf", "-1"])
     def test_noise_std_not_finite_and_non_negative_exits_1(self, noise, tmp_path, capsys):
@@ -486,9 +491,24 @@ class TestRealizeCommand:
         assert code == EXIT_OK
         doc = json.loads(out.read_text())
         jsonschema.validate(doc, REALIZATION_REPORT_SCHEMA)
+        assert doc["seed"] is None
         record = doc["parties"]["1"]
         assert abs(record["achieved"] - record["target"]) <= 1e-6
         assert 0.0 < record["kappa"] < 1.0
+
+    def test_temper_rejects_seed(self, tmp_path, capsys):
+        # tempering draws nothing: --seed used to be accepted and echoed in the report;
+        # the data file is missing, so the refusal comes before any file is read
+        out = tmp_path / "real.json"
+        code = main(
+            [
+                "realize", "--method", "temper", "--data", str(tmp_path / "missing.csv"),
+                "--party", "1", "--target", "0.1", "--seed", "3", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: --seed is only valid with --method subset\n"
 
     @pytest.mark.parametrize(
         "method,party,target",
@@ -509,7 +529,7 @@ class TestRealizeCommand:
             [
                 "realize", "--method", method, "--data", csv_path,
                 "--gp-config", config_path, "--party", party,
-                "--target", target, "--seed", "0", "--out", str(out),
+                "--target", target, "--out", str(out),
             ]
         )
         assert code == EXIT_ERROR
@@ -616,7 +636,7 @@ class TestRealizeCommand:
         code = main(
             [
                 "realize", "--method", method, "--data", str(csv_path), "--party", "1",
-                "--target", "0.1", "--seed", "0", "--out", str(out),
+                "--target", "0.1", "--out", str(out),
             ]
         )
         assert code == EXIT_ERROR
@@ -634,7 +654,7 @@ class TestRealizeCommand:
         code = main(
             [
                 "realize", "--method", method, "--data", str(csv_path), "--party", "1",
-                "--target", "0.1", "--seed", "0", "--out", str(out),
+                "--target", "0.1", "--out", str(out),
             ]
         )
         assert code == EXIT_ERROR
@@ -699,7 +719,7 @@ class TestRealizeCommand:
         code = main(
             [
                 "realize", "--method", method, "--data", str(csv_path), "--party", "2",
-                "--target", "0.1", "--seed", "0", "--out", str(out),
+                "--target", "0.1", "--out", str(out),
             ]
         )
         assert code == EXIT_ERROR
@@ -720,7 +740,7 @@ class TestRealizeCommand:
         code = main(
             [
                 "realize", "--method", method, "--data", str(csv_path), "--party", "1",
-                "--target", "0.1", "--seed", "0", "--out", str(out),
+                "--target", "0.1", "--out", str(out),
             ]
         )
         assert code == EXIT_ERROR
@@ -762,7 +782,9 @@ class TestExperimentCommand:
         # 4 columns x 3 times x 3 parties
         assert len(lines) - 1 == 4 * 3 * 3
 
-    def test_flag_defaults_are_the_config_defaults(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _config_of(argv, tmp_path, monkeypatch):
+        """The FriedmanConfig that experiment-friedman hands the sweep for argv."""
         from timereward import experiment
 
         class Stop(Exception):
@@ -773,11 +795,57 @@ class TestExperimentCommand:
             raise Stop
 
         seen = []
-        monkeypatch.delenv("TIMEREWARD_SEED", raising=False)
         monkeypatch.setattr(experiment, "run_friedman_experiment", capture)
         with pytest.raises(Stop):
-            main(["experiment-friedman", "--out-csv", str(tmp_path / "sweep.csv")])
-        assert seen == [experiment.FriedmanConfig()]
+            main(["experiment-friedman", *argv, "--out-csv", str(tmp_path / "sweep.csv")])
+        return seen[0]
+
+    def test_flag_defaults_are_the_config_defaults(self, tmp_path, monkeypatch):
+        from timereward import FriedmanConfig
+
+        assert self._config_of([], tmp_path, monkeypatch) == FriedmanConfig()
+
+    @pytest.mark.parametrize(
+        "argv,field,value",
+        [
+            (["--seed", "3"], "seed", 3),
+            (["--count", "50"], "count", 50),
+            (["--sizes", "5,6"], "sizes", (5, 6)),
+            (["--t1-grid", "0,2"], "t1_grid", (0, 2)),
+            (["--betas", "2"], "betas", (2.0,)),
+            (["--gammas", "0.5"], "gammas", (0.5,)),
+            (["--mnlp"], "with_mnlp", True),
+        ],
+        ids=["seed", "count", "sizes", "t1-grid", "betas", "gammas", "mnlp"],
+    )
+    def test_each_flag_sets_only_its_field(self, argv, field, value, tmp_path, monkeypatch):
+        from timereward import FriedmanConfig
+
+        config = self._config_of(argv, tmp_path, monkeypatch)
+        assert config == dataclasses.replace(FriedmanConfig(), **{field: value})
+
+    def test_empty_test_split_refused_with_mnlp(self, tmp_path, monkeypatch, capsys):
+        # 20% of 2 points rounds to none: every MNLP cell used to be nan, with
+        # two RuntimeWarnings and exit 0
+        from timereward import experiment
+
+        argv = [
+            "experiment-friedman", "--seed", "1", "--count", "2", "--sizes", "1",
+            "--t1-grid", "0,1", "--betas", "1", "--gammas", "1",
+        ]
+        csv_out = tmp_path / "sweep.csv"
+        with monkeypatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            patch.setattr(experiment, "make_gp_model", None)  # refused before any GP work
+            code = main([*argv, "--mnlp", "--out-csv", str(csv_out)])
+        assert code == EXIT_ERROR
+        assert not csv_out.exists()
+        assert capsys.readouterr().err == (
+            "error: 2 points leave an empty 20% test split: MNLP needs one\n"
+        )
+        # without --mnlp no test point is scored, so the split may be empty
+        assert main([*argv, "--out-csv", str(csv_out)]) == EXIT_OK
+        assert csv_out.exists()
 
     @pytest.mark.parametrize(
         "flag,value,message",
@@ -805,6 +873,43 @@ class TestExperimentCommand:
         assert code == EXIT_ERROR
         assert not csv_out.exists()
         assert capsys.readouterr().err.startswith(message)
+
+
+class TestRepeatedCoalition:
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            # json keeps the last value: check used to judge the game by v({1}) = 5.0
+            ('"1": 0.2, "2": 0.2, "1,2": 1.0, "1": 5.0', "game file names key '1' twice"),
+            # the later spelling used to win silently
+            ('"1": 0.2, " 1": 3.0, "2": 0.2, "1,2": 1.0', "coalition '1' is named twice, as '1' and ' 1'"),
+            ('"01": 3.0, "1": 0.2, "2": 0.2, "1,2": 1.0', "coalition '1' is named twice, as '01' and '1'"),
+        ],
+        ids=["repeated-json-key", "padded-spelling", "zero-led-spelling"],
+    )
+    @pytest.mark.parametrize("command", ["check", "shapley"])
+    def test_exits_1_naming_the_coalition(self, values, message, command, tmp_path, capsys):
+        path = tmp_path / "game.json"
+        path.write_text(f'{{"n": 2, "values": {{{values}}}}}')
+        out = tmp_path / "report.json"
+        assert main([command, "--game", str(path), "--out", str(out)]) == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, ir_game_file, capsys):
+        cli._build_parser.cache_clear()
+        assert main(["check", "--game", ir_game_file]) == EXIT_OK
+        assert main(["shapley", "--game", ir_game_file]) == EXIT_OK
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_import_builds_no_parser(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        check = "import timereward.cli as c; assert c._build_parser.cache_info().currsize == 0"
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", check], env=env, check=True, timeout=120)
 
 
 class TestUsageErrors:

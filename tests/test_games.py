@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -96,6 +97,21 @@ class TestTableGame:
         for mask in range(8):
             expected = 0.0 if mask == 0 else values[Coalition.from_mask(mask, 3).key()]
             assert g.value_mask(mask) == expected
+
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ({"1": 0.2, " 1": 3.0, "2": 0.2}, "coalition '1' is named twice, as '1' and ' 1'"),
+            ({"01": 3.0, "1": 0.2, "2": 0.2}, "coalition '1' is named twice, as '01' and '1'"),
+            ({"1 ,2": 1.0, "1, 2": 2.0}, "coalition '1,2' is named twice, as '1 ,2' and '1, 2'"),
+            ({"": 0.0, " ": 0.0, "1": 0.2}, "coalition '' is named twice, as '' and ' '"),
+        ],
+        ids=["padded", "zero-led", "two-padded", "empty"],
+    )
+    def test_two_spellings_of_one_coalition_rejected(self, values, message):
+        # the later spelling used to win silently
+        with pytest.raises(InvalidCoalitionKey, match=f"^{re.escape(message)}$"):
+            make_table_game(2, values)
 
     def test_missing_coalition_raises_at_lookup(self):
         g = make_table_game(2, {"1": 0.1, "1,2": 1.0})
@@ -461,6 +477,21 @@ class TestGameJson:
         path = tmp_path / "game.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(error):
+            load_game_json(path)
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ('{"n": 2, "values": {"1": 0.2, "2": 0.2, "1,2": 1.0, "1": 5.0}}', "1"),
+            ('{"n": 2, "n": 3, "values": {"1": 0.2, "2": 0.2, "1,2": 1.0}}', "n"),
+        ],
+        ids=["coalition", "n"],
+    )
+    def test_repeated_json_key_rejected(self, text, key, tmp_path):
+        # json alone keeps the last value
+        path = tmp_path / "game.json"
+        path.write_text(text)
+        with pytest.raises(InvalidCoalitionKey, match=f"game file names key '{key}' twice"):
             load_game_json(path)
 
     def test_times_length_checked(self, tmp_path):

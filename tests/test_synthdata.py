@@ -175,6 +175,12 @@ class TestMnlp:
         with pytest.raises(LengthMismatch):
             mnlp(pred, np.zeros(4))
 
+    def test_no_points_rejected(self):
+        # the mean over no points used to be nan, with two RuntimeWarnings
+        pred = PredictiveDistribution(np.zeros(0), np.ones(0))
+        with pytest.raises(ValueError, match="MNLP needs at least one point"):
+            mnlp(pred, np.zeros(0))
+
     def test_variance_must_be_positive(self):
         with pytest.raises(ValueError):
             PredictiveDistribution(np.zeros(2), np.array([1.0, 0.0]))
