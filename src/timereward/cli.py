@@ -24,7 +24,7 @@ import tempfile
 from dataclasses import fields
 
 from .errors import TimeRewardError
-from .games import TimeVector, check_axioms, load_game_json
+from .games import DEFAULT_TOL, TimeVector, check_axioms, load_game_json
 from .incentives import (
     cumulation_scheme,
     full_incentive_report,
@@ -38,12 +38,20 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CHECK_FAILED = 2
 
+# each --scheme name and the scheme it builds from the rewards command's flags
+SCHEMES = {
+    "cumulation": lambda args: cumulation_scheme(1.0 if args.beta is None else args.beta),
+    "timeval": lambda args: time_valuation_scheme(1.0 if args.gamma is None else args.gamma),
+    "naive": lambda args: naive_scheme(),
+    "shapley": lambda args: shapley_scheme(),
+}
+
 REWARD_REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "required": ["scheme", "param", "times", "rewards", "scaled_rewards", "rho", "incentive_report"],
     "properties": {
-        "scheme": {"enum": ["cumulation", "timeval", "naive", "shapley"]},
+        "scheme": {"enum": list(SCHEMES)},
         "param": {"type": ["number", "null"]},
         "times": {"type": "array", "items": {"type": "integer", "minimum": 0}},
         "rewards": {"type": "array", "items": {"type": "number"}},
@@ -53,7 +61,6 @@ REWARD_REPORT_SCHEMA = {
         "n": {"type": "integer", "minimum": 1},
         "grand_value": {"type": "number"},
         "tol": {"type": "number"},
-        "seed": {"type": ["integer", "null"]},
         "incentive_report": {
             "type": "object",
             "patternProperties": {
@@ -158,6 +165,17 @@ _int_list = _list_of(int)
 _float_list = _list_of(float)
 
 
+def _seed(raw: str) -> int:
+    """An argparse type for a seed: numpy draws only from a non-negative int."""
+    seed = int(raw)
+    if seed < 0:
+        raise ValueError(raw)  # argparse names the flag and the value
+    return seed
+
+
+_seed.__name__ = "non-negative int"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         """Usage errors exit 1 like any other bad input: 2 means a check failed."""
@@ -180,16 +198,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--times", type=_int_list, help="comma-separated joining times (overrides the file)"
     )
-    p.add_argument("--scheme", required=True, choices=["cumulation", "timeval", "naive", "shapley"])
+    p.add_argument("--scheme", required=True, choices=list(SCHEMES))
     p.add_argument("--beta", type=float, help="cumulation weight base (scheme=cumulation only)")
     p.add_argument("--gamma", type=float, help="ability decay rate (scheme=timeval only)")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", help="report JSON path (stdout when omitted)")
 
     p = sub.add_parser("check", help="run the axiom checks on a game file")
     p.set_defaults(handler=_cmd_check)
     p.add_argument("--game", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out")
 
     p = sub.add_parser("shapley", help="exact or Monte-Carlo Shapley values")
@@ -197,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", required=True)
     p.add_argument("--permutations", type=int, help="use Monte-Carlo estimation")
     # None when not given, so a command that draws nothing can refuse it
-    p.add_argument("--seed", type=int, help="Monte-Carlo seed (default 0)")
+    p.add_argument("--seed", type=_seed, help="Monte-Carlo seed (default 0)")
     p.add_argument("--out")
 
     p = sub.add_parser("gen", help="generate a synthetic dataset CSV")
@@ -205,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", choices=["friedman"])
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--noise-std", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--sizes", type=_int_list, help="comma-separated per-party sizes to partition")
     p.add_argument("--out", required=True, help="CSV path")
 
@@ -217,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gp-config", help="GP config JSON")
     p.add_argument("--party", type=int, required=True)
     p.add_argument("--target", type=float, required=True)
-    p.add_argument("--seed", type=int, help="subset shuffle seed (method=subset only; 0)")
+    p.add_argument("--seed", type=_seed, help="subset shuffle seed (method=subset only; 0)")
     p.add_argument("--tol", type=float, help="bisection tolerance (method=temper only; 1e-6)")
     p.add_argument("--out")
 
@@ -226,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment-friedman", help="end-to-end Friedman sweep")
     p.set_defaults(handler=_cmd_experiment)
     unset = argparse.SUPPRESS
-    p.add_argument("--seed", type=int, default=unset)
+    p.add_argument("--seed", type=_seed, default=unset)
     p.add_argument("--count", type=int, default=unset)
     p.add_argument("--sizes", type=_int_list, default=unset)
     p.add_argument("--t1-grid", type=_int_list, default=unset)
@@ -253,15 +271,7 @@ def _cmd_rewards(args) -> int:
         times = TimeVector.of(args.times).normalize()
     elif times is None:
         times = TimeVector.of([0] * game.n)
-    if args.scheme == "cumulation":
-        scheme = cumulation_scheme(1.0 if args.beta is None else args.beta)
-    elif args.scheme == "timeval":
-        scheme = time_valuation_scheme(1.0 if args.gamma is None else args.gamma)
-    elif args.scheme == "naive":
-        scheme = naive_scheme()
-    else:
-        scheme = shapley_scheme()
-
+    scheme = SCHEMES[args.scheme](args)
     rewards, report = full_incentive_report(game, times, scheme, args.tol)
     doc = {
         "scheme": scheme.name,

@@ -11,6 +11,8 @@ check is one reduction of the scaled rewards: none falls below the
 party's own value; party 1's never rises along the stably sorted grid;
 at every t1 = 0 entry the weakest party stays at or below the strongest
 party's first t1 = 0 entry; and each scheme's best t1 = 0 entry is v(N).
+Data, GP model and tempering take the defaults of ``gen_friedman``,
+``make_gp_model`` and ``temper``; the trend checks use ``DEFAULT_TOL``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .games import TimeVector
+from .games import DEFAULT_TOL, TimeVector
 from .incentives import cumulation_scheme, time_valuation_scheme
 from .rewards import _scale
 from .realization import temper
@@ -37,14 +39,7 @@ from .valuation import conditional_ig_game, gp_predict, make_gp_model
 
 __all__ = ["FriedmanConfig", "SweepRow", "FriedmanResult", "run_friedman_experiment", "write_rows_csv"]
 
-TREND_TOL = 1e-9
-
-# The data and GP model every sweep uses
-NOISE_STD = 1.0
 TEST_FRACTION = 0.2
-SIGNAL_VARIANCE = 1.0
-NOISE_VARIANCE = 0.05
-LENGTHSCALE = 1.0
 
 
 @dataclass(frozen=True)
@@ -123,7 +118,7 @@ def run_friedman_experiment(config: FriedmanConfig = FriedmanConfig()) -> Friedm
     if not schemes:
         raise ValueError("the sweep needs at least one beta or gamma")
     n = len(config.sizes)
-    data = gen_friedman(config.count, NOISE_STD, config.seed)
+    data = gen_friedman(config.count, seed=config.seed)
     train, test = train_test_split(data, TEST_FRACTION, config.seed + 1)
     if config.with_mnlp and len(test) == 0:
         raise ValueError(
@@ -133,12 +128,7 @@ def run_friedman_experiment(config: FriedmanConfig = FriedmanConfig()) -> Friedm
     test_y = (test.targets - y_mean) / y_std
     train_std = Dataset(train.features, std_y, train.party)
     partitioned = partition(train_std, config.sizes, config.seed + 2)
-    model = make_gp_model(
-        partitioned,
-        lengthscales=np.full(train.features.shape[1], LENGTHSCALE),
-        signal_variance=SIGNAL_VARIANCE,
-        noise_variance=NOISE_VARIANCE,
-    )
+    model = make_gp_model(partitioned)
     game = conditional_ig_game(model)
     singles = game.singleton_values()
     phi = shapley_exact(game).values
@@ -157,7 +147,7 @@ def run_friedman_experiment(config: FriedmanConfig = FriedmanConfig()) -> Friedm
                 continue
             for p in range(n):
                 target = min(float(scaled[k, j, p]), grand)
-                realized = temper(model, p + 1, target, tol=1e-6)
+                realized = temper(model, p + 1, target)
                 cell_mnlp[k, j, p] = _reward_model_mnlp(
                     model, model_targets, test.features, test_y, p + 1, realized.kappa
                 )
@@ -185,21 +175,21 @@ def run_friedman_experiment(config: FriedmanConfig = FriedmanConfig()) -> Friedm
     found = {
         "individual_rationality": [
             (*column(k), grid[j], p + 1, float(scaled[k, j, p]), float(singles[p]))
-            for k, j, p in np.argwhere(scaled < singles - TREND_TOL).tolist()
+            for k, j, p in np.argwhere(scaled < singles - DEFAULT_TOL).tolist()
         ],
         "late_party_reward_non_increasing": [
             (*column(k), grid[order[i]], grid[order[i + 1]])
-            for k, i in np.argwhere(series[:, 1:] > series[:, :-1] + TREND_TOL).tolist()
+            for k, i in np.argwhere(series[:, 1:] > series[:, :-1] + DEFAULT_TOL).tolist()
         ],
         "value_gap_preserved_at_zero": [
             (*column(k), low + 1, high + 1)
             for k, _ in np.argwhere(
-                scaled[:, zeros, low] > scaled[:, zeros[:1], high] + TREND_TOL
+                scaled[:, zeros, low] > scaled[:, zeros[:1], high] + DEFAULT_TOL
             ).tolist()
         ],
         "weak_efficiency_at_zero": [
             (*column(k), float(top[k]), grand)
-            for k in np.flatnonzero(np.abs(top - grand) > TREND_TOL).tolist()
+            for k in np.flatnonzero(np.abs(top - grand) > DEFAULT_TOL).tolist()
         ],
     }
     return FriedmanResult(rows, found, singles, phi, grand)

@@ -26,9 +26,12 @@ from .errors import (
 )
 
 MAX_EXACT_PARTIES = 24
+# the tolerance of every axiom, incentive and trend check not given one
+DEFAULT_TOL = 1e-9
 
 __all__ = [
     "MAX_EXACT_PARTIES",
+    "DEFAULT_TOL",
     "Coalition",
     "Game",
     "TimeVector",
@@ -628,7 +631,7 @@ def _superadditivity_certified(v: np.ndarray, tol: float) -> bool:
     return bound * (1.0 + 4.0 * eps) <= tol
 
 
-def check_axioms(game: Game, tol: float = 1e-9) -> AxiomReport:
+def check_axioms(game: Game, tol: float = DEFAULT_TOL) -> AxiomReport:
     """Verify non-negativity, monotonicity, and superadditivity exhaustively.
 
     Monotonicity is an O(n 2**n) subset-max transform.  Superadditivity
@@ -666,16 +669,23 @@ def check_axioms(game: Game, tol: float = 1e-9) -> AxiomReport:
     return report
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A ``json`` object_pairs_hook that refuses a key given twice in one object."""
-    doc = dict(pairs)
-    if len(doc) < len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise InvalidCoalitionKey(f"game file names key {key!r} twice")
-            seen.add(key)
-    return doc
+def _unique_keys(kind: str, error: type[Exception] = InvalidCoalitionKey):
+    """A ``json`` object_pairs_hook that refuses a key given twice in one object.
+
+    The error names the kind of file, so game files and GP configs share it.
+    """
+
+    def hook(pairs: list) -> dict:
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise error(f"{kind} file names key {key!r} twice")
+                seen.add(key)
+        return doc
+
+    return hook
 
 
 def load_game_json(path) -> tuple[Game, TimeVector | None]:
@@ -689,7 +699,7 @@ def load_game_json(path) -> tuple[Game, TimeVector | None]:
     ``json`` alone would keep the last value.
     """
     with open(path) as fh:
-        doc = json.load(fh, object_pairs_hook=_unique_keys)
+        doc = json.load(fh, object_pairs_hook=_unique_keys("game"))
     if not isinstance(doc, dict) or "n" not in doc or "values" not in doc:
         raise InvalidCoalitionKey("game file must contain 'n' and 'values'")
     n = doc["n"]

@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import PreconditionViolated
 from .games import (
+    DEFAULT_TOL,
     Game,
     RewardVector,
     TimeVector,
@@ -198,7 +199,7 @@ def _necessary_parties(v: np.ndarray, tol: float) -> list[int]:
     return [i for i, (without, _) in pairs if np.abs(without).max() <= tol]
 
 
-def necessity_predicate(game: Game, i: int, j: int, tol: float = 1e-9) -> bool:
+def necessity_predicate(game: Game, i: int, j: int, tol: float = DEFAULT_TOL) -> bool:
     """True iff every coalition missing party i or party j is worthless."""
     _check_tolerance(tol)
     _check_party(game.n, i)
@@ -258,7 +259,7 @@ def check_static(
     game: Game,
     times: TimeVector,
     rewards,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> IncentiveReport:
     """Check F1-F6 for a concrete reward vector.
 
@@ -369,7 +370,7 @@ def check_temporal(
     game: Game,
     times: TimeVector,
     scheme: RewardScheme,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> IncentiveReport:
     """Check F7/F8 against the rewards for every earlier joining time.
 
@@ -389,7 +390,7 @@ def full_incentive_report(
     game: Game,
     times: TimeVector,
     scheme: RewardScheme,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> tuple[RewardVector, IncentiveReport]:
     """Run a scheme, check all eight incentives, and scale the rewards as ``scale_rewards``.
 
@@ -403,7 +404,7 @@ def full_incentive_report(
 
 
 def check_weak_efficiency(
-    game: Game, scaled, tol: float = 1e-9, times: TimeVector | None = None
+    game: Game, scaled, tol: float = DEFAULT_TOL, times: TimeVector | None = None
 ) -> bool:
     """True iff the best scaled reward matches the grand-coalition value.
 

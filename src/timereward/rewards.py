@@ -57,8 +57,8 @@ __all__ = [
 _ABILITY_FLOOR = float(np.finfo(float).tiny)
 
 
-def _require_axioms(game: Game, tol: float = 1e-9):
-    report = check_axioms(game, tol)
+def _require_axioms(game: Game):
+    report = check_axioms(game)
     bad = [a for a, axiom in (("A1", "nonneg"), ("A3", "superadditive")) if axiom in report.witnesses]
     if bad:
         witnesses = report.to_dict()["witnesses"]

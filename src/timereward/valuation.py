@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalFailure
-from .games import Game, _check_party_count
+from .games import Game, _check_party_count, _unique_keys
 from .synthdata import Dataset, PredictiveDistribution
 
 __all__ = [
@@ -331,9 +331,12 @@ def make_gp_model(
 
 
 def load_gp_config(path) -> dict:
-    """Read {"lengthscales": [..], "signal_variance": f, "noise_variance": f|[..]}."""
+    """Read {"lengthscales": [..], "signal_variance": f, "noise_variance": f|[..]}.
+
+    A key given twice raises ValueError, where ``json`` alone would keep the last value.
+    """
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, object_pairs_hook=_unique_keys("GP config", ValueError))
     if not isinstance(doc, dict):
         raise ValueError(f"GP config must be a JSON object, got {type(doc).__name__}")
     out = {}

@@ -22,6 +22,7 @@ from timereward.cli import (
     REWARD_REPORT_SCHEMA,
     main,
 )
+from timereward.games import DEFAULT_TOL
 
 
 @pytest.fixture
@@ -47,6 +48,14 @@ class TestRewardsCommand:
         jsonschema.validate(doc, REWARD_REPORT_SCHEMA)
         assert doc["rewards"][0] == pytest.approx(0.1, abs=1e-12)
         assert doc["incentive_report"]["F2"]["status"] == "fail"
+
+    def test_schema_lists_exactly_the_fields_a_report_writes(self, ir_game_file, tmp_path):
+        # the schema used to allow a "seed" that no report wrote: rewards draws nothing
+        out = tmp_path / "report.json"
+        main(["rewards", "--game", ir_game_file, "--scheme", "naive", "--out", str(out)])
+        doc = json.loads(out.read_text())
+        assert set(doc) == set(REWARD_REPORT_SCHEMA["properties"])
+        assert doc["tol"] == DEFAULT_TOL
 
     def test_naive_flags_necessity_violation(self, necessity_game_file, tmp_path):
         out = tmp_path / "report.json"
@@ -316,6 +325,16 @@ class TestShapleyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: permutations")
 
+    def test_monte_carlo_on_a_partial_game_names_the_missing_coalition(self, tmp_path, capsys):
+        # an oracle game is asked only for the prefixes it visits: coalition 2 is one
+        path = tmp_path / "partial.json"
+        path.write_text('{"n": 2, "values": {"1": 0.2, "1,2": 1.0}}')
+        code = main(["shapley", "--game", str(path), "--permutations", "20"])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: coalition '2' not in table\n"
+
     def test_seed_without_permutations_exits_1(self, ir_game_file, tmp_path, capsys):
         # exact values draw nothing: the seed used to be ignored
         out = tmp_path / "shapley.json"
@@ -509,6 +528,32 @@ class TestRealizeCommand:
         assert code == EXIT_ERROR
         assert not out.exists()
         assert capsys.readouterr().err == "error: --seed is only valid with --method subset\n"
+
+    def test_temper_without_data_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "real.json"
+        code = main(
+            ["realize", "--method", "temper", "--party", "1", "--target", "0.1", "--out", str(out)]
+        )
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: --data CSV is required for GP-backed realization\n"
+
+    def test_gp_config_repeated_key_exits_1(self, gp_files, tmp_path, capsys):
+        # json alone keeps the last value: signal variance 50 used to be used silently
+        csv_path, _ = gp_files
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"signal_variance": 1.0, "signal_variance": 50.0}')
+        out = tmp_path / "real.json"
+        code = main(
+            [
+                "realize", "--method", "temper", "--data", csv_path,
+                "--gp-config", str(config_path), "--party", "1",
+                "--target", "50", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: GP config file names key 'signal_variance' twice\n"
 
     @pytest.mark.parametrize(
         "method,party,target",
@@ -957,6 +1002,34 @@ class TestUsageErrors:
         assert exc.value.code == EXIT_ERROR
         assert not out.exists()
         assert f"timereward {argv[0]}: error: argument " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,value",
+        [
+            (["gen", "friedman", "--count", "10", "--seed", "-3", "--out", "{out}"], "-3"),
+            (["shapley", "--game", "{game}", "--permutations", "5", "--seed", "-1"], "-1"),
+            (
+                ["realize", "--method", "subset", "--game", "{game}", "--party", "1",
+                 "--target", "0.5", "--seed", "-1", "--out", "{out}"],
+                "-1",
+            ),
+            (["experiment-friedman", "--seed", "-1", "--out-csv", "{out}"], "-1"),
+        ],
+        ids=["gen", "shapley", "realize", "experiment-friedman"],
+    )
+    def test_negative_seed_is_a_usage_error_naming_the_flag(
+        self, argv, value, ir_game_file, tmp_path, capsys
+    ):
+        # numpy used to refuse a negative seed with a bare "error: expected non-negative integer"
+        out = tmp_path / "out"
+        argv = [arg.format(game=ir_game_file, out=out) for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err.endswith(
+            f"timereward {argv[0]}: error: argument --seed: invalid non-negative int value: '{value}'\n"
+        )
 
     @pytest.mark.parametrize("argv", [["--help"], ["rewards", "--help"]])
     def test_help_exits_0(self, argv, capsys):

@@ -1,5 +1,6 @@
 """Incentive checkers F1-F8, predicates, and the scheme closures."""
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import count_dividend_passes, random_times
+from timereward.games import DEFAULT_TOL
 from timereward.incentives import IncentiveCheck
 from timereward import (
     AxiomViolation,
@@ -15,6 +17,7 @@ from timereward import (
     RewardVector,
     TimeVector,
     TooLarge,
+    check_axioms,
     check_static,
     check_temporal,
     check_weak_efficiency,
@@ -211,6 +214,18 @@ def test_bad_tolerance_rejected(tol, ir_counterexample, late_first):
         full_incentive_report(ir_counterexample, late_first, naive_scheme(), tol)
     with pytest.raises(ValueError, match="tol"):
         necessity_predicate(ir_counterexample, 1, 2, tol)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        check_axioms, necessity_predicate, check_static,
+        check_temporal, full_incentive_report, check_weak_efficiency,
+    ],
+    ids=lambda check: check.__name__,
+)
+def test_every_check_defaults_to_the_one_tolerance(check):
+    assert inspect.signature(check).parameters["tol"].default == DEFAULT_TOL == 1e-9
 
 
 class TestCheckTemporal:

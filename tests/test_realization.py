@@ -19,7 +19,8 @@ from timereward import (
 from timereward import experiment
 from timereward.experiment import FriedmanConfig, SweepRow, run_friedman_experiment, write_rows_csv
 from timereward.realization import conditional_point_value
-from timereward.valuation import information_gain, se_kernel
+from timereward.synthdata import mnlp
+from timereward.valuation import gp_predict, information_gain, se_kernel
 
 
 def three_party_model(seed=0, points_per_party=5, noise=0.2) -> GpModel:
@@ -259,6 +260,18 @@ class TestFriedmanMnlp:
         assert len(result.rows) == 2 * 5 * 3
         assert all(np.isfinite(row.mnlp) for row in result.rows)
         assert result.all_pass, result.witnesses
+
+
+def test_reward_model_at_kappa_0_is_the_own_points_model():
+    # kappa = 0 gives the others' points no weight, so they are left out
+    model = three_party_model()
+    rng = np.random.default_rng(5)
+    targets = rng.normal(size=model.n_points)
+    test_X, test_y = rng.uniform(size=(4, 2)), rng.normal(size=4)
+    for party in (1, 2, 3):
+        own = gp_predict(model, targets, model.points_of([party]), test_X)
+        got = experiment._reward_model_mnlp(model, targets, test_X, test_y, party, 0.0)
+        assert got == mnlp(own, test_y)
 
 
 @pytest.mark.parametrize(

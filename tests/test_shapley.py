@@ -132,6 +132,14 @@ class TestShapleyMc:
         pooled = np.sqrt(np.mean([r.std_error**2 for r in runs], axis=0) / len(runs))
         assert np.all(np.abs(means - exact) <= 3 * pooled + 1e-9)
 
+    def test_oracle_game_matches_its_table_twin(self):
+        # the oracle path asks for each visited prefix, the table path gathers them
+        table = random_superadditive_game(6, seed=2).table()
+        oracle = shapley_mc(Game(6, lambda mask: float(table[mask])), 300, seed=7)
+        twin = shapley_mc(Game(6, table=table), 300, seed=7)
+        assert np.array_equal(oracle.values, twin.values)
+        assert np.array_equal(oracle.std_error, twin.std_error)
+
     def test_requires_positive_permutations(self):
         with pytest.raises(ValueError):
             shapley_mc(random_superadditive_game(2, 0), 0, seed=0)

@@ -300,6 +300,13 @@ class TestGpPlumbing:
         assert config["signal_variance"] == 1.5
         assert config["noise_variance"] == 0.1
 
+    def test_load_gp_config_rejects_repeated_key(self, tmp_path):
+        # json alone keeps the last value: signal variance 50 used to pass silently
+        path = tmp_path / "gp.json"
+        path.write_text('{"signal_variance": 1.0, "signal_variance": 50.0}')
+        with pytest.raises(ValueError, match="GP config file names key 'signal_variance' twice"):
+            load_gp_config(path)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
     def test_gp_predict_rejects_bad_point_noise(self, bad):
         m = three_party_model()
