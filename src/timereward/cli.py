@@ -119,19 +119,26 @@ def _write_atomic(path: str, write):
     file by name slowed a batch of small reports by about a tenth).  If
     write raises, path is left as it was and the temp file is removed.
     ``mkstemp`` creates the file 0600 whatever the umask, so it is given
-    the mode a plain ``open`` would: 0666 less the umask.
+    the mode a plain ``open`` would: 0666 less the umask.  An error that
+    names the temp file (a missing directory, a path that is a
+    directory) is raised naming path instead.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         umask = os.umask(0)
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
         write(fd)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -222,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_gen)
     p.add_argument("dataset", choices=["friedman"])
     p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--noise-std", type=float, default=1.0)
+    p.add_argument("--noise-std", type=float, help="standard deviation of the target noise")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--sizes", type=_int_list, help="comma-separated per-party sizes to partition")
     p.add_argument("--out", required=True, help="CSV path")
@@ -236,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--party", type=int, required=True)
     p.add_argument("--target", type=float, required=True)
     p.add_argument("--seed", type=_seed, help="subset shuffle seed (method=subset only; 0)")
-    p.add_argument("--tol", type=float, help="bisection tolerance (method=temper only; 1e-6)")
+    p.add_argument("--tol", type=float, help="bisection tolerance (method=temper only)")
     p.add_argument("--out")
 
     # each sweep flag is named after its FriedmanConfig field and left out
@@ -320,7 +327,8 @@ def _cmd_shapley(args) -> int:
 def _cmd_gen(args) -> int:
     from .synthdata import gen_friedman, partition, save_dataset_csv
 
-    data = gen_friedman(args.count, args.noise_std, args.seed)
+    noise = {} if args.noise_std is None else {"noise_std": args.noise_std}
+    data = gen_friedman(args.count, seed=args.seed, **noise)
     if args.sizes:
         data = partition(data, args.sizes, args.seed + 1)
     _write_atomic(args.out, lambda fd: save_dataset_csv(data, fd))
@@ -399,7 +407,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (TimeRewardError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (TimeRewardError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError as exc:

@@ -669,23 +669,36 @@ def check_axioms(game: Game, tol: float = DEFAULT_TOL) -> AxiomReport:
     return report
 
 
-def _unique_keys(kind: str, error: type[Exception] = InvalidCoalitionKey):
-    """A ``json`` object_pairs_hook that refuses a key given twice in one object.
+def _refuse_repeats(names: Iterable, what: str, error: type[Exception] = ValueError):
+    """Raise error(f"{what} {name!r} twice") for the first of names met a second time."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise error(f"{what} {name!r} twice")
+        seen.add(name)
 
-    The error names the kind of file, so game files and GP configs share it.
+
+def _read_json_object(path, kind: str, fields, error: type[Exception] = ValueError) -> dict:
+    """The JSON object in a file, refusing any top-level key outside fields.
+
+    A key repeated in any object (``json`` alone keeps the last value), a
+    document that is not an object and an unknown field raise error.
     """
 
-    def hook(pairs: list) -> dict:
+    def unique_keys(pairs: list) -> dict:
         doc = dict(pairs)
         if len(doc) < len(pairs):
-            seen = set()
-            for key, _ in pairs:
-                if key in seen:
-                    raise error(f"{kind} file names key {key!r} twice")
-                seen.add(key)
+            _refuse_repeats((key for key, _ in pairs), f"{kind} file names key", error)
         return doc
 
-    return hook
+    with open(path) as fh:
+        doc = json.load(fh, object_pairs_hook=unique_keys)
+    if not isinstance(doc, dict):
+        raise error(f"{kind} must be a JSON object, got {type(doc).__name__}")
+    for key in doc:
+        if key not in fields:
+            raise error(f"{kind} file has unknown field {key!r} (fields: {', '.join(fields)})")
+    return doc
 
 
 def load_game_json(path) -> tuple[Game, TimeVector | None]:
@@ -694,13 +707,14 @@ def load_game_json(path) -> tuple[Game, TimeVector | None]:
     n is an integer, values map coalition keys to numbers, and times,
     when present, are a list of n non-negative integers, normalized so
     the earliest party is at 0.  A superadditive field is accepted and
-    ignored: ``check_axioms`` decides the axioms from the values.  A key
-    repeated within one JSON object raises InvalidCoalitionKey, where
-    ``json`` alone would keep the last value.
+    ignored: ``check_axioms`` decides the axioms from the values.  Any
+    other field, and a key repeated within one JSON object, raises
+    InvalidCoalitionKey.
     """
-    with open(path) as fh:
-        doc = json.load(fh, object_pairs_hook=_unique_keys("game"))
-    if not isinstance(doc, dict) or "n" not in doc or "values" not in doc:
+    doc = _read_json_object(
+        path, "game", ("n", "values", "times", "superadditive"), InvalidCoalitionKey
+    )
+    if "n" not in doc or "values" not in doc:
         raise InvalidCoalitionKey("game file must contain 'n' and 'values'")
     n = doc["n"]
     if isinstance(n, bool) or not isinstance(n, int):

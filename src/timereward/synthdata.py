@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, SizesExceedData, ZeroVariance
+from .games import _refuse_repeats
 
 __all__ = [
     "Dataset",
@@ -190,13 +191,16 @@ def load_dataset_csv(path) -> Dataset:
     """Read the CSV format written by save_dataset_csv.
 
     The 'party' column is found by name; the last remaining column is
-    the target and everything before it the features.
+    the target and everything before it the features.  A column named
+    twice, a ragged row and a cell that is not a number raise
+    ValueError; the last two name the line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError("dataset CSV is empty")
+        _refuse_repeats(header, "dataset CSV names column")
         if "party" not in header:
             raise ValueError("dataset CSV must contain a 'party' column")
         p_col = header.index("party")
@@ -205,6 +209,17 @@ def load_dataset_csv(path) -> Dataset:
             raise ValueError("dataset CSV needs feature columns and a target column")
         y_col = value_cols[-1]
         x_cols = value_cols[:-1]
+
+        def cell(row: list, k: int, parse=float):
+            try:
+                return parse(row[k])
+            except ValueError:
+                kind = "an integer" if parse is int else "a number"
+                raise ValueError(
+                    f"dataset CSV line {reader.line_num} column {header[k]!r} "
+                    f"is not {kind}: {row[k]!r}"
+                ) from None
+
         feats, ys, parties = [], [], []
         for row in reader:
             if not row:
@@ -212,7 +227,7 @@ def load_dataset_csv(path) -> Dataset:
             if len(row) != len(header):
                 cells = f"{len(row)} cells, the header has {len(header)}"
                 raise ValueError(f"dataset CSV line {reader.line_num} has {cells}")
-            feats.append([float(row[k]) for k in x_cols])
-            ys.append(float(row[y_col]))
-            parties.append(int(row[p_col]))
+            feats.append([cell(row, k) for k in x_cols])
+            ys.append(cell(row, y_col))
+            parties.append(cell(row, p_col, int))
     return Dataset(np.array(feats), np.array(ys), np.array(parties, dtype=int))

@@ -18,7 +18,6 @@ the later points on it (one triangular solve and one rank update).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -26,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalFailure
-from .games import Game, _check_party_count, _unique_keys
+from .games import Game, _check_party_count, _read_json_object
 from .synthdata import Dataset, PredictiveDistribution
 
 __all__ = [
@@ -333,20 +332,15 @@ def make_gp_model(
 def load_gp_config(path) -> dict:
     """Read {"lengthscales": [..], "signal_variance": f, "noise_variance": f|[..]}.
 
-    A key given twice raises ValueError, where ``json`` alone would keep the last value.
+    Any other key, and a key given twice, raises ValueError.
     """
-    with open(path) as fh:
-        doc = json.load(fh, object_pairs_hook=_unique_keys("GP config", ValueError))
-    if not isinstance(doc, dict):
-        raise ValueError(f"GP config must be a JSON object, got {type(doc).__name__}")
-    out = {}
-    if "lengthscales" in doc:
-        out["lengthscales"] = _config_numbers("lengthscales", doc["lengthscales"])
-    if "signal_variance" in doc:
-        out["signal_variance"] = _config_number("signal_variance", doc["signal_variance"])
-    if "noise_variance" in doc:
-        out["noise_variance"] = _config_numbers("noise_variance", doc["noise_variance"])
-    return out
+    readers = {
+        "lengthscales": _config_numbers,
+        "signal_variance": _config_number,
+        "noise_variance": _config_numbers,
+    }
+    doc = _read_json_object(path, "GP config", readers)
+    return {key: readers[key](key, value) for key, value in doc.items()}
 
 
 def _config_number(key: str, value) -> float:

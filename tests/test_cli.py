@@ -25,6 +25,13 @@ from timereward.cli import (
 from timereward.games import DEFAULT_TOL
 
 
+# a Friedman sweep small enough to run in a unit test, without its output flags
+SMALL_SWEEP = [
+    "experiment-friedman", "--seed", "0", "--count", "40", "--sizes", "10,10",
+    "--t1-grid", "0,1", "--betas", "1", "--gammas", "1",
+]
+
+
 @pytest.fixture
 def ir_game_file(tmp_path):
     path = tmp_path / "ir.json"
@@ -387,6 +394,37 @@ class TestAtomicOutput:
         assert target.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["rewards", "--game", "{game}", "--scheme", "naive"], "--out"),
+            (["check", "--game", "{game}"], "--out"),
+            (["shapley", "--game", "{game}"], "--out"),
+            (["gen", "friedman", "--count", "20"], "--out"),
+            (["realize", "--method", "subset", "--game", "{game}", "--party", "1",
+              "--target", "0.5"], "--out"),
+            (SMALL_SWEEP + ["--out-csv", "{dir}/rows.csv"], "--out"),
+            (SMALL_SWEEP, "--out-csv"),
+        ],
+        ids=["rewards", "check", "shapley", "gen", "realize", "sweep-out", "sweep-out-csv"],
+    )
+    def test_missing_directory_names_the_path(self, argv, flag, ir_game_file, tmp_path, capsys):
+        # the error used to name the temp file beside the path, never given by the user
+        path = str(tmp_path / "missing" / "out")
+        argv = [a.format(game=ir_game_file, dir=tmp_path) for a in argv]
+        assert main([*argv, flag, path]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {path!r}\n"
+        assert not any(p.suffix == ".tmp" for p in tmp_path.rglob("*"))
+
+    def test_path_that_is_a_directory_is_named(self, ir_game_file, tmp_path, capsys):
+        # the rename onto it used to name the temp file too
+        out = tmp_path / "reports"
+        out.mkdir()
+        assert main(["check", "--game", ir_game_file, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(out)!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["ir.json", "reports"]
+        assert not any(out.iterdir())
+
     @pytest.fixture
     def umask(self, request):
         old = os.umask(request.param)
@@ -444,6 +482,14 @@ class TestGenCommand:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["gen", "friedman", "--count", "30", "--out", str(a)]) == EXIT_OK
         main(["gen", "friedman", "--count", "30", "--seed", "0", "--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_noise_std_default_is_the_library_default(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["gen", "friedman", "--count", "30", "--out", str(a)]) == EXIT_OK
+        assert main(
+            ["gen", "friedman", "--count", "30", "--noise-std", "1", "--out", str(b)]
+        ) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("noise", ["nan", "inf", "-inf", "-1"])
@@ -940,6 +986,60 @@ class TestRepeatedCoalition:
         assert main([command, "--game", str(path), "--out", str(out)]) == EXIT_ERROR
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestUnreadInput:
+    """A field or column a loader would not read exits 1 and names it."""
+
+    def test_game_file_unknown_field(self, tmp_path, capsys):
+        # "time" was skipped: the naive report at times [0, 0] passed with exit 0
+        path = tmp_path / "game.json"
+        path.write_text('{"n": 2, "values": {"1": 0.2, "2": 0.2, "1,2": 1.0}, "time": [3, 0]}')
+        out = tmp_path / "report.json"
+        code = main(["rewards", "--game", str(path), "--scheme", "naive", "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: game file has unknown field 'time'")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "config,data,target,message",
+        [
+            # signal variance 1 was used silently
+            (
+                '{"signal_varianec": 50.0}', "x0,y,party\n0.1,0.5,1\n0.2,0.3,2\n", "0.5",
+                "error: GP config file has unknown field 'signal_varianec'",
+            ),
+            # the second party column was the target and y a feature
+            (
+                None, "x0,y,party,party\n0.1,0.5,1,1\n0.2,0.3,2,2\n", "0.6",
+                "error: dataset CSV names column 'party' twice",
+            ),
+        ],
+        ids=["gp-unknown-field", "csv-dup-column"],
+    )
+    def test_realize_input(self, config, data, target, message, tmp_path, capsys):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text(data)
+        argv = ["realize", "--method", "temper", "--data", str(csv_path)]
+        if config is not None:
+            config_path = tmp_path / "gp.json"
+            config_path.write_text(config)
+            argv += ["--gp-config", str(config_path)]
+        out = tmp_path / "real.json"
+        code = main([*argv, "--party", "1", "--target", target, "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+
+    def test_file_that_is_not_json_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "game.json"
+        path.write_text('{"n": 2,')
+        assert main(["check", "--game", str(path)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: Expecting")
 
 
 class TestParserReuse:

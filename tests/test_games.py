@@ -494,6 +494,26 @@ class TestGameJson:
         with pytest.raises(InvalidCoalitionKey, match=f"game file names key '{key}' twice"):
             load_game_json(path)
 
+    @pytest.mark.parametrize("field", ["time", "Times", "value"])
+    def test_unknown_field_rejected(self, field, tmp_path):
+        # a misspelled "times" used to be skipped, so the parties all joined at 0
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({"n": 2, "values": {"1,2": 1.0}, field: [3, 0]}))
+        with pytest.raises(InvalidCoalitionKey, match=f"game file has unknown field '{field}'"):
+            load_game_json(path)
+
+    def test_null_times_mean_none(self, tmp_path):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({"n": 2, "values": {"1,2": 1.0}, "times": None}))
+        assert load_game_json(path)[1] is None
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", "null"])
+    def test_document_not_an_object_rejected(self, text, tmp_path):
+        path = tmp_path / "game.json"
+        path.write_text(text)
+        with pytest.raises(InvalidCoalitionKey, match="game must be a JSON object"):
+            load_game_json(path)
+
     def test_times_length_checked(self, tmp_path):
         path = tmp_path / "game.json"
         path.write_text(json.dumps({"n": 2, "values": {"1,2": 1.0}, "times": [0]}))

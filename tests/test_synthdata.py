@@ -209,6 +209,28 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             load_dataset_csv(path)
 
+    def test_column_named_twice_rejected(self, tmp_path):
+        # the second party column used to be taken as the target
+        path = tmp_path / "dup.csv"
+        path.write_text("x0,y,party,party\n0.1,0.5,1,1\n")
+        with pytest.raises(ValueError, match="dataset CSV names column 'party' twice"):
+            load_dataset_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ("0.1,0.5,1.5\n", "line 3 column 'party' is not an integer: '1.5'"),
+            ("abc,0.5,1\n", "line 3 column 'x0' is not a number: 'abc'"),
+            ("0.1,,1\n", "line 3 column 'y' is not a number: ''"),
+        ],
+        ids=["party", "feature", "target"],
+    )
+    def test_cell_not_a_number_names_line_and_column(self, rows, message, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x0,y,party\n0.2,0.3,2\n" + rows)
+        with pytest.raises(ValueError, match=f"dataset CSV {message}"):
+            load_dataset_csv(path)
+
     def test_dataset_validation(self):
         with pytest.raises(LengthMismatch):
             Dataset(np.zeros((3, 2)), np.zeros(2), np.zeros(3, dtype=int))

@@ -1,5 +1,6 @@
 """GP information gain, conditional-IG games, duals, and GP plumbing."""
 
+import json
 import math
 
 import numpy as np
@@ -305,6 +306,14 @@ class TestGpPlumbing:
         path = tmp_path / "gp.json"
         path.write_text('{"signal_variance": 1.0, "signal_variance": 50.0}')
         with pytest.raises(ValueError, match="GP config file names key 'signal_variance' twice"):
+            load_gp_config(path)
+
+    @pytest.mark.parametrize("key", ["signal_varianec", "lengthscale", "noise"])
+    def test_load_gp_config_rejects_unknown_key(self, key, tmp_path):
+        # a misspelled setting used to fall back to its default silently
+        path = tmp_path / "gp.json"
+        path.write_text(json.dumps({"signal_variance": 2.0, key: 50.0}))
+        with pytest.raises(ValueError, match=f"GP config file has unknown field '{key}'"):
             load_gp_config(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
