@@ -144,7 +144,7 @@ def _write_atomic(path: str, write):
 
 def _emit(doc: dict, out: str | None):
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if not out:
+    if out is None:
         sys.stdout.write(text)
         return
 
@@ -183,6 +183,13 @@ def _seed(raw: str) -> int:
 _seed.__name__ = "non-negative int"
 
 
+def _out_path(raw: str) -> str:
+    """An argparse type for an output path: an empty one names no file."""
+    if not raw:
+        raise argparse.ArgumentTypeError("empty path")
+    return raw
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         """Usage errors exit 1 like any other bad input: 2 means a check failed."""
@@ -209,13 +216,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, help="cumulation weight base (scheme=cumulation only)")
     p.add_argument("--gamma", type=float, help="ability decay rate (scheme=timeval only)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--out", help="report JSON path (stdout when omitted)")
+    p.add_argument("--out", type=_out_path, help="report JSON path (stdout when omitted)")
 
     p = sub.add_parser("check", help="run the axiom checks on a game file")
     p.set_defaults(handler=_cmd_check)
     p.add_argument("--game", required=True)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--out")
+    p.add_argument("--out", type=_out_path)
 
     p = sub.add_parser("shapley", help="exact or Monte-Carlo Shapley values")
     p.set_defaults(handler=_cmd_shapley)
@@ -223,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--permutations", type=int, help="use Monte-Carlo estimation")
     # None when not given, so a command that draws nothing can refuse it
     p.add_argument("--seed", type=_seed, help="Monte-Carlo seed (default 0)")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_out_path)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset CSV")
     p.set_defaults(handler=_cmd_gen)
@@ -232,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-std", type=float, help="standard deviation of the target noise")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--sizes", type=_int_list, help="comma-separated per-party sizes to partition")
-    p.add_argument("--out", required=True, help="CSV path")
+    p.add_argument("--out", type=_out_path, required=True, help="CSV path")
 
     p = sub.add_parser("realize", help="realize a target reward value")
     p.set_defaults(handler=_cmd_realize)
@@ -244,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=float, required=True)
     p.add_argument("--seed", type=_seed, help="subset shuffle seed (method=subset only; 0)")
     p.add_argument("--tol", type=float, help="bisection tolerance (method=temper only)")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_out_path)
 
     # each sweep flag is named after its FriedmanConfig field and left out
     # of the namespace when not given, so the config's defaults apply
@@ -261,8 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mnlp", dest="with_mnlp", action="store_true", default=unset,
         help="also realize rewards and report MNLP",
     )
-    p.add_argument("--out-csv", required=True, help="tidy sweep CSV path")
-    p.add_argument("--out", help="summary JSON path")
+    p.add_argument("--out-csv", type=_out_path, required=True, help="tidy sweep CSV path")
+    p.add_argument("--out", type=_out_path, help="summary JSON path")
 
     return parser
 
@@ -384,6 +391,9 @@ def _cmd_realize(args) -> int:
 def _cmd_experiment(args) -> int:
     from .experiment import FriedmanConfig, run_friedman_experiment, write_rows_csv
 
+    # the summary written over the rows would leave its rows_csv naming itself
+    if args.out is not None and os.path.realpath(args.out) == os.path.realpath(args.out_csv):
+        raise ValueError(f"--out {args.out!r} names the same file as --out-csv {args.out_csv!r}")
     given = vars(args)
     config = FriedmanConfig(
         **{f.name: given[f.name] for f in fields(FriedmanConfig) if f.name in given}

@@ -62,6 +62,14 @@ def _check_target(target: float):
         raise ValueError(f"target must be finite, got {target}")
 
 
+def _check_reachable(target: float, lo: float, hi: float, slack: float):
+    """Refuse a target more than slack outside [lo, hi], printing all three in full."""
+    if target < lo - slack or target > hi + slack:
+        raise TargetOutOfRange(
+            f"target {float(target)!r} outside achievable [{float(lo)!r}, {float(hi)!r}]"
+        )
+
+
 def _others(model: GpModel, party: int) -> np.ndarray:
     """Points of every other party; party must own points of the model."""
     if not np.any(model.ownership == party):
@@ -120,10 +128,7 @@ def temper(model: GpModel, party: int, target: float, tol: float = 1e-6) -> Temp
     tempered = _tempering_curve(model, party)
     lo, hi = 0.0, 1.0
     lo_val, hi_val = tempered(lo), tempered(hi)
-    if target < lo_val - tol or target > hi_val + tol:
-        raise TargetOutOfRange(
-            f"target {target:g} outside achievable [{lo_val:g}, {hi_val:g}]"
-        )
+    _check_reachable(target, lo_val, hi_val, tol)
     if abs(lo_val - target) <= tol:
         return TemperedReward(party, lo, lo_val, target)
     if abs(hi_val - target) <= tol:
@@ -199,10 +204,7 @@ def select_subset(source: Game | GpModel, party: int, target: float, seed: int) 
         raise TypeError("source must be a Game or a GpModel")
 
     floor, total = value(0), value(len(joining))
-    if target < floor - 1e-12 or target > total + 1e-12:
-        raise TargetOutOfRange(
-            f"target {target:g} outside achievable [{floor:g}, {total:g}]"
-        )
+    _check_reachable(target, floor, total, 1e-12)
     if floor >= target:
         return SubsetReward(party, tuple(own), floor, target, seed)
     achieved = floor

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import AxiomViolation
 from .games import (
+    DEFAULT_TOL,
     Coalition,
     Game,
     RewardVector,
@@ -58,11 +59,14 @@ _ABILITY_FLOOR = float(np.finfo(float).tiny)
 
 
 def _require_axioms(game: Game):
-    report = check_axioms(game)
+    """Refuse a game that fails A1 or A3 at DEFAULT_TOL, whatever tol a caller checks at."""
+    report = check_axioms(game, DEFAULT_TOL)
     bad = [a for a, axiom in (("A1", "nonneg"), ("A3", "superadditive")) if axiom in report.witnesses]
     if bad:
         witnesses = report.to_dict()["witnesses"]
-        raise AxiomViolation(f"game fails {'+'.join(bad)}; witnesses: {witnesses}")
+        raise AxiomViolation(
+            f"game fails {'+'.join(bad)} at tol {DEFAULT_TOL!r}; witnesses: {witnesses}"
+        )
 
 
 def _check_beta(beta: float):

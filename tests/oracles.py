@@ -266,7 +266,9 @@ def select_subset_reference(model: GpModel, party: int, target: float, seed: int
 
     floor = value(own)
     if target < floor - 1e-12 or target > total + 1e-12:
-        raise TargetOutOfRange(f"target {target:g} outside achievable [{floor:g}, {total:g}]")
+        raise TargetOutOfRange(
+            f"target {float(target)!r} outside achievable [{float(floor)!r}, {float(total)!r}]"
+        )
     selected = list(own)
     achieved = floor
     if achieved >= target:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import count_dividend_passes
-from timereward import cli, save_game_json
+from timereward import cli, random_superadditive_game, save_game_json
 from timereward.cli import (
     EXIT_CHECK_FAILED,
     EXIT_ERROR,
@@ -22,7 +22,7 @@ from timereward.cli import (
     REWARD_REPORT_SCHEMA,
     main,
 )
-from timereward.games import DEFAULT_TOL
+from timereward.games import DEFAULT_TOL, _canonical_masks
 
 
 # a Friedman sweep small enough to run in a unit test, without its output flags
@@ -30,6 +30,22 @@ SMALL_SWEEP = [
     "experiment-friedman", "--seed", "0", "--count", "40", "--sizes", "10,10",
     "--t1-grid", "0,1", "--betas", "1", "--gammas", "1",
 ]
+
+# a run of each command that writes a file, without the flag given last
+EACH_OUTPUT_FLAG = pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["rewards", "--game", "{game}", "--scheme", "naive"], "--out"),
+        (["check", "--game", "{game}"], "--out"),
+        (["shapley", "--game", "{game}"], "--out"),
+        (["gen", "friedman", "--count", "20"], "--out"),
+        (["realize", "--method", "subset", "--game", "{game}", "--party", "1",
+          "--target", "0.5"], "--out"),
+        (SMALL_SWEEP + ["--out-csv", "{dir}/rows.csv"], "--out"),
+        (SMALL_SWEEP, "--out-csv"),
+    ],
+    ids=["rewards", "check", "shapley", "gen", "realize", "sweep-out", "sweep-out-csv"],
+)
 
 
 @pytest.fixture
@@ -210,10 +226,66 @@ class TestRewardsCommand:
         assert f8["witnesses"] == [list(w) for w in witnesses[:1000]]
         assert f8["witness_count"] == len(witnesses)
 
+    def test_padded_and_canonical_keys_give_one_report(self, tmp_path):
+        table = random_superadditive_game(12, 1).table()
+        reports = []
+        for name, pad in (("canonical", ""), ("padded", " ")):
+            values = {
+                pad + key.replace(",", f"{pad},{pad}") + pad: float(table[mask])
+                for key, mask in _canonical_masks(12).items()
+            }
+            path, out = tmp_path / f"{name}.json", tmp_path / f"rewards-{name}.json"
+            save_game_json(path, 12, values, times=[i % 3 for i in range(12)])
+            args = ["--scheme", "cumulation", "--beta", "1", "--out", str(out)]
+            assert main(["rewards", "--game", str(path), *args]) == EXIT_OK
+            reports.append(out.read_bytes())
+        assert '" 1 , 2 "' in (tmp_path / "padded.json").read_text()
+        assert reports[0] == reports[1]
+
+    def test_long_horizon_counts_every_f7_instance(self, ir_game_file, tmp_path):
+        # the F7/F8 sweep stays linear in a party's joining time
+        out = tmp_path / "long.json"
+        args = ["--scheme", "cumulation", "--beta", "1", "--times", "100000,0", "--out", str(out)]
+        assert main(["rewards", "--game", ir_game_file, *args]) == EXIT_OK
+        assert json.loads(out.read_text())["incentive_report"]["F7"]["instances"] == 100000
+
+    def test_axiom_gate_names_its_tolerance(self, tmp_path, capsys):
+        # a gap of 5e-9 passes check at --tol 1e-8, but the cumulation and
+        # timeval schemes require A3 at the library default whatever --tol is
+        path = tmp_path / "game.json"
+        save_game_json(path, 2, {"1": 0.2, "2": 0.2, "1,2": 0.4 - 5e-9})
+        assert main(["check", "--game", str(path), "--tol", "1e-8"]) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "report.json"
+        args = ["--scheme", "cumulation", "--tol", "1e-8", "--out", str(out)]
+        assert main(["rewards", "--game", str(path), *args]) == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: game fails A3 at tol 1e-09; witnesses: {'superadditive': ['1', '2']}\n"
+        )
+
 
 class TestCheckCommand:
-    def test_good_game(self, ir_game_file):
+    def test_good_game(self, ir_game_file, capsys):
         assert main(["check", "--game", ir_game_file]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["superadditive"] is True
+
+    def test_cut_game_witness_has_the_largest_gap(self, tmp_path):
+        # the cut fails the certificate, so the blocked 3**n scan picks the witness
+        table = random_superadditive_game(12, 1).table().copy()
+        table[-1] *= 0.3
+        path, out = tmp_path / "cut.json", tmp_path / "report.json"
+        masks = _canonical_masks(12)
+        save_game_json(path, 12, {key: float(table[mask]) for key, mask in masks.items()})
+        assert main(["check", "--game", str(path), "--out", str(out)]) == EXIT_CHECK_FAILED
+        every = np.arange(1 << 12)
+        largest = max(
+            float((table[b] + table[s] - table[b | s]).max())
+            for b in range(1, 1 << 12)
+            for s in [every[every & b == 0]]
+        )
+        b, s = (masks[key] for key in json.loads(out.read_text())["witnesses"]["superadditive"])
+        assert table[b] + table[s] - table[b | s] == largest
 
     def test_subadditive_game_fails(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -265,10 +337,13 @@ class TestMalformedGameFile:
             {"n": 2.7, "values": {"1": 0.2, "2": 0.2, "1,2": 1.0}},
             {"n": 2, "values": {"١": 0.2, "2": 0.2, "1,2": 1.0}},
             {"n": 2, "values": {"²": 0.2, "2": 0.2, "1,2": 1.0}},
+            {"values": {"1": 0.2, "2": 0.2, "1,2": 1.0}},
+            {"n": 2},
+            {"n": 2, "values": {"1": 0.2, "1,2": 1.0}},
         ],
         ids=[
             "null-value", "list-value", "values-list", "times-scalar", "times-float", "n-float",
-            "arabic-indic-key", "superscript-key",
+            "arabic-indic-key", "superscript-key", "no-n", "no-values", "missing-coalition",
         ],
     )
     @pytest.mark.parametrize(
@@ -394,20 +469,7 @@ class TestAtomicOutput:
         assert target.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
-    @pytest.mark.parametrize(
-        "argv,flag",
-        [
-            (["rewards", "--game", "{game}", "--scheme", "naive"], "--out"),
-            (["check", "--game", "{game}"], "--out"),
-            (["shapley", "--game", "{game}"], "--out"),
-            (["gen", "friedman", "--count", "20"], "--out"),
-            (["realize", "--method", "subset", "--game", "{game}", "--party", "1",
-              "--target", "0.5"], "--out"),
-            (SMALL_SWEEP + ["--out-csv", "{dir}/rows.csv"], "--out"),
-            (SMALL_SWEEP, "--out-csv"),
-        ],
-        ids=["rewards", "check", "shapley", "gen", "realize", "sweep-out", "sweep-out-csv"],
-    )
+    @EACH_OUTPUT_FLAG
     def test_missing_directory_names_the_path(self, argv, flag, ir_game_file, tmp_path, capsys):
         # the error used to name the temp file beside the path, never given by the user
         path = str(tmp_path / "missing" / "out")
@@ -452,12 +514,12 @@ class TestGenCommand:
 
     def test_partitioned_output(self, tmp_path):
         path = tmp_path / "parts.csv"
-        main(
+        assert main(
             [
                 "gen", "friedman", "--count", "50", "--seed", "2",
                 "--sizes", "20,20", "--out", str(path),
             ]
-        )
+        ) == EXIT_OK
         from timereward.synthdata import load_dataset_csv
 
         data = load_dataset_csv(path)
@@ -754,6 +816,43 @@ class TestRealizeCommand:
         assert "Traceback" not in captured.err
         assert captured.err.startswith("error: dataset CSV line 3 has 2 cells")
 
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ("y,party\n0.5,1\n0.3,2\n", "dataset CSV needs feature columns and a target column"),
+            ("x0,y,party\n0.1,0.5,0\n0.2,0.3,0\n", "dataset has no assigned points"),
+        ],
+        ids=["no-feature-column", "no-assigned-points"],
+    )
+    def test_dataset_that_gives_no_model_exits_1(self, data, message, tmp_path, capsys):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text(data)
+        out = tmp_path / "real.json"
+        code = main(
+            [
+                "realize", "--method", "temper", "--data", str(csv_path), "--party", "1",
+                "--target", "0.1", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_subset_on_gp_data(self, gp_files, tmp_path):
+        csv_path, config_path = gp_files
+        out = tmp_path / "real.json"
+        code = main(
+            [
+                "realize", "--method", "subset", "--data", csv_path, "--gp-config", config_path,
+                "--party", "1", "--target", "5", "--seed", "1", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out.read_text())
+        jsonschema.validate(doc, REALIZATION_REPORT_SCHEMA)
+        record = doc["parties"]["1"]
+        assert doc["seed"] == 1 and record["achieved"] > record["target"] == 5.0
+
     def test_subset_rejects_tol(self, ir_game_file, tmp_path, capsys):
         # select_subset has no tolerance; --tol used to be accepted and ignored
         out = tmp_path / "real.json"
@@ -938,6 +1037,36 @@ class TestExperimentCommand:
         assert main([*argv, "--out-csv", str(csv_out)]) == EXIT_OK
         assert csv_out.exists()
 
+    @pytest.mark.parametrize("spelling", ["sweep.csv", "sub/../sweep.csv"], ids=["same", "dot-dot"])
+    def test_out_naming_the_rows_csv_exits_1(self, spelling, tmp_path, monkeypatch, capsys):
+        # the summary used to replace the rows CSV that its rows_csv names, with exit 0
+        from timereward import experiment
+
+        # refused before any GP work
+        monkeypatch.setattr(experiment, "run_friedman_experiment", None)
+        (tmp_path / "sub").mkdir()
+        rows, out = str(tmp_path / "sweep.csv"), str(tmp_path / spelling)
+        assert main([*SMALL_SWEEP, "--out-csv", rows, "--out", out]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: --out {out!r} names the same file as --out-csv {rows!r}\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+    def test_mnlp_run_exits_0(self, tmp_path):
+        csv_out, summary = tmp_path / "sweep.csv", tmp_path / "summary.json"
+        code = main(
+            [
+                "experiment-friedman", "--seed", "1", "--count", "100", "--sizes", "30,30,20",
+                "--betas", "1", "--gammas", "1", "--mnlp",
+                "--out-csv", str(csv_out), "--out", str(summary),
+            ]
+        )
+        assert code == EXIT_OK
+        assert all(json.loads(summary.read_text())["checks"].values())
+        header, *rows = [line.split(",") for line in csv_out.read_text().splitlines()]
+        mnlp = header.index("mnlp")
+        assert rows and all(np.isfinite(float(row[mnlp])) for row in rows)
+
     @pytest.mark.parametrize(
         "flag,value,message",
         [
@@ -1102,6 +1231,18 @@ class TestUsageErrors:
         assert exc.value.code == EXIT_ERROR
         assert not out.exists()
         assert f"timereward {argv[0]}: error: argument " in capsys.readouterr().err
+
+    @EACH_OUTPUT_FLAG
+    def test_empty_output_path_is_a_usage_error(self, argv, flag, ir_game_file, tmp_path, capsys):
+        # check used to print its report to stdout and exit 0, gen to fail opening ''
+        argv = [a.format(game=ir_game_file, dir=tmp_path) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, ""])
+        assert exc.value.code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"timereward {argv[0]}: error: argument {flag}: empty path\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["ir.json"]
 
     @pytest.mark.parametrize(
         "argv,value",

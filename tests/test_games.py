@@ -162,6 +162,11 @@ class TestTableGame:
         assert g.value_mask(5) == 5.0
         assert len(calls) == 3 + 7
 
+    @pytest.mark.parametrize("length", [3, 8])
+    def test_table_of_wrong_length_rejected(self, length):
+        with pytest.raises(ValueError, match=r"^table length must be 2\*\*n$"):
+            Game(2, table=np.zeros(length))
+
     @pytest.mark.parametrize("args", [{}, {"oracle": lambda m: 0.0, "table": np.zeros(4)}])
     def test_exactly_one_of_oracle_and_table(self, args):
         with pytest.raises(ValueError, match="exactly one"):
@@ -370,6 +375,24 @@ class TestSuperadditivityCertificate:
         report = check_axioms(g, tol)
         assert not report.superadditive
         assert report.to_dict() == check_axioms_reference(g, tol).to_dict()
+
+    @pytest.mark.parametrize("cut", [False, True], ids=["convex", "grand-coalition-cut"])
+    def test_table_below_the_range_is_left_to_the_scan(self, cut):
+        # below max|v| = 2**-960 the rounding margin need not be a normal number
+        dividends = np.random.default_rng(5).integers(0, 4, size=1 << 6).astype(float)
+        dividends[0] = 0.0
+        table = subset_sums(dividends)  # convex, and exact: integer sums
+        if cut:
+            table[-1] *= 0.5
+        tol = 0.5
+        assert games._superadditivity_certified(table, tol) is not cut
+        scale = 2.0**-1000
+        g = Game(6, table=table * scale)
+        assert np.abs(g.table()).max() < 2.0**-960
+        assert not games._superadditivity_certified(g.table(), tol * scale)
+        report = check_axioms(g, tol * scale)
+        assert report.superadditive is not cut
+        assert report.to_dict() == check_axioms_reference(g, tol * scale).to_dict()
 
 
 class TestRandomSuperadditiveGame:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import count_dividend_passes
+from oracles import select_subset_reference
 from timereward import (
     GpModel,
     TargetOutOfRange,
@@ -248,6 +249,22 @@ class TestRequestValidation:
             select_subset(model, 1, target, seed=0)
         with pytest.raises(ValueError, match="target"):
             select_subset(random_superadditive_game(3, seed=5), 1, target, seed=0)
+
+    def test_target_just_past_the_bound_is_printed_in_full(self):
+        # %g printed both as 29.5347: the refusal read like target == bound
+        model = three_party_model()
+        floor, total = tempered_value(model, 1, 0.0), tempered_value(model, 1, 1.0)
+        target = total + 1e-10
+        message = f"target {target!r} outside achievable [{floor!r}, {total!r}]"
+        assert repr(target) != repr(total)
+        with pytest.raises(TargetOutOfRange) as raised:
+            temper(model, 1, target, tol=0.0)
+        assert str(raised.value) == message
+        for select in (select_subset, select_subset_reference):
+            with pytest.raises(TargetOutOfRange) as raised:
+                select(model, 1, target, seed=0)
+            assert str(raised.value).startswith(f"target {target!r} outside achievable [")
+            assert str(raised.value).endswith(f", {total!r}]")
 
 
 class TestFriedmanMnlp:

@@ -310,15 +310,15 @@ class TestRewardTimeValuation:
     [
         (
             {"1": 0.6, "2": 0.6, "1,2": 1.0},
-            "game fails A3; witnesses: {'superadditive': ['1', '2']}",
+            "game fails A3 at tol 1e-09; witnesses: {'superadditive': ['1', '2']}",
         ),
         (
             {"1": -0.5, "2": 0.4, "1,2": 0.1},
-            "game fails A1; witnesses: {'nonneg': ['1'], 'monotone': ['2', '1,2']}",
+            "game fails A1 at tol 1e-09; witnesses: {'nonneg': ['1'], 'monotone': ['2', '1,2']}",
         ),
         (
             {"1": -0.1, "2": 0.6, "1,2": 0.3},
-            "game fails A1+A3; witnesses: "
+            "game fails A1+A3 at tol 1e-09; witnesses: "
             "{'nonneg': ['1'], 'monotone': ['2', '1,2'], 'superadditive': ['1', '2']}",
         ),
     ],

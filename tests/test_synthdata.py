@@ -203,6 +203,14 @@ class TestCsvRoundTrip:
         save_dataset_csv(data, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("x0,y,party\n\n0.1,0.5,1\n\n\n0.2,0.3,2\n\n")
+        data = load_dataset_csv(path)
+        assert data.features.tolist() == [[0.1], [0.2]]
+        assert data.targets.tolist() == [0.5, 0.3]
+        assert data.party.tolist() == [1, 2]
+
     def test_party_column_required(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x0,y\n0.1,0.2\n")
