@@ -7,10 +7,13 @@ assert that the naive baseline fails and the time-aware schemes pass.
 
 A flag the chosen command or method would not read is refused with
 exit 1 rather than ignored.  Every seed is --seed, 0 when not given.
-The parser is built on the first main() call and reused by later ones.
-BLAS thread counts follow the standard OPENBLAS_NUM_THREADS,
+An output path that names an input file or the other output is refused
+too.  The parser is built on the first main() call and reused by later
+ones.  BLAS thread counts follow the standard OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS, which must be set before the
-process starts: importing timereward loads numpy.
+process starts: importing this module loads numpy.  The table commands
+(rewards, check, shapley) and gen load numpy only; realize and
+experiment-friedman import the GP modules, and so scipy, when they run.
 """
 
 from __future__ import annotations
@@ -391,9 +394,6 @@ def _cmd_realize(args) -> int:
 def _cmd_experiment(args) -> int:
     from .experiment import FriedmanConfig, run_friedman_experiment, write_rows_csv
 
-    # the summary written over the rows would leave its rows_csv naming itself
-    if args.out is not None and os.path.realpath(args.out) == os.path.realpath(args.out_csv):
-        raise ValueError(f"--out {args.out!r} names the same file as --out-csv {args.out_csv!r}")
     given = vars(args)
     config = FriedmanConfig(
         **{f.name: given[f.name] for f in fields(FriedmanConfig) if f.name in given}
@@ -413,9 +413,33 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK if result.all_pass else EXIT_CHECK_FAILED
 
 
+# (flag, argparse dest) of the files a command writes, and of those it reads
+_OUTPUTS = (("--out", "out"), ("--out-csv", "out_csv"))
+_INPUTS = (("--game", "game"), ("--data", "data"), ("--gp-config", "gp_config"))
+
+
+def _refuse_shared_paths(args):
+    """Refuse an output that names an input or another output, before any work.
+
+    A report written over its own game file, or a summary over the rows
+    CSV that its rows_csv names, would replace what the run read or wrote.
+    """
+
+    def given(pairs):
+        paths = [(flag, getattr(args, dest, None)) for flag, dest in pairs]
+        return [(flag, path) for flag, path in paths if path is not None]
+
+    outputs, inputs = given(_OUTPUTS), given(_INPUTS)
+    for i, (flag, path) in enumerate(outputs):
+        for other, other_path in outputs[i + 1:] + inputs:
+            if os.path.realpath(path) == os.path.realpath(other_path):
+                raise ValueError(f"{flag} {path!r} names the same file as {other} {other_path!r}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _refuse_shared_paths(args)
         return args.handler(args)
     except (TimeRewardError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -77,6 +77,13 @@ def _others(model: GpModel, party: int) -> np.ndarray:
     return model.points_of(p for p in range(1, model.n_parties + 1) if p != party)
 
 
+def _all_points_ig(model: GpModel) -> float:
+    """IG of every point of the model, computed once per model and kept on it."""
+    if model._all_points_ig is None:
+        object.__setattr__(model, "_all_points_ig", gp_ig(model, np.arange(model.n_points)))
+    return model._all_points_ig
+
+
 def _tempering_curve(model: GpModel, party: int) -> Callable[[float], float]:
     """kappa -> tempered value of party, from one eigendecomposition per model and party.
 
@@ -88,7 +95,7 @@ def _tempering_curve(model: GpModel, party: int) -> Callable[[float], float]:
     curves = model._tempering_curves
     if party not in curves:
         others = _others(model, party)
-        total = gp_ig(model, np.arange(model.n_points))
+        total = _all_points_ig(model)
         spectrum = np.zeros(0)
         if len(others):
             A = _whitened_kernel(model, others)
@@ -166,7 +173,7 @@ def _joining_values(model: GpModel, joining: np.ndarray) -> np.ndarray:
         B = _whitened_kernel(model, joining[::-1])
         B[np.diag_indices_from(B)] += 1.0
         np.cumsum(np.log(np.diagonal(_robust_cholesky(B))), out=left_out[1:])
-    return gp_ig(model, np.arange(model.n_points)) - left_out[::-1]
+    return _all_points_ig(model) - left_out[::-1]
 
 
 def select_subset(source: Game | GpModel, party: int, target: float, seed: int) -> SubsetReward:

@@ -92,8 +92,10 @@ class GpModel:
             noise.flags.writeable = False
         object.__setattr__(self, "noise_variance", noise if noise.ndim else float(noise))
         object.__setattr__(self, "signal_variance", signal)
-        # tempering curves by party, filled idempotently by realization
+        # tempering curves by party and the IG of all points, filled
+        # idempotently by realization
         object.__setattr__(self, "_tempering_curves", {})
+        object.__setattr__(self, "_all_points_ig", None)
 
     @property
     def n_points(self) -> int:
@@ -127,12 +129,14 @@ def se_kernel(
     """Squared-exponential kernel matrix with per-dimension lengthscales."""
     A = np.asarray(X, dtype=float) / lengthscales
     B = A if Y is None else np.asarray(Y, dtype=float) / lengthscales
-    sq = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * A @ B.T
-    )
-    return signal_variance * np.exp(-0.5 * np.maximum(sq, 0.0))
+    # built in place, so one temporary of the output's size is alive at a time
+    K = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
+    K -= 2.0 * A @ B.T
+    np.maximum(K, 0.0, out=K)
+    K *= -0.5
+    np.exp(K, out=K)
+    K *= signal_variance
+    return K
 
 
 def _robust_cholesky(mat: np.ndarray) -> np.ndarray:
@@ -164,7 +168,9 @@ def _whitened_kernel(model: GpModel, idx: np.ndarray) -> np.ndarray:
     """D^-1/2 K D^-1/2 over the given design points, D their noise variances."""
     inv_sqrt = 1.0 / np.sqrt(model.noise_vector()[idx])
     K = se_kernel(model.inputs[idx], model.lengthscales, model.signal_variance)
-    return inv_sqrt[:, None] * K * inv_sqrt[None, :]
+    K *= inv_sqrt[:, None]
+    K *= inv_sqrt[None, :]
+    return K
 
 
 def information_gain(K: np.ndarray, noise: np.ndarray) -> float:
@@ -211,6 +217,12 @@ def _ig_table(model: GpModel) -> np.ndarray:
     after p with the cross block W = L_p^-1 S[p, later] conditioned
     out: S[later, later] - W^T W.  An empty party adds nothing, and a
     party with no points after it needs no solve.
+
+    Each call owns its S.  The child of the first party is built last,
+    in S's own trailing block, since no sibling reads S after it; the
+    others get copies.  So a path from the root holds one full-size
+    matrix and the copies of smaller blocks, not a new Schur complement
+    per level.
     """
     n = model.n_parties
     order = np.argsort(model.ownership, kind="stable")
@@ -220,9 +232,13 @@ def _ig_table(model: GpModel) -> np.ndarray:
     table = np.zeros(1 << n)
 
     def extend(mask: int, S: np.ndarray, first: int):
-        for p in range(first, n):
+        if first == n:
+            return
+        for p in (*range(first + 1, n), first):
             start, stop = bounds[p : p + 2] - bounds[first]
             later = S[stop:, stop:]
+            if p != first:
+                later = later.copy()
             child = mask | 1 << p
             table[child] = table[mask]
             if stop > start:
@@ -232,7 +248,7 @@ def _ig_table(model: GpModel) -> np.ndarray:
                     W = scipy.linalg.solve_triangular(
                         L, S[start:stop, stop:], lower=True, check_finite=False
                     )
-                    later = later - W.T @ W
+                    later -= W.T @ W
             extend(child, later, p + 1)
 
     extend(0, B, 0)

@@ -503,6 +503,41 @@ class TestAtomicOutput:
             assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
 
+class TestOutputOverInput:
+    """An output naming a file the command reads exits 1 and leaves that file alone."""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["rewards", "--game", "{input}", "--scheme", "naive"], "--game"),
+            (["check", "--game", "{input}"], "--game"),
+            (["shapley", "--game", "{input}"], "--game"),
+            (["realize", "--method", "subset", "--game", "{input}", "--party", "1",
+              "--target", "0.5"], "--game"),
+            (["realize", "--method", "temper", "--data", "{input}", "--party", "1",
+              "--target", "0.5"], "--data"),
+            (["realize", "--method", "temper", "--data", "{other}", "--gp-config", "{input}",
+              "--party", "1", "--target", "0.5"], "--gp-config"),
+        ],
+        ids=["rewards", "check", "shapley", "realize-game", "realize-data", "realize-gp-config"],
+    )
+    @pytest.mark.parametrize("link", [False, True], ids=["same", "symlink"])
+    def test_exits_1_naming_both_paths(self, argv, flag, link, ir_game_file, tmp_path, capsys):
+        # check used to write its axiom report over the game, which then failed to load
+        before = open(ir_game_file, "rb").read()
+        given = ir_game_file
+        if link:
+            given = str(tmp_path / "link.json")
+            os.symlink(ir_game_file, given)
+        argv = [a.format(input=given, other=tmp_path / "data.csv") for a in argv]
+        assert main([*argv, "--out", ir_game_file]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: --out {ir_game_file!r} names the same file as {flag} {given!r}\n"
+        )
+        assert open(ir_game_file, "rb").read() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ir.json"] + ["link.json"] * link
+
+
 class TestGenCommand:
     def test_byte_identical_runs(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

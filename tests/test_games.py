@@ -282,6 +282,47 @@ class TestTableGameMatchesReference:
         with pytest.raises(ValueError, match="non-numeric"):
             make_table_game(2, {"1": 0.1, "2": bad, "1,2": 1.0})
 
+    @pytest.mark.parametrize(
+        "items,error,message",
+        [
+            # entries are read in mapping order: a bad value before a malformed key goes first
+            ([("1", np.nan), ("2,1", 0.2), ("1,2", 1.0)], ValueError,
+             "coalition '1' has non-finite value nan"),
+            ([("2,1", 0.2), ("1", np.nan), ("1,2", 1.0)], InvalidCoalitionKey,
+             "coalition key not strictly ascending: '2,1'"),
+            # a key and its own value: the key first
+            ([("1", 0.1), ("x", "y"), ("1,2", 1.0)], InvalidCoalitionKey,
+             "malformed coalition key 'x'"),
+            ([("1", 0.1), ("", 0.5), (" 3", 0.2)], InvalidCoalitionKey,
+             "empty coalition must have value 0"),
+        ],
+        ids=["value-then-key", "key-then-value", "key-and-value", "empty-then-key"],
+    )
+    def test_first_bad_entry_in_mapping_order_is_named(self, items, error, message):
+        values = dict(items)
+        for build in (make_table_game, table_game_reference):
+            with pytest.raises(error) as exc:
+                build(2, values)
+            assert str(exc.value) == message
+
+    def test_numbers_of_other_types_are_taken(self):
+        from fractions import Fraction
+
+        g = make_table_game(2, {"1": np.float64(0.25), "2": Fraction(1, 8), "1,2": 1})
+        assert g.table().tolist() == [0.0, 0.25, 0.125, 1.0]
+
+    def test_integer_past_the_float_range_names_its_key(self):
+        with pytest.raises(ValueError, match="coalition '1,2' has a value too large for a float"):
+            make_table_game(2, {"1": 0.1, "2": 0.2, "1,2": 10**400})
+
+    def test_keyed_file_round_trips_exactly(self, tmp_path):
+        n = 14
+        table = random_superadditive_game(n, seed=3).table()
+        path = tmp_path / "game.json"
+        save_game_json(path, n, {Coalition.from_mask(m, n).key(): table[m] for m in range(1, 1 << n)})
+        game, _ = load_game_json(path)
+        assert np.array_equal(game.table(), table)
+
 
 class TestCheckAxioms:
     def test_all_pass_on_example_game(self, ir_counterexample):

@@ -79,6 +79,26 @@ class TestTemperedValue:
                 tempered_value_oracle(model, party, kappa), abs=1e-8
             )
 
+    def test_all_points_ig_is_computed_once_per_model(self, monkeypatch):
+        from timereward import realization
+
+        alone = {}  # each party tempered on its own model: one all-points IG each
+        for party in (1, 2, 3):
+            alone[party] = [tempered_value(three_party_model(1), party, k) for k in (0.0, 0.3, 1.0)]
+        model = three_party_model(1)
+        everything = []
+        gp_ig = realization.gp_ig
+
+        def counted(m, points):
+            if len(points) == m.n_points:
+                everything.append(points)
+            return gp_ig(m, points)
+
+        monkeypatch.setattr(realization, "gp_ig", counted)
+        for party in (1, 2, 3):
+            assert [tempered_value(model, party, k) for k in (0.0, 0.3, 1.0)] == alone[party]
+        assert len(everything) == 1
+
     def test_rejects_kappa_outside_unit_interval(self):
         with pytest.raises(ValueError):
             tempered_value(three_party_model(), 1, 1.5)

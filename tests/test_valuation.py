@@ -160,6 +160,21 @@ class TestConditionalIgGame:
         got = conditional_ig_game(m).table()
         assert np.max(np.abs(got - reference)) <= 1e-10 * max(1.0, reference[-1])
 
+    def test_table_holds_few_kernel_sized_arrays(self):
+        # a new Schur complement per level would hold ~3.8 kernels at once here
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        own = np.repeat(np.arange(1, 9), 40)
+        m = GpModel(rng.uniform(size=(len(own), 3)), own, np.ones(3), 1.0, 0.05)
+        tracemalloc.start()
+        try:
+            ig_game(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * len(own) ** 2 * 8
+
 
 class TestDualGame:
     def test_definition_and_type(self):
