@@ -25,7 +25,7 @@ import numpy as np
 from .games import DEFAULT_TOL, TimeVector
 from .incentives import cumulation_scheme, time_valuation_scheme
 from .rewards import _scale
-from .realization import temper
+from .realization import _others, temper
 from .shapley import shapley_exact
 from .synthdata import (
     Dataset,
@@ -91,7 +91,7 @@ class FriedmanResult:
 def _reward_model_mnlp(model, std_targets, test_X, test_y, party, kappa) -> float:
     """MNLP of the tempered model reward: own data plus others at noise/kappa."""
     own = model.points_of([party])
-    others = model.points_of(p for p in range(1, model.n_parties + 1) if p != party)
+    others = _others(model, party)
     noise = model.noise_vector()
     if kappa <= 0.0:
         idx = own

@@ -180,7 +180,8 @@ class Game:
     MAX_EXACT_PARTIES parties is refused when built, and ``table()`` of
     a larger oracle game raises TooLarge, so exact computations read the
     table before allocating anything of size 2**n.  The length of a
-    times vector and a party index are checked here too.
+    times vector and a party index are checked here too, and ``value``
+    and ``value_mask`` refuse a party or a mask outside the game.
     """
 
     def __init__(
@@ -214,7 +215,9 @@ class Game:
         return (1 << self.n) - 1
 
     def value_mask(self, mask: int) -> float:
-        """Value of the coalition given as a bitmask."""
+        """Value of the coalition given as a bitmask; ValueError unless 0 <= mask < 2**n."""
+        if not 0 <= mask <= self.grand_mask:
+            raise ValueError(f"mask {mask} is not a coalition of the parties 1..{self.n}")
         if mask == 0:
             return 0.0
         if self._table is not None:
@@ -225,7 +228,10 @@ class Game:
         """Value of a coalition given as a Coalition or iterable of indices."""
         if isinstance(coalition, Coalition):
             return self.value_mask(coalition.mask)
-        return self.value_mask(mask_of(coalition))
+        members = list(coalition)
+        for i in members:
+            _check_party(self.n, i)
+        return self.value_mask(mask_of(members))
 
     def grand_value(self) -> float:
         return self.value_mask(self.grand_mask)
@@ -427,7 +433,7 @@ class TimeVector:
         return TimeVector(tuple(t - lo for t in self.times))
 
     def with_time(self, party: int, t: int) -> "TimeVector":
-        """Copy with party's (1-based) time replaced; used for counterfactuals."""
+        """Copy with party's (1-based) time replaced."""
         _check_party(len(self.times), party)
         out = list(self.times)
         out[party - 1] = int(t)

@@ -41,11 +41,11 @@ from .games import (
     _check_per_party,
     _check_tolerance,
 )
-from .shapley import _coalition_layout, _own_time_reward, naive_time_division, shapley_exact
+from .shapley import _at_own_times, _coalition_layout, _naive, _plain, naive_time_division
 from .rewards import (
     _ability_discount,
     _cumulation_discount,
-    _require_axioms,
+    _discounted,
     _scale,
     reward_cumulation,
     reward_time_valuation,
@@ -128,6 +128,11 @@ class RewardScheme:
     other time held; at t = t_i these are the scheme's rewards.
     ``check_temporal`` reads all of party i's counterfactual rewards off
     one call of it and never runs ``fn``.
+
+    Every built-in ``fn`` is its scheme's own-time function evaluated at
+    the real joining times (``shapley._at_own_times``).  The field stays
+    only because the benchmark patches ``incentives.reward_cumulation``
+    and traces the functions ``fn`` calls by name.
     """
 
     name: str
@@ -139,20 +144,12 @@ class RewardScheme:
         return self.fn(game, times)
 
 
-def _discounted(discount):
-    """The own-time reward of the dividend formula of ``shapley`` under a discount; needs A1, A3."""
-
-    def own_time(game: Game, times: TimeVector):
-        _require_axioms(game)
-        return _own_time_reward(game, times, discount)
-
-    return own_time
-
-
 def cumulation_scheme(beta: float) -> RewardScheme:
     return RewardScheme(
         "cumulation",
         float(beta),
+        # looks reward_cumulation up in this module at call time, so that
+        # patching incentives.reward_cumulation changes the scheme's rewards
         lambda g, t: reward_cumulation(g, t, beta),
         _discounted(_cumulation_discount(beta)),
     )
@@ -167,30 +164,13 @@ def time_valuation_scheme(gamma: float) -> RewardScheme:
     )
 
 
-def _from_shapley(share):
-    """The own-time reward share(phi_i, t) of one Shapley value phi."""
-
-    def own_time(game: Game, times: TimeVector):
-        phi = shapley_exact(game).values
-        return phi, lambda i, t: share(phi[np.asarray(i) - 1], np.asarray(t))
-
-    return own_time
-
-
 def naive_scheme() -> RewardScheme:
-    return RewardScheme(
-        "naive", None, naive_time_division, _from_shapley(lambda phi, t: phi / (t + 1.0))
-    )
+    return RewardScheme("naive", None, naive_time_division, _naive)
 
 
 def shapley_scheme() -> RewardScheme:
-    """Plain Shapley rewards; ignores joining times entirely."""
-    return RewardScheme(
-        "shapley",
-        None,
-        lambda g, t: RewardVector(shapley_exact(g).values),
-        _from_shapley(lambda phi, t: phi + np.zeros(t.shape)),
-    )
+    """Plain Shapley rewards; ignores joining times, but needs one per party."""
+    return RewardScheme("shapley", None, lambda g, t: _at_own_times(_plain, g, t), _plain)
 
 
 def _necessary_parties(v: np.ndarray, tol: float) -> list[int]:

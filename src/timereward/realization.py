@@ -24,7 +24,7 @@ import scipy.linalg
 
 from .errors import TargetOutOfRange
 from .games import Game, _check_party, _check_tolerance
-from .valuation import GpModel, _robust_cholesky, _whitened_kernel, gp_ig
+from .valuation import GpModel, _point_indices, _robust_cholesky, _whitened_kernel, gp_ig
 
 __all__ = [
     "TemperedReward",
@@ -155,7 +155,7 @@ def temper(model: GpModel, party: int, target: float, tol: float = 1e-6) -> Temp
 
 def conditional_point_value(model: GpModel, point_indices) -> float:
     """Conditional information gain of a point set given all remaining points."""
-    idx = np.asarray(list(point_indices), dtype=int)
+    idx = _point_indices(model, point_indices)
     everything = np.arange(model.n_points)
     rest = np.setdiff1d(everything, idx)
     return gp_ig(model, everything) - gp_ig(model, rest)

@@ -20,9 +20,9 @@ keeps its solo value:
   game, whose values sum the discounted dividends over subsets.
 * Per-interval values: row tau uses D(s) = 1 if s <= tau, else 0.
 
-Each scheme is evaluated through ``shapley._own_time_reward``, so its
-rewards and every reward its parties would get at another joining time
-of their own come from the same dividend bucketing.
+Each scheme is ``_discounted(D)``, the only caller of the A1/A3 gate,
+evaluated by ``shapley._at_own_times``, so its rewards and every reward
+at another joining time of a party's own come from one dividend pass.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .games import (
     subset_differences,
     subset_sums,
 )
-from .shapley import _coalition_layout, _dividend_shares, _own_time_reward, shapley_exact
+from .shapley import _at_own_times, _coalition_layout, _own_time_reward, shapley_exact
 
 __all__ = [
     "interval_weights",
@@ -67,6 +67,16 @@ def _require_axioms(game: Game):
         raise AxiomViolation(
             f"game fails {'+'.join(bad)} at tol {DEFAULT_TOL!r}; witnesses: {witnesses}"
         )
+
+
+def _discounted(discount):
+    """The own-time reward of the dividend formula of ``shapley`` under a discount; needs A1, A3."""
+
+    def own_time(game: Game, times: TimeVector):
+        _require_axioms(game)
+        return _own_time_reward(game, times, discount)
+
+    return own_time
 
 
 def _check_beta(beta: float):
@@ -121,18 +131,17 @@ def interval_shapley_values(game: Game, times: TimeVector) -> np.ndarray:
 
     Row tau holds each party's Shapley value in the game restricted to
     the parties present at interval tau; parties not yet present stand
-    in with their solo value.  Row tau adds to the solo values the
-    dividend shares of every coalition complete by tau: for a party
-    present at tau, the shares whose other members all joined by tau.
+    in with their solo value.  That is the dividend formula under the
+    step discount D(s) = 1 if s <= tau, else 0.  Rows change only at the
+    distinct joining times u, so one own-time call gives a row per u,
+    below a row of solo values for the intervals before u_0.
     """
     _check_per_party(game.n, times, "times")
-    u, shares = _dividend_shares(game, times)
-    # row m sums the buckets of the m earliest distinct times; party i is
-    # present there iff its own time is one of them
-    cumulative = np.vstack([np.zeros(game.n), np.cumsum(shares, axis=1).T])
-    cumulative *= np.arange(len(u) + 1)[:, None] > np.searchsorted(u, times.as_array())
+    u = np.unique(times.as_array())
+    _, reward = _own_time_reward(game, times, lambda latest, _: latest <= u[:, None, None])
+    rows = reward(np.arange(1, game.n + 1), times.as_array())
     present = np.searchsorted(u, np.arange(times.max_time + 1), side="right")
-    return (game.singleton_values() + cumulative)[present]
+    return np.vstack([game.singleton_values(), rows])[present]
 
 
 def reward_cumulation(game: Game, times: TimeVector, beta: float) -> RewardVector:
@@ -144,10 +153,7 @@ def reward_cumulation(game: Game, times: TimeVector, beta: float) -> RewardVecto
     interval from s on, so its dividend is discounted by the weight tail
     sum_{tau >= s} w(tau).  Requires a non-negative superadditive game.
     """
-    _check_per_party(game.n, times, "times")
-    _require_axioms(game)
-    _, reward = _own_time_reward(game, times, _cumulation_discount(beta))
-    return RewardVector(reward(np.arange(1, game.n + 1), times.as_array()))
+    return _at_own_times(_discounted(_cumulation_discount(beta)), game, times)
 
 
 def harsanyi_dividends(game: Game) -> dict[Coalition, float]:
@@ -206,10 +212,7 @@ def reward_time_valuation(game: Game, times: TimeVector, gamma: float) -> Reward
     non-negative superadditive base game; the time-aware game then
     inherits both properties, which keeps individual rationality.
     """
-    _check_per_party(game.n, times, "times")
-    _require_axioms(game)
-    _, reward = _own_time_reward(game, times, _ability_discount(gamma))
-    return RewardVector(reward(np.arange(1, game.n + 1), times.as_array()))
+    return _at_own_times(_discounted(_ability_discount(gamma)), game, times)
 
 
 def scale_rewards(game: Game, rewards: RewardVector) -> RewardVector:

@@ -12,10 +12,10 @@ u of T's other members, at O(n 2**n) cost.  As t_T = max(t_i, u), that
 one bucketing gives party i's reward at any joining time of its own,
 the other times held (``_own_time_reward``): the scheme's rewards, the
 per-interval values and every F7/F8 counterfactual.  Summed over u it
-gives plain Shapley, so one pass yields both.  The Monte-Carlo
-path is the unbiased permutation-sampling estimator: each sampled
-permutation credits every party its marginal contribution over its
-predecessors.
+gives plain Shapley, so one pass yields both.  Every scheme's rewards
+are an own-time function at the real times (``_at_own_times``).  The
+Monte-Carlo path samples permutations, unbiased: each credits every
+party its marginal contribution over its predecessors.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def _own_time_reward(game: Game, times: TimeVector, discount):
     s_i[u] * D(max(t, u), max(t, o_i)) at the joining times t, the other
     times held, with o_i the latest time of the others.  i and t
     broadcast together, so reward(arange(1, n + 1), times) gives every
-    party's reward at the real times.
+    party's reward at the real times; leading axes of D lead the result.
     """
     u, shares = _dividend_shares(game, times)
     singles = game.singleton_values()
@@ -188,12 +188,32 @@ def shapley_mc(game: Game, permutations: int, seed: int) -> ShapleyResult:
     )
 
 
+def _at_own_times(own_time, game: Game, times: TimeVector) -> RewardVector:
+    """The rewards of an own-time function: every party's reward at its real joining time."""
+    _check_per_party(game.n, times, "times")
+    _, reward = own_time(game, times)
+    return RewardVector(reward(np.arange(1, game.n + 1), times.as_array()))
+
+
+def _from_shapley(share):
+    """The own-time reward share(phi_i, t) of one Shapley value phi."""
+
+    def own_time(game: Game, times: TimeVector):
+        phi = shapley_exact(game).values
+        return phi, lambda i, t: share(phi[np.asarray(i) - 1], np.asarray(t))
+
+    return own_time
+
+
+# the own-time rewards of the naive baseline and of plain Shapley
+_naive = _from_shapley(lambda phi, t: phi / (t + 1.0))
+_plain = _from_shapley(lambda phi, t: phi + np.zeros(t.shape))
+
+
 def naive_time_division(game: Game, times: TimeVector) -> RewardVector:
     """The counterexample baseline: phi_i / (t_i + 1).
 
     Provided only to demonstrate how dividing by joining time breaks
     individual rationality and necessity; not a recommended scheme.
     """
-    _check_per_party(game.n, times, "times")
-    phi = shapley_exact(game).values
-    return RewardVector(phi / (times.as_array() + 1.0))
+    return _at_own_times(_naive, game, times)

@@ -188,19 +188,36 @@ def information_gain(K: np.ndarray, noise: np.ndarray) -> float:
     return float(np.sum(np.log(np.diag(L))))
 
 
+def _point_indices(model: GpModel, points) -> np.ndarray:
+    """points as an int array; ValueError unless distinct whole numbers in 0..n_points - 1."""
+    raw = np.asarray(list(points))
+    if raw.size == 0:
+        return np.zeros(0, dtype=int)
+    if raw.ndim != 1 or raw.dtype.kind not in "iuf":
+        raise ValueError(f"point indices must be whole numbers, got {raw.tolist()!r}")
+    outside = ~((raw >= 0) & (raw < model.n_points))  # NaN too
+    if outside.any():
+        bad = raw[outside][0]
+        raise ValueError(f"point index {bad} is not one of the points 0..{model.n_points - 1}")
+    fractional = raw != np.floor(raw)
+    if fractional.any():
+        raise ValueError(f"point index {raw[fractional][0]} is not a whole number")
+    idx = raw.astype(int)
+    uniq, counts = np.unique(idx, return_counts=True)
+    if uniq.size != idx.size:
+        raise ValueError(f"point index {uniq[counts > 1][0]} is given more than once")
+    return idx
+
+
 def gp_ig(model: GpModel, point_set) -> float:
     """Information gain of the GP from the given design-point indices.
 
     The empty set yields exactly 0.  Heteroscedastic noise is handled by
     scaling each point by its own noise variance.
     """
-    idx = np.asarray(list(point_set), dtype=int)
+    idx = _point_indices(model, point_set)
     if len(idx) == 0:
         return 0.0
-    if np.any(idx < 0) or np.any(idx >= model.n_points):
-        raise ValueError("point indices out of range")
-    if len(np.unique(idx)) != len(idx):
-        raise ValueError("point indices must be distinct")
     X = model.inputs[idx]
     K = se_kernel(X, model.lengthscales, model.signal_variance)
     return information_gain(K, model.noise_vector()[idx])
@@ -296,7 +313,7 @@ def gp_predict(
     observation noise: the model's scalar noise, else the mean of its
     per-point noise.
     """
-    idx = np.asarray(list(point_indices), dtype=int)
+    idx = _point_indices(model, point_indices)
     y = np.asarray(targets, dtype=float)[idx]
     Xs = model.inputs[idx]
     noise = model.noise_vector()[idx] if point_noise is None else np.asarray(point_noise)

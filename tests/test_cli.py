@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -524,7 +525,7 @@ class TestOutputOverInput:
     @pytest.mark.parametrize("link", [False, True], ids=["same", "symlink"])
     def test_exits_1_naming_both_paths(self, argv, flag, link, ir_game_file, tmp_path, capsys):
         # check used to write its axiom report over the game, which then failed to load
-        before = open(ir_game_file, "rb").read()
+        before = Path(ir_game_file).read_bytes()
         given = ir_game_file
         if link:
             given = str(tmp_path / "link.json")
@@ -534,7 +535,7 @@ class TestOutputOverInput:
         assert capsys.readouterr().err == (
             f"error: --out {ir_game_file!r} names the same file as {flag} {given!r}\n"
         )
-        assert open(ir_game_file, "rb").read() == before
+        assert Path(ir_game_file).read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ir.json"] + ["link.json"] * link
 
 

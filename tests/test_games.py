@@ -195,6 +195,37 @@ class TestTableGame:
         assert sub.value([2]) == g.value([4])
         assert sub.value([1, 2]) == g.value([2, 4])
 
+    @pytest.mark.parametrize("party", [0, 3, -1])
+    @pytest.mark.parametrize("full", [True, False], ids=["table", "oracle"])
+    def test_value_refuses_a_party_outside_the_game(self, party, full):
+        # party 3 used to raise IndexError, party 0 a negative shift count
+        values = {"1": 0.2, "2": 0.2, "1,2": 1.0} if full else {"1": 0.2, "1,2": 1.0}
+        g = make_table_game(2, values)
+        message = f"party {party} is not one of the parties 1..2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            g.value([1, party])
+
+    @pytest.mark.parametrize("mask", [-1, 4, 2**40])
+    @pytest.mark.parametrize("full", [True, False], ids=["table", "oracle"])
+    def test_value_mask_refuses_a_mask_outside_the_game(self, mask, full):
+        # the oracle used to be asked for it; a table read mask -1 as the grand coalition
+        calls = []
+
+        def oracle(m):
+            calls.append(m)
+            return 1.0
+
+        g = Game(2, table=[0.0, 0.2, 0.2, 1.0]) if full else Game(2, oracle)
+        message = f"mask {mask} is not a coalition of the parties 1..2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            g.value_mask(mask)
+        assert calls == []
+
+    def test_value_refuses_a_coalition_of_a_larger_game(self):
+        g = make_table_game(2, {"1": 0.2, "2": 0.2, "1,2": 1.0})
+        with pytest.raises(ValueError, match=r"^mask 4 is not a coalition of the parties 1\.\.2$"):
+            g.value(Coalition.of([3], 3))
+
 
 def _outcome(build):
     """What a game builder yields: its exception, or every lookup and its table."""

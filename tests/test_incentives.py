@@ -430,6 +430,34 @@ class TestFullReport:
         assert witnesses > 0 or scheme.name in ("cumulation", "naive")
 
 
+ALL_SCHEMES = [
+    cumulation_scheme(0.5),
+    cumulation_scheme(2.0),
+    time_valuation_scheme(0.7),
+    naive_scheme(),
+    shapley_scheme(),
+]
+SCHEME_IDS = ["cumulation-0.5", "cumulation-2", "timeval", "naive", "shapley"]
+
+
+class TestSchemesAreOwnTimeAtRealTimes:
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=SCHEME_IDS)
+    def test_rewards_are_own_time_at_real_times(self, scheme):
+        rng = np.random.default_rng(23)
+        for seed in range(100):
+            n = int(rng.integers(2, 9))
+            game, times = random_superadditive_game(n, seed), random_times(rng, n)
+            _, reward = scheme.own_time(game, times)
+            at_real_times = reward(np.arange(1, n + 1), times.as_array())
+            assert np.array_equal(scheme(game, times).rewards, at_real_times)
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=SCHEME_IDS)
+    def test_times_of_wrong_length_rejected(self, scheme, ir_counterexample):
+        # the shapley scheme used to ignore its times and return phi
+        with pytest.raises(ValueError, match="^times has 3 entries for an n=2 game$"):
+            scheme(ir_counterexample, TimeVector.of((0, 0, 0)))
+
+
 class TestWeakEfficiency:
     def test_scaled_rewards_reach_grand_value(self, ir_counterexample):
         from timereward import reward_cumulation

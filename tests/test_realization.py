@@ -216,6 +216,12 @@ class TestSelectSubsetGp:
         )
         assert conditional_point_value(model, result.selected[:-1]) < target
 
+    @pytest.mark.parametrize("points", [[99], [-1], [2, 2], [0.5]])
+    def test_conditional_point_value_refuses_bad_indices(self, points):
+        # [99] and [-1] used to give 0.0
+        with pytest.raises(ValueError, match="^point ind"):
+            conditional_point_value(three_party_model(2), points)
+
     def test_floor_keeps_own_points(self):
         model = three_party_model(2)
         game = conditional_ig_game(model)

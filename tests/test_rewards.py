@@ -332,6 +332,18 @@ def test_axiom_violation_message(values, message, scheme, late_first):
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize(
+    "scheme,param,message",
+    [(reward_cumulation, 0.0, "beta must be positive"), (reward_time_valuation, -1.0, "gamma")],
+)
+def test_bad_parameter_is_refused_before_times_and_axioms(scheme, param, message):
+    # the discount is built first; times and A1/A3 used to be checked before it
+    game = make_table_game(2, {"1": 0.6, "2": 0.6, "1,2": 1.0})  # fails A3
+    for times in (TimeVector.of((0, 1)), TimeVector.of((0, 1, 2))):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            scheme(game, times, param)
+
+
 class TestScaleRewards:
     def test_weak_efficiency_at_zero_times(self, ir_counterexample):
         rv = reward_cumulation(ir_counterexample, TimeVector.of((0, 0)), 1.0)

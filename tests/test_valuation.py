@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,29 @@ class TestGpIg:
             gp_ig(m, [0, 0])
         with pytest.raises(ValueError):
             gp_ig(m, [m.n_points])
+
+    @pytest.mark.parametrize(
+        "points,message",
+        [
+            ([12], "point index 12 is not one of the points 0..11"),
+            ([-1], "point index -1 is not one of the points 0..11"),
+            ([0, math.nan], "point index nan is not one of the points 0..11"),
+            ([1, 3, 1], "point index 1 is given more than once"),
+            ([1.7], "point index 1.7 is not a whole number"),
+            (["1"], "point indices must be whole numbers, got ['1']"),
+        ],
+    )
+    def test_gp_ig_and_gp_predict_share_one_index_check(self, points, message):
+        # gp_predict used to read -1 as the last point, and gp_ig read 1.7 as point 1
+        m = three_party_model()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gp_ig(m, points)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gp_predict(m, np.zeros(12), points, m.inputs)
+
+    def test_whole_float_indices_are_taken(self):
+        m = three_party_model()
+        assert gp_ig(m, np.array([1.0, 4.0])) == gp_ig(m, [1, 4])
 
 
 class TestConditionalIgGame:
