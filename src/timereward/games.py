@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -76,7 +77,7 @@ class Coalition:
         _check_party_count(self.n_max)
         prev = 0
         for i in self.members:
-            if not isinstance(i, int) or not 1 <= i <= self.n_max:
+            if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= self.n_max:
                 raise InvalidCoalitionKey(f"party index {i!r} outside [1, {self.n_max}]")
             if i <= prev:
                 raise InvalidCoalitionKey(f"indices not strictly ascending: {self.members}")
@@ -124,7 +125,12 @@ def _check_per_party(n: int, values, name: str):
 
 
 def _check_party(n: int, i: int):
-    """Raise ValueError unless i is a 1-based party index of an n-party game."""
+    """Raise ValueError unless i is a 1-based party index of an n-party game.
+
+    A party is an integer (numpy integers too), never a bool or a float.
+    """
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+        raise ValueError(f"party {i!r} is not an integer")
     if not 1 <= i <= n:
         raise ValueError(f"party {i} is not one of the parties 1..{n}")
 
@@ -402,6 +408,16 @@ def random_superadditive_game(n: int, seed: int) -> Game:
 _MAX_TIME = int(np.iinfo(np.int64).max)
 
 
+def _as_time(t):
+    """t as an int by ``operator.index``; anything else, bools too, is left for TimeVector to refuse."""
+    if isinstance(t, bool):
+        return t
+    try:
+        return operator.index(t)
+    except TypeError:
+        return t
+
+
 @dataclass(frozen=True)
 class TimeVector:
     """Per-party joining times: integers from 0 to 2**63 - 1."""
@@ -417,7 +433,8 @@ class TimeVector:
 
     @classmethod
     def of(cls, times: Iterable[int]) -> "TimeVector":
-        return cls(tuple(int(t) for t in times))
+        """Times from any integers (numpy integers too); a float or a bool is refused."""
+        return cls(tuple(_as_time(t) for t in times))
 
     @property
     def n(self) -> int:
@@ -436,7 +453,7 @@ class TimeVector:
         """Copy with party's (1-based) time replaced."""
         _check_party(len(self.times), party)
         out = list(self.times)
-        out[party - 1] = int(t)
+        out[party - 1] = _as_time(t)
         return TimeVector(tuple(out))
 
     def as_array(self) -> np.ndarray:
@@ -467,6 +484,11 @@ class RewardVector:
             if not np.all(np.isfinite(sarr)):
                 raise ValueError("scaled rewards must be finite")
             object.__setattr__(self, "scaled", sarr)
+
+    @classmethod
+    def of(cls, rewards) -> "RewardVector":
+        """rewards itself if it is a RewardVector, else a new (checked) one from the array."""
+        return rewards if isinstance(rewards, RewardVector) else cls(rewards)
 
     @property
     def n(self) -> int:

@@ -2,14 +2,15 @@
 
 F1 non-negativity, F2 individual rationality, F3 equal-time symmetry,
 F4 equal-time desirability, F5 uselessness, F6 necessity, F7 time-based
-monotonicity, F8 time-based strict monotonicity.  Every quantifier is
+monotonicity, F8 time-based strict monotonicity.  Each check is
+(fired, failed, columns) over one array of instances, read off by
+``_check``: parties (F1, F2, F5), pairs i < j (F3, F4, F6) or every
+party at every earlier joining time (F7, F8).  Every quantifier is
 decided exhaustively (never sampled) as an array reduction over the
-2**n value table: F3/F4 over the two views of the table reshaped as an
-n-axis cube that hold one party of a pair but not the other, F5, F6
-and the strictness predicate over the per-party (without, with) views
-of the table, with one largest |v| per party deciding every F6 pair in
-O(n 2**n) and one earliest synergy time per party deciding every F8
-precondition.  Party counts above the exact ceiling are refused (by
+2**n value table: F3/F4 over the views of the table as an n-axis cube
+that hold one party of a pair but not the other, F5 and F8 over the
+per-party (without, with) views, F6 from the AND of the masks of the
+coalitions worth more than tol.  Party counts above the exact ceiling are refused (by
 ``games``), and so is a tolerance that is not finite and >= 0.  F7/F8
 need the rewards every party would get had it joined earlier, so they
 take a reward scheme and are reported not_applicable without one.  Every
@@ -24,7 +25,7 @@ the Shapley values of that same call.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -173,10 +174,29 @@ def shapley_scheme() -> RewardScheme:
     return RewardScheme("shapley", None, lambda g, t: _at_own_times(_plain, g, t), _plain)
 
 
-def _necessary_parties(v: np.ndarray, tol: float) -> list[int]:
-    """Parties i with |v| <= tol on every coalition missing i, ascending."""
-    pairs = enumerate(_bit_pairs(v), start=1)
-    return [i for i, (without, _) in pairs if np.abs(without).max() <= tol]
+def _check(fired: np.ndarray, failed: np.ndarray, *columns: np.ndarray) -> IncentiveCheck:
+    """An incentive's instance count, and its witnesses: the columns where it fired and failed."""
+    bad = fired & failed
+    witnesses = list(zip(*(c[bad].tolist() for c in columns))) if bad.any() else []
+    return IncentiveCheck(int(np.count_nonzero(fired)), witnesses)
+
+
+@functools.cache
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parties i and j of every pair i < j, by i, then by j; read-only, as every call shares them."""
+    a, b = (k + 1 for k in np.triu_indices(n, 1))
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
+def _necessary(v: np.ndarray, tol: float) -> np.ndarray:
+    """Per party i, whether |v| <= tol on every coalition missing i.
+
+    That is, whether i is in every coalition worth more than tol: a bit
+    of the AND of those masks (all bits set if there is none).
+    """
+    common = np.bitwise_and.reduce(np.flatnonzero(np.abs(v) > tol))
+    return (common >> np.arange(v.size.bit_length() - 1)) & 1 == 1
 
 
 def necessity_predicate(game: Game, i: int, j: int, tol: float = DEFAULT_TOL) -> bool:
@@ -184,7 +204,7 @@ def necessity_predicate(game: Game, i: int, j: int, tol: float = DEFAULT_TOL) ->
     _check_tolerance(tol)
     _check_party(game.n, i)
     _check_party(game.n, j)
-    return {i, j} <= set(_necessary_parties(game.table(), tol))
+    return bool(_necessary(game.table(), tol)[[i - 1, j - 1]].all())
 
 
 def _synergy_times(v: np.ndarray, layout) -> np.ndarray:
@@ -229,86 +249,61 @@ def _holding_one(cube: np.ndarray, i: int, j: int) -> np.ndarray:
     return cube[tuple(index)]
 
 
-def _rewards_array(rewards) -> np.ndarray:
-    if isinstance(rewards, RewardVector):
-        return rewards.rewards
-    return np.asarray(rewards, dtype=float)
-
-
 def check_static(
     game: Game,
     times: TimeVector,
     rewards,
     tol: float = DEFAULT_TOL,
 ) -> IncentiveReport:
-    """Check F1-F6 for a concrete reward vector.
+    """Check F1-F6 for a concrete reward vector (a RewardVector or an array).
 
-    Preconditioned incentives whose preconditions never fire report pass
-    with zero instances.  Equal-time pairs that are neither symmetric nor
-    one-sided within the tolerance constrain nothing; they are listed as
-    skipped on F3/F4 rather than guessed at.
+    Non-finite rewards are refused.  Preconditioned incentives whose
+    preconditions never fire report pass with zero instances.
+    Equal-time pairs that are neither symmetric nor one-sided within the
+    tolerance constrain nothing; they are listed as skipped on F4 rather
+    than guessed at.
     """
     _check_tolerance(tol)
     _check_per_party(game.n, times, "times")
-    r = _rewards_array(rewards)
+    r = RewardVector.of(rewards).rewards
     _check_per_party(game.n, r, "rewards")
     n = game.n
     v = game.table()
     cube = v.reshape((2,) * n)
-    checks: dict[str, IncentiveCheck] = {}
+    # F3/F4 over the equal-time pairs: the range of v(C + i) - v(C + j)
+    a, b = _pairs(n)
+    t = times.as_array()
+    equal = t[a - 1] == t[b - 1]
+    hi, lo = np.zeros(len(a)), np.zeros(len(a))
+    for k in np.flatnonzero(equal):
+        diff = _holding_one(cube, a[k], b[k]) - _holding_one(cube, b[k], a[k])
+        hi[k], lo[k] = diff.max(), diff.min()
+    symmetric = equal & (np.maximum(np.abs(hi), np.abs(lo)) <= tol)
+    one_sided = equal & ~symmetric & ((hi > tol) != (lo < -tol))
+    better, worse = np.where(hi > tol, a, b), np.where(hi > tol, b, a)
+    r_better, r_worse = r[better - 1], r[worse - 1]
+    outearns = r_better > r_worse + STRICT_MARGIN
+    f4 = _check(one_sided, ~outearns, better, worse, r_better, r_worse)
+    skipped = equal & ~symmetric & ~one_sided
+    f4.skipped = list(zip(a[skipped].tolist(), b[skipped].tolist()))
 
-    # F1: r_i >= 0
-    bad = [(i + 1, float(r[i])) for i in range(n) if r[i] < -tol]
-    checks["F1"] = IncentiveCheck(n, bad)
-
-    # F2: r_i >= v_i
-    singles = game.singleton_values()
-    bad = [
-        (i + 1, float(r[i]), float(singles[i]))
-        for i in range(n)
-        if r[i] < singles[i] - tol
-    ]
-    checks["F2"] = IncentiveCheck(n, bad)
-
-    # F3 / F4 over equal-time pairs
-    f3 = checks["F3"] = IncentiveCheck()
-    f4 = checks["F4"] = IncentiveCheck()
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        if times[i - 1] != times[j - 1]:
-            continue
-        diff = _holding_one(cube, i, j) - _holding_one(cube, j, i)
-        hi, lo = diff.max(), diff.min()
-        if max(abs(hi), abs(lo)) <= tol:
-            f3.instances += 1
-            if abs(r[i - 1] - r[j - 1]) > tol:
-                f3.witnesses.append((i, j, float(r[i - 1]), float(r[j - 1])))
-        elif (hi > tol) != (lo < -tol):
-            # one-sided: the better party must earn strictly more
-            a, b = (i, j) if hi > tol else (j, i)
-            f4.instances += 1
-            if not r[a - 1] > r[b - 1] + STRICT_MARGIN:
-                f4.witnesses.append((a, b, float(r[a - 1]), float(r[b - 1])))
-        else:
-            f4.skipped.append((i, j))
-
-    # F5: useless parties earn nothing
-    f5 = checks["F5"] = IncentiveCheck()
-    for i, (without, with_bit) in enumerate(_bit_pairs(v), start=1):
-        if np.all(np.abs(with_bit - without) <= tol):
-            f5.instances += 1
-            if abs(r[i - 1]) > tol:
-                f5.witnesses.append((i, float(r[i - 1])))
-
-    # F6: mutually necessary parties earn equally
-    f6 = checks["F6"] = IncentiveCheck()
-    for i, j in itertools.combinations(_necessary_parties(v, tol), 2):
-        f6.instances += 1
-        if abs(r[i - 1] - r[j - 1]) > tol:
-            f6.witnesses.append((i, j, float(r[i - 1]), float(r[j - 1])))
-
-    checks["F7"] = IncentiveCheck(witnesses=None)
-    checks["F8"] = IncentiveCheck(witnesses=None)
-    return IncentiveReport(checks)
+    pair = (a, b, r[a - 1], r[b - 1])
+    unequal = np.abs(r[a - 1] - r[b - 1]) > tol
+    party = np.arange(1, n + 1)
+    every = np.ones(n, dtype=bool)
+    singles = v[1 << (party - 1)]
+    useless = np.array([np.abs(w - wo).max() <= tol for wo, w in _bit_pairs(v)])
+    necessary = _necessary(v, tol)
+    return IncentiveReport({
+        "F1": _check(every, r < -tol, party, r),
+        "F2": _check(every, r < singles - tol, party, r, singles),
+        "F3": _check(symmetric, unequal, *pair),
+        "F4": f4,
+        "F5": _check(useless, np.abs(r) > tol, party, r),
+        "F6": _check(necessary[a - 1] & necessary[b - 1], unequal, *pair),
+        "F7": IncentiveCheck(witnesses=None),
+        "F8": IncentiveCheck(witnesses=None),
+    })
 
 
 def _sweep(game: Game, times: TimeVector, scheme: RewardScheme, tol: float):
@@ -334,16 +329,11 @@ def _sweep(game: Game, times: TimeVector, scheme: RewardScheme, tol: float):
     # moving t_i leaves the other times, and so party i's synergy time, as they are
     synergy = _synergy_times(v, _coalition_layout(times))
     strict = earlier & (synergy[party - 1] < t_new)
-
-    def check(fired: np.ndarray, failed: np.ndarray) -> IncentiveCheck:
-        k = np.flatnonzero(fired & failed)
-        columns = (party[k], t[party[k] - 1], t_new[k], base[k], r[k])
-        return IncentiveCheck(int(fired.sum()), list(zip(*(c.tolist() for c in columns))))
-
-    report = IncentiveReport(
-        {"F7": check(earlier, r < base - tol), "F8": check(strict, ~(r > base + STRICT_MARGIN))}
-    )
-    return phi, report
+    columns = (party, t[party - 1], t_new, base, r)
+    return phi, IncentiveReport({
+        "F7": _check(earlier, r < base - tol, *columns),
+        "F8": _check(strict, ~(r > base + STRICT_MARGIN), *columns),
+    })
 
 
 def check_temporal(
@@ -389,15 +379,14 @@ def check_weak_efficiency(
     """True iff the best scaled reward matches the grand-coalition value.
 
     Only meaningful when every party joined at time 0; passing nonzero
-    times raises PreconditionViolated.  tol must be finite and >= 0.
+    times raises PreconditionViolated.  tol must be finite and >= 0, and
+    non-finite rewards are refused.
     """
     _check_tolerance(tol)
     if times is not None:
         _check_per_party(game.n, times, "times")
         if any(t != 0 for t in times.times):
             raise PreconditionViolated("weak efficiency is defined for all-zero joining times")
-    if isinstance(scaled, RewardVector):
-        arr = scaled.scaled if scaled.scaled is not None else scaled.rewards
-    else:
-        arr = np.asarray(scaled, dtype=float)
+    scaled = RewardVector.of(scaled)
+    arr = scaled.scaled if scaled.scaled is not None else scaled.rewards
     return abs(float(arr.max()) - game.grand_value()) <= tol

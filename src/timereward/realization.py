@@ -71,8 +71,8 @@ def _check_reachable(target: float, lo: float, hi: float, slack: float):
 
 
 def _others(model: GpModel, party: int) -> np.ndarray:
-    """Points of every other party; party must own points of the model."""
-    if not np.any(model.ownership == party):
+    """Points of every other party; party must be one of the model's and own points."""
+    if not model.points_of([party]).size:
         raise ValueError(f"party {party} owns no points among parties 1..{model.n_parties}")
     return model.points_of(p for p in range(1, model.n_parties + 1) if p != party)
 
@@ -156,9 +156,8 @@ def temper(model: GpModel, party: int, target: float, tol: float = 1e-6) -> Temp
 def conditional_point_value(model: GpModel, point_indices) -> float:
     """Conditional information gain of a point set given all remaining points."""
     idx = _point_indices(model, point_indices)
-    everything = np.arange(model.n_points)
-    rest = np.setdiff1d(everything, idx)
-    return gp_ig(model, everything) - gp_ig(model, rest)
+    rest = np.setdiff1d(np.arange(model.n_points), idx)
+    return _all_points_ig(model) - gp_ig(model, rest)
 
 
 def _joining_values(model: GpModel, joining: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ party its marginal contribution over its predecessors.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,6 +155,8 @@ def shapley_mc(game: Game, permutations: int, seed: int) -> ShapleyResult:
     Coalitions are int64 bitmasks, so n is limited to 62 parties; larger
     games raise TooLarge.
     """
+    if isinstance(permutations, bool) or not isinstance(permutations, numbers.Integral):
+        raise ValueError(f"permutations must be an integer, got {permutations!r}")
     if permutations < 1:
         raise ValueError("permutations must be >= 1")
     n = game.n

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalFailure
-from .games import Game, _check_party_count, _read_json_object
+from .games import Game, _check_party, _check_party_count, _read_json_object
 from .synthdata import Dataset, PredictiveDistribution
 
 __all__ = [
@@ -112,11 +112,20 @@ class GpModel:
         return noise
 
     def points_of(self, parties: Iterable[int]) -> np.ndarray:
-        """0-based indices of the points owned by the given parties."""
+        """0-based indices of the points owned by the given parties.
+
+        ValueError for a party outside 1..n_parties; a party inside that
+        owns no points adds none.
+        """
         wanted = set(parties)
+        for p in wanted:
+            _check_party(self.n_parties, p)
         return np.flatnonzero(np.isin(self.ownership, sorted(wanted)))
 
     def points_of_mask(self, mask: int) -> np.ndarray:
+        """Points of the coalition given as a bitmask; ValueError unless 0 <= mask < 2**n_parties."""
+        if not 0 <= mask < 1 << self.n_parties:
+            raise ValueError(f"mask {mask} is not a coalition of the parties 1..{self.n_parties}")
         return self.points_of(i + 1 for i in range(self.n_parties) if mask >> i & 1)
 
 

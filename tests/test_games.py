@@ -75,6 +75,12 @@ class TestCoalition:
         with pytest.raises(TooLarge):
             Coalition.of([1], 25)
 
+    @pytest.mark.parametrize("bad", [True, False, 1.0])
+    def test_non_integer_member_refused(self, bad):
+        # True used to be read as party 1
+        with pytest.raises(InvalidCoalitionKey, match=f"party index {bad!r}"):
+            Coalition.of([bad], 2)
+
 
 class TestTableGame:
     def test_two_party_example_game(self):
@@ -87,6 +93,14 @@ class TestTableGame:
         g = make_table_game(1, {"1": 0.0})
         assert g.value_mask(0) == 0.0
         assert g.value([1]) == 0.0
+
+    @pytest.mark.parametrize("party", [1.5, 1.0, True, "1"])
+    def test_value_refuses_non_integer_party(self, party):
+        # 1.5 used to raise TypeError from mask_of, True to be read as party 1
+        g = make_table_game(2, {"1": 0.2, "2": 0.3, "1,2": 1.0})
+        with pytest.raises(ValueError, match=f"^party {re.escape(repr(party))} is not an integer$"):
+            g.value([party])
+        assert g.value([np.int64(2)]) == 0.3
 
     def test_full_three_party_table(self):
         values = {}
@@ -516,6 +530,20 @@ class TestTimeVector:
     def test_rejects_bad_entries(self, bad):
         with pytest.raises(ValueError):
             TimeVector(tuple(bad))
+
+    @pytest.mark.parametrize("bad", [1.7, 2.0, True, "3"])
+    def test_of_and_with_time_refuse_non_integers(self, bad):
+        # 1.7 used to be truncated to 1, and with_time(1, 2.5) to set time 2
+        message = f"^joining times must be non-negative integers, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            TimeVector.of((bad, 0))
+        with pytest.raises(ValueError, match=message):
+            TimeVector.of((0, 0)).with_time(1, bad)
+
+    def test_of_and_with_time_take_numpy_integers(self):
+        t = TimeVector.of(np.array([3, 0]))
+        assert t.times == (3, 0) and type(t.times[0]) is int
+        assert TimeVector.of((0, 0)).with_time(1, np.int32(2)).times == (2, 0)
 
     def test_int64_range_is_held(self):
         assert TimeVector.of((2**63 - 1, 0)).as_array().tolist() == [2**63 - 1, 0]

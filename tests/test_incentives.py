@@ -1,6 +1,7 @@
 """Incentive checkers F1-F8, predicates, and the scheme closures."""
 
 import inspect
+import json
 import math
 from dataclasses import replace
 
@@ -9,7 +10,8 @@ import pytest
 
 from conftest import count_dividend_passes, random_times
 from timereward.games import DEFAULT_TOL
-from timereward.incentives import IncentiveCheck
+from timereward.incentives import IncentiveCheck, RewardScheme
+from timereward.shapley import _at_own_times
 from timereward import (
     AxiomViolation,
     Game,
@@ -72,6 +74,13 @@ class TestNecessityPredicate:
         g = make_table_game(2, {"1": 0.3, "2": 0.4, "1,2": 0.7})
         assert not necessity_predicate(g, 1, 2)
 
+    @pytest.mark.parametrize("party", [1.5, 2.0, True])
+    def test_non_integer_party_refused(self, necessity_counterexample, party):
+        # 1.5 used to answer False
+        with pytest.raises(ValueError, match=f"^party {party!r} is not an integer$"):
+            necessity_predicate(necessity_counterexample, party, 2)
+        assert necessity_predicate(necessity_counterexample, np.int64(1), np.int32(2))
+
 
 class TestStrictnessPredicate:
     def test_fires_with_synergetic_predecessor(self, ir_counterexample, late_first):
@@ -90,6 +99,13 @@ class TestStrictnessPredicate:
         # 0 and -1 used to answer for parties 2 and 1, 3 to raise IndexError
         with pytest.raises(ValueError, match="party"):
             strictness_predicate(ir_counterexample, TimeVector.of((0, 1)), i)
+
+    @pytest.mark.parametrize("i", [2.0, 1.5, True])
+    def test_non_integer_party_refused(self, ir_counterexample, late_first, i):
+        # 2.0 used to raise IndexError
+        with pytest.raises(ValueError, match=f"^party {i!r} is not an integer$"):
+            strictness_predicate(ir_counterexample, late_first, i)
+        assert strictness_predicate(ir_counterexample, late_first, np.int64(1))
 
 
 class TestCheckStatic:
@@ -196,6 +212,12 @@ class TestCheckStatic:
     def test_rewards_of_wrong_length(self, ir_counterexample, late_first):
         with pytest.raises(ValueError, match="rewards has 3 entries for an n=2 game"):
             check_static(ir_counterexample, late_first, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rewards_refused(self, bad, ir_counterexample):
+        # a NaN reward used to pass F1-F6 with no witness
+        with pytest.raises(ValueError, match="rewards must be finite"):
+            check_static(ir_counterexample, TimeVector.of((0, 0)), [bad, 0.5])
 
     def test_too_large(self):
         g = Game(25, lambda m: 0.0)
@@ -458,6 +480,41 @@ class TestSchemesAreOwnTimeAtRealTimes:
             scheme(ir_counterexample, TimeVector.of((0, 0, 0)))
 
 
+class TestEveryCheckFailing:
+    """A game, times and a scheme on which all eight incentives fail."""
+
+    @staticmethod
+    def report():
+        # v = 1[1, 2 in S] + 1[1, 2, 3 in S]: parties 1 and 2 are symmetric and
+        # mutually necessary, party 1 outranks party 4, and party 4 is useless
+        def value(mask):
+            return float(mask & 0b011 == 0b011) + float(mask & 0b111 == 0b111)
+
+        g = Game(4, table=[value(mask) for mask in range(16)])
+        base = np.array([-1.0, 0.5, 0.0, 0.3])
+
+        def own_time(game, times):
+            # a reward that grows with the joining time fails F7 and F8
+            return np.ones(4), lambda i, t: base[np.asarray(i) - 1] + np.asarray(t)
+
+        scheme = RewardScheme("later-is-better", None, lambda g, t: _at_own_times(own_time, g, t), own_time)
+        return full_incentive_report(g, TimeVector.of((0, 0, 2, 0)), scheme)
+
+    def test_all_eight_fail(self):
+        _, report = self.report()
+        assert report.failures == [f"F{k}" for k in range(1, 9)]
+
+    def test_witnesses_are_python_numbers(self):
+        _, report = self.report()
+        for key, check in report.checks.items():
+            assert type(check.instances) is int, key
+            for witness in check.witnesses + check.skipped:
+                assert type(witness) is tuple, key
+                assert all(type(x) in (int, float) for x in witness), (key, witness)
+        # a numpy integer left in a witness would make this raise
+        json.dumps(report.to_dict())
+
+
 class TestWeakEfficiency:
     def test_scaled_rewards_reach_grand_value(self, ir_counterexample):
         from timereward import reward_cumulation
@@ -487,6 +544,15 @@ class TestWeakEfficiency:
             check_weak_efficiency(
                 ir_counterexample, np.array([1.0, 1.0]), times=TimeVector.of((0, 0, 0))
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rewards_refused(self, bad):
+        # a NaN reward used to answer False rather than be refused
+        g = make_table_game(2, {"1": 0.2, "2": 0.2, "1,2": 1.0})
+        with pytest.raises(ValueError, match="rewards must be finite"):
+            check_weak_efficiency(g, [1.0, bad])
+        with pytest.raises(ValueError, match="scaled rewards must be finite"):
+            check_weak_efficiency(g, RewardVector([1.0, 0.5], scaled=[bad, 0.5]))
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
     def test_bad_tolerance_rejected(self, tol):

@@ -21,7 +21,7 @@ from timereward import experiment
 from timereward.experiment import FriedmanConfig, SweepRow, run_friedman_experiment, write_rows_csv
 from timereward.realization import conditional_point_value
 from timereward.synthdata import mnlp
-from timereward.valuation import gp_predict, information_gain, se_kernel
+from timereward.valuation import gp_ig, gp_predict, information_gain, se_kernel
 
 
 def three_party_model(seed=0, points_per_party=5, noise=0.2) -> GpModel:
@@ -98,6 +98,26 @@ class TestTemperedValue:
         for party in (1, 2, 3):
             assert [tempered_value(model, party, k) for k in (0.0, 0.3, 1.0)] == alone[party]
         assert len(everything) == 1
+
+    def test_conditional_point_value_reuses_the_all_points_ig(self, monkeypatch):
+        from timereward import realization
+
+        fresh = three_party_model(2)
+        expected = gp_ig(fresh, range(fresh.n_points)) - gp_ig(fresh, fresh.points_of([2, 3]))
+        model = three_party_model(2)
+        temper(model, 1, 0.5 * tempered_value(model, 1, 1.0))
+        everything = []
+        inner = realization.gp_ig
+
+        def counted(m, points):
+            if len(points) == m.n_points:
+                everything.append(points)
+            return inner(m, points)
+
+        monkeypatch.setattr(realization, "gp_ig", counted)
+        # bit-identical to the IG difference, with no second all-points IG
+        assert conditional_point_value(model, model.points_of([1])) == expected
+        assert everything == []
 
     def test_rejects_kappa_outside_unit_interval(self):
         with pytest.raises(ValueError):
@@ -239,6 +259,15 @@ class TestRequestValidation:
             temper(model, party, 0.5)
         with pytest.raises(ValueError, match="party"):
             select_subset(model, party, 0.5, seed=0)
+
+    @pytest.mark.parametrize("party", [1.0, True])
+    def test_non_integer_party_refused(self, party):
+        # 1.0 used to raise TypeError from mask_of on a game
+        g = make_table_game(2, {"1": 0.2, "2": 0.2, "1,2": 1.0})
+        with pytest.raises(ValueError, match=f"^party {party!r} is not an integer$"):
+            select_subset(g, party, 0.5, seed=0)
+        with pytest.raises(ValueError, match=f"^party {party!r} is not an integer$"):
+            select_subset(three_party_model(), party, 0.5, seed=0)
 
     @pytest.mark.parametrize("party", [0, 3])
     def test_game_party_out_of_range(self, party):

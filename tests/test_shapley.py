@@ -110,6 +110,13 @@ class TestShapleyMc:
         assert result.permutations_used == 10_000
         assert result.method == "monte_carlo"
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True])
+    def test_non_integer_permutations_refused(self, bad, ir_counterexample):
+        # 2.5 used to run 2 permutations and True 1
+        with pytest.raises(ValueError, match=f"^permutations must be an integer, got {bad!r}$"):
+            shapley_mc(ir_counterexample, bad, 0)
+        assert shapley_mc(ir_counterexample, np.int64(3), 0).permutations_used == 3
+
     def test_deterministic_per_seed(self):
         g = random_superadditive_game(5, seed=8)
         a = shapley_mc(g, 500, seed=42)

@@ -292,6 +292,20 @@ class TestGpModelValidation:
         assert list(m.points_of([2])) == [2, 3]
         assert list(m.points_of_mask(0b101)) == [0, 1, 4, 5]
 
+    @pytest.mark.parametrize("party", [0, 4, -1, 1.0])
+    def test_points_of_refuses_unknown_party(self, party):
+        # 0 and 4 used to give an empty point set
+        m = three_party_model(points_per_party=2)
+        with pytest.raises(ValueError, match=f"^party {party!r} is not"):
+            m.points_of([2, party])
+
+    @pytest.mark.parametrize("mask", [8, 16, -1])
+    def test_points_of_mask_refuses_unknown_mask(self, mask):
+        m = three_party_model(points_per_party=2)
+        with pytest.raises(ValueError, match=f"^mask {mask} is not a coalition of the parties 1..3$"):
+            m.points_of_mask(mask)
+        assert list(m.points_of_mask(0)) == []
+
 
 class TestRobustCholesky:
     def test_jitter_rescues_semidefinite(self):
