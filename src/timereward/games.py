@@ -55,15 +55,8 @@ def mask_of(members: Iterable[int]) -> int:
 
 
 def members_of(mask: int) -> tuple[int, ...]:
-    """Ascending 1-based party indices of a bitmask."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    """Ascending 1-based party indices of a non-negative bitmask."""
+    return tuple(i + 1 for i in range(int(mask).bit_length()) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -77,11 +70,12 @@ class Coalition:
         _check_party_count(self.n_max)
         prev = 0
         for i in self.members:
-            if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= self.n_max:
+            if not _is_integer(i) or not 1 <= i <= self.n_max:
                 raise InvalidCoalitionKey(f"party index {i!r} outside [1, {self.n_max}]")
             if i <= prev:
                 raise InvalidCoalitionKey(f"indices not strictly ascending: {self.members}")
             prev = i
+        object.__setattr__(self, "members", tuple(int(i) for i in self.members))
 
     @classmethod
     def of(cls, members: Iterable[int], n_max: int) -> "Coalition":
@@ -89,12 +83,26 @@ class Coalition:
 
     @classmethod
     def from_mask(cls, mask: int, n_max: int) -> "Coalition":
+        _check_mask(n_max, mask)
         return cls(members_of(mask), n_max)
 
     @classmethod
     def from_key(cls, key: str, n_max: int) -> "Coalition":
-        """Parse the wire encoding: comma-separated ascending indices, "" for the empty set."""
-        return cls.from_mask(_key_mask(key, n_max), n_max)
+        """Parse the wire encoding: comma-separated ascending indices, "" for the empty set.
+
+        The party count and the range of each index are Coalition's own checks.
+        """
+        key = key.strip()
+        members = []
+        for p in key.split(",") if key else ():
+            p = p.strip()
+            # str.isdigit alone also takes other scripts' digits ("١") and "²"
+            if not (p.isascii() and p.isdigit()):
+                raise InvalidCoalitionKey(f"malformed coalition key {key!r}")
+            members.append(int(p))
+        if any(b <= a for a, b in zip(members, members[1:])):
+            raise InvalidCoalitionKey(f"coalition key not strictly ascending: {key!r}")
+        return cls(tuple(members), n_max)
 
     @property
     def mask(self) -> int:
@@ -113,8 +121,21 @@ class Coalition:
         return party in self.members
 
 
+def _is_integer(x) -> bool:
+    """True for an int or a numpy integer; a bool, a float or anything else is not one."""
+    return type(x) is int or (not isinstance(x, bool) and isinstance(x, numbers.Integral))
+
+
+def _check_n(n: int):
+    """Raise ValueError unless n, the party count of a game, is an integer >= 1."""
+    if not (_is_integer(n) and n >= 1):
+        raise ValueError(f"party count must be an integer >= 1, got {n!r}")
+
+
 def _check_party_count(n: int):
-    if not 1 <= n <= MAX_EXACT_PARTIES:
+    """Raise unless a table can hold n parties: ValueError below, TooLarge above the ceiling."""
+    _check_n(n)
+    if n > MAX_EXACT_PARTIES:
         raise TooLarge(f"party count {n} outside [1, {MAX_EXACT_PARTIES}]")
 
 
@@ -129,39 +150,33 @@ def _check_party(n: int, i: int):
 
     A party is an integer (numpy integers too), never a bool or a float.
     """
-    if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+    if not _is_integer(i):
         raise ValueError(f"party {i!r} is not an integer")
     if not 1 <= i <= n:
         raise ValueError(f"party {i} is not one of the parties 1..{n}")
 
 
-def _key_mask(key: str, n: int) -> int:
-    """Bitmask of a wire-encoded coalition key within n parties.
+def _check_mask(n: int, mask: int):
+    """Raise ValueError unless mask is an integer (numpy ones too, no bool) in [0, 2**n)."""
+    if not _is_integer(mask):
+        raise ValueError(f"mask {mask!r} is not an integer")
+    if not 0 <= mask < 2**n:  # not 1 << n, so a float n reaches Coalition's own check
+        raise ValueError(f"mask {mask} is not a coalition of the parties 1..{n}")
 
-    Checks, in order, that every index is a run of ASCII digits, that
-    the indices ascend strictly, that n is representable, and that every
-    index lies in [1, n].
+
+def _whole_numbers(values, what: str) -> np.ndarray:
+    """values as a 1-d int array; ValueError unless every entry is a whole number.
+
+    Integers and whole floats (2.0) pass; fractions, NaN, infinities,
+    bools and strings do not.  what names an entry: "point", "party".
     """
-    key = key.strip()
-    if key == "":
-        return 0
-    members = []
-    for p in key.split(","):
-        p = p.strip()
-        # str.isdigit alone also takes other scripts' digits ("١") and "²"
-        if not (p.isascii() and p.isdigit()):
-            raise InvalidCoalitionKey(f"malformed coalition key {key!r}")
-        members.append(int(p))
-    for a, b in zip(members, members[1:]):
-        if b <= a:
-            raise InvalidCoalitionKey(f"coalition key not strictly ascending: {key!r}")
-    _check_party_count(n)
-    mask = 0
-    for i in members:
-        if not 1 <= i <= n:
-            raise InvalidCoalitionKey(f"party index {i!r} outside [1, {n}]")
-        mask |= 1 << (i - 1)
-    return mask
+    raw = np.asarray(values)
+    if raw.ndim != 1 or raw.dtype.kind not in "iuf":
+        raise ValueError(f"{what} indices must be whole numbers, got {raw.tolist()!r}")
+    fractional = ~np.isfinite(raw) | (raw != np.floor(raw))
+    if fractional.any():
+        raise ValueError(f"{what} index {raw[fractional][0]} is not a whole number")
+    return raw.astype(int)
 
 
 def _require_finite(values: np.ndarray):
@@ -197,11 +212,10 @@ class Game:
         *,
         table: np.ndarray | None = None,
     ):
-        if n < 1:
-            raise ValueError("party count must be >= 1")
+        _check_n(n)
         if (oracle is None) == (table is None):
             raise ValueError("give exactly one of an oracle and a table")
-        self.n = n
+        self.n = int(n)
         self._oracle = oracle
         self._table = None
         self._axiom_reports: dict[float, "AxiomReport"] = {}
@@ -222,8 +236,7 @@ class Game:
 
     def value_mask(self, mask: int) -> float:
         """Value of the coalition given as a bitmask; ValueError unless 0 <= mask < 2**n."""
-        if not 0 <= mask <= self.grand_mask:
-            raise ValueError(f"mask {mask} is not a coalition of the parties 1..{self.n}")
+        _check_mask(self.n, mask)
         if mask == 0:
             return 0.0
         if self._table is not None:
@@ -295,23 +308,22 @@ def make_table_game(n: int, values: Mapping[str, float]) -> Game:
         repeats an earlier one, once every key and value is valid.
 
     Values go into one dense array with NaN for the coalitions left out,
-    so a partial table costs as much memory as a full one.  Keys in the
-    canonical ``Coalition.key()`` form are looked up in a key -> mask map
-    built once per call; only other keys (padded or malformed) are parsed.
-    Only a mapping that repeats a coalition pays for a second pass to
-    name it.
+    so a partial table costs as much memory as a full one.  A mapping of
+    at least 2**n / 16 keys is matched against a key -> mask map of the
+    canonical ``Coalition.key()`` forms, built once per call, so only
+    other keys (padded or malformed) are parsed; a smaller one has each
+    key parsed, in time proportional to its keys.  Only a mapping that
+    repeats a coalition pays for a second pass to name it.
     """
-    if n < 1:
-        raise ValueError("party count must be >= 1")
     _check_party_count(n)
     if not isinstance(values, Mapping):
         raise ValueError(f"coalition values must be a mapping, got {type(values).__name__}")
     table = np.full(1 << n, np.nan)
-    canonical = _canonical_masks(n)
+    canonical = _canonical_masks(n) if 16 * len(values) >= 1 << n else {}
     for key, val in values.items():
         mask = canonical.get(key)
-        if mask is None:  # padded or malformed: parse it, raising on the latter
-            mask = _key_mask(key, n)
+        if mask is None:  # not in the map: parse it, raising on a malformed key
+            mask = Coalition.from_key(key, n).mask
         # float is listed first because the Real ABC check is slow
         if isinstance(val, bool) or not isinstance(val, (float, numbers.Real)):
             raise ValueError(f"coalition {key!r} has non-numeric value {val!r}")
@@ -328,7 +340,7 @@ def make_table_game(n: int, values: Mapping[str, float]) -> Game:
     if np.count_nonzero(~np.isnan(table)) < len(values):
         first: dict[int, str] = {}
         for key in values:
-            mask = canonical[key] if key in canonical else _key_mask(key, n)
+            mask = canonical[key] if key in canonical else Coalition.from_key(key, n).mask
             if mask in first:
                 raise InvalidCoalitionKey(
                     f"coalition {Coalition.from_mask(mask, n).key()!r} is named twice, "

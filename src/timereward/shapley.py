@@ -20,7 +20,6 @@ party its marginal contribution over its predecessors.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,7 @@ from .games import (
     TimeVector,
     _bit_pairs,
     _check_per_party,
+    _is_integer,
     subset_differences,
 )
 
@@ -155,7 +155,7 @@ def shapley_mc(game: Game, permutations: int, seed: int) -> ShapleyResult:
     Coalitions are int64 bitmasks, so n is limited to 62 parties; larger
     games raise TooLarge.
     """
-    if isinstance(permutations, bool) or not isinstance(permutations, numbers.Integral):
+    if not _is_integer(permutations):
         raise ValueError(f"permutations must be an integer, got {permutations!r}")
     if permutations < 1:
         raise ValueError("permutations must be >= 1")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, SizesExceedData, ZeroVariance
-from .games import _refuse_repeats
+from .games import _is_integer, _refuse_repeats, _whole_numbers
 
 __all__ = [
     "Dataset",
@@ -39,7 +39,7 @@ class Dataset:
     def __post_init__(self):
         X = np.asarray(self.features, dtype=float)
         y = np.asarray(self.targets, dtype=float)
-        p = np.asarray(self.party, dtype=int)
+        p = _whole_numbers(self.party, "party")
         if X.ndim != 2 or len(y) != len(X) or len(p) != len(X):
             raise LengthMismatch("features, targets, and party must have equal row counts")
         if np.any(p < 0):
@@ -97,6 +97,8 @@ def gen_friedman(count: int, noise_std: float = 1.0, seed: int = 0) -> Dataset:
 
     Deterministic per seed; points start unassigned.
     """
+    if not _is_integer(count):
+        raise ValueError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
     if not (math.isfinite(noise_std) and noise_std >= 0):
@@ -113,7 +115,10 @@ def partition(data: Dataset, sizes, seed: int) -> Dataset:
     Points are assigned without replacement; leftovers stay at party 0.
     Deterministic per seed.
     """
-    sizes = [int(s) for s in sizes]
+    sizes = list(sizes)
+    for s in sizes:
+        if not _is_integer(s):
+            raise ValueError(f"sizes must be integers, got {s!r}")
     if any(s < 0 for s in sizes):
         raise ValueError("sizes must be non-negative")
     total = sum(sizes)

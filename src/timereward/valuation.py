@@ -25,7 +25,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalFailure
-from .games import Game, _check_party, _check_party_count, _read_json_object
+from .games import (
+    Game, _check_mask, _check_party, _check_party_count, _read_json_object, _whole_numbers, members_of
+)
 from .synthdata import Dataset, PredictiveDistribution
 
 __all__ = [
@@ -62,7 +64,7 @@ class GpModel:
 
     def __post_init__(self):
         X = np.array(self.inputs, dtype=float)
-        own = np.array(self.ownership, dtype=int)
+        own = _whole_numbers(self.ownership, "party")
         ls = np.array(self.lengthscales, dtype=float)
         noise = np.array(self.noise_variance, dtype=float)
         signal = float(self.signal_variance)
@@ -124,9 +126,8 @@ class GpModel:
 
     def points_of_mask(self, mask: int) -> np.ndarray:
         """Points of the coalition given as a bitmask; ValueError unless 0 <= mask < 2**n_parties."""
-        if not 0 <= mask < 1 << self.n_parties:
-            raise ValueError(f"mask {mask} is not a coalition of the parties 1..{self.n_parties}")
-        return self.points_of(i + 1 for i in range(self.n_parties) if mask >> i & 1)
+        _check_mask(self.n_parties, mask)
+        return self.points_of(members_of(mask))
 
 
 def se_kernel(
@@ -202,16 +203,12 @@ def _point_indices(model: GpModel, points) -> np.ndarray:
     raw = np.asarray(list(points))
     if raw.size == 0:
         return np.zeros(0, dtype=int)
-    if raw.ndim != 1 or raw.dtype.kind not in "iuf":
-        raise ValueError(f"point indices must be whole numbers, got {raw.tolist()!r}")
-    outside = ~((raw >= 0) & (raw < model.n_points))  # NaN too
-    if outside.any():
-        bad = raw[outside][0]
-        raise ValueError(f"point index {bad} is not one of the points 0..{model.n_points - 1}")
-    fractional = raw != np.floor(raw)
-    if fractional.any():
-        raise ValueError(f"point index {raw[fractional][0]} is not a whole number")
-    idx = raw.astype(int)
+    if raw.dtype.kind in "iuf":  # NaN and infinities are named as outside the points
+        outside = ~((raw >= 0) & (raw < model.n_points))
+        if outside.any():
+            bad = raw[outside][0]
+            raise ValueError(f"point index {bad} is not one of the points 0..{model.n_points - 1}")
+    idx = _whole_numbers(raw, "point")
     uniq, counts = np.unique(idx, return_counts=True)
     if uniq.size != idx.size:
         raise ValueError(f"point index {uniq[counts > 1][0]} is given more than once")

@@ -81,6 +81,18 @@ class TestCoalition:
         with pytest.raises(InvalidCoalitionKey, match=f"party index {bad!r}"):
             Coalition.of([bad], 2)
 
+    def test_numpy_integer_members_are_taken_as_ints(self):
+        # np.int64(1) used to be refused as "outside [1, 2]"
+        c = Coalition.of([np.int64(1)], 2)
+        assert c.members == (1,)
+        assert type(c.members[0]) is int
+
+    @pytest.mark.parametrize("mask", [True, 1.0, -1, 4])
+    def test_from_mask_refuses_a_mask_outside_the_game(self, mask):
+        # True and 1.0 used to be read as party 1, and -1 never returned
+        with pytest.raises(ValueError, match=f"^mask {re.escape(repr(mask))} is not"):
+            Coalition.from_mask(mask, 2)
+
 
 class TestTableGame:
     def test_two_party_example_game(self):
@@ -219,6 +231,26 @@ class TestTableGame:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             g.value([1, party])
 
+    @pytest.mark.parametrize("mask", [1.0, True, 2.5])
+    def test_value_mask_refuses_a_mask_that_is_not_an_integer(self, mask):
+        # 1.0 used to raise a bare IndexError, True a TypeError
+        g = make_table_game(2, {"1": 0.2, "2": 0.2, "1,2": 1.0})
+        with pytest.raises(ValueError, match=f"^mask {mask!r} is not an integer$"):
+            g.value_mask(mask)
+
+    @pytest.mark.parametrize("n", [True, 2.0, 0, -1])
+    def test_party_count_is_an_integer_of_at_least_one(self, n):
+        # True and 2.0 used to be taken as a party count
+        message = f"^party count must be an integer >= 1, got {re.escape(repr(n))}$"
+        for build in (
+            lambda: Game(n, lambda mask: 0.0),
+            lambda: make_table_game(n, {"1": 0.5}),
+            lambda: Coalition.of([1], n),
+            lambda: Coalition.from_mask(0, n),
+        ):
+            with pytest.raises(ValueError, match=message):
+                build()
+
     @pytest.mark.parametrize("mask", [-1, 4, 2**40])
     @pytest.mark.parametrize("full", [True, False], ids=["table", "oracle"])
     def test_value_mask_refuses_a_mask_outside_the_game(self, mask, full):
@@ -312,10 +344,43 @@ class TestTableGameMatchesReference:
         with pytest.raises(InvalidCoalitionKey, match="malformed"):
             make_table_game(2, {digit: 0.5, "2": 0.1, "1,2": 1.0})
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"1": 0.5, "2": 0.5, "1,2": 1.5},
+            {"1": 0.5, " 2": 0.5, "1,2": 1.5, "1, 2": 2.0},
+            {"1": 0.5, "2,1": 0.5},
+            {"1": 0.5, "1,9": 0.5},
+            {"": 0.0, "3,7,8": 0.25, "8": 0.75},
+        ],
+        ids=["partial", "repeat", "descending", "outside", "padded-empty"],
+    )
+    def test_a_few_keys_parsed_one_by_one(self, values):
+        # below 2**n / 16 keys no key -> mask map is built
+        n = 8
+        assert 16 * len(values) < 1 << n
+        got = _outcome(lambda: make_table_game(n, values))
+        assert got == _outcome(lambda: table_game_reference(n, values))
+
+    def test_a_few_keys_of_many_parties_build_no_key_map(self):
+        # the map of all 2**20 keys used to peak at ~155 MiB; the NaN table is 8 MiB
+        tracemalloc.start()
+        try:
+            g = make_table_game(20, {"1": 0.5, "2": 0.5, "1,2": 1.5})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 << 20
+        assert g.value([1, 2]) == 1.5
+        with pytest.raises(MissingCoalition, match="coalition '3' not in table"):
+            g.value([3])
+
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_canonical_key_map(self, n):
         want = {Coalition.from_mask(mask, n).key(): mask for mask in range(1 << n)}
         assert _canonical_masks(n) == want
+        # the loader's fast path and the one key decoder must agree
+        assert {key: Coalition.from_key(key, n).mask for key in want} == want
 
     @pytest.mark.parametrize("n,error", [(0, ValueError), (25, TooLarge)])
     def test_party_count_checked_first(self, n, error):

@@ -1,6 +1,7 @@
 """Friedman generation, partitioning, standardization, MNLP, CSV round-trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,14 @@ class TestFriedman:
             with pytest.raises(ValueError, match="finite"):
                 gen_friedman(10, noise_std=noise, seed=0)
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, True, "3"])
+    def test_count_is_an_integer(self, count):
+        # 2.5 used to raise a bare TypeError, and True to draw one point
+        message = f"^count must be an integer, got {re.escape(repr(count))}$"
+        with pytest.raises(ValueError, match=message):
+            gen_friedman(count, seed=0)
+        assert len(gen_friedman(np.int64(3), seed=0)) == 3
+
 
 class TestPartition:
     def test_uneven_three_party_sizes(self):
@@ -97,6 +106,15 @@ class TestPartition:
         data = gen_friedman(10, seed=2)
         with pytest.raises(SizesExceedData):
             partition(data, (6, 6), seed=0)
+
+    @pytest.mark.parametrize("sizes", [[2.7, 3.2], [True, 2], ["2", 3]])
+    def test_sizes_are_integers(self, sizes):
+        # each used to be truncated or cast: [2.7, 3.2] assigned 2 and 3 points
+        data = gen_friedman(10, seed=2)
+        message = f"^sizes must be integers, got {re.escape(repr(sizes[0]))}$"
+        with pytest.raises(ValueError, match=message):
+            partition(data, sizes, seed=0)
+        assert np.bincount(partition(data, [np.int64(2), 3], seed=0).party).tolist() == [5, 2, 3]
 
     def test_disjoint_assignment(self):
         data = gen_friedman(100, seed=4)
@@ -242,3 +260,16 @@ class TestCsvRoundTrip:
     def test_dataset_validation(self):
         with pytest.raises(LengthMismatch):
             Dataset(np.zeros((3, 2)), np.zeros(2), np.zeros(3, dtype=int))
+
+    @pytest.mark.parametrize(
+        "party,message",
+        [
+            ([1.5, 0.2], "party index 1.5 is not a whole number"),
+            (np.array([True, False]), "party indices must be whole numbers, got [True, False]"),
+        ],
+    )
+    def test_dataset_party_of_whole_numbers_only(self, party, message):
+        # [1.5, 0.2] used to be truncated to [1, 0], and True read as party 1
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(np.zeros((2, 1)), np.zeros(2), party)
+        assert Dataset(np.zeros((2, 1)), np.zeros(2), [2.0, 0.0]).party.tolist() == [2, 0]

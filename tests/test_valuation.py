@@ -277,6 +277,21 @@ class TestGpModelValidation:
         with pytest.raises(ValueError, match="finite"):
             GpModel(**args)
 
+    @pytest.mark.parametrize(
+        "ownership,message",
+        [
+            ([1.7, 2.2], "party index 1.7 is not a whole number"),
+            ([1.0, np.nan], "party index nan is not a whole number"),
+            (np.array([True, True]), "party indices must be whole numbers, got [True, True]"),
+        ],
+    )
+    def test_ownership_of_whole_numbers_only(self, ownership, message):
+        # [1.7, 2.2] used to be truncated to parties [1, 2], and True read as party 1
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GpModel(np.zeros((2, 1)), ownership, np.array([1.0]), 1.0, 1.0)
+        whole = GpModel(np.zeros((2, 1)), [1.0, 2.0], np.array([1.0]), 1.0, 1.0)
+        assert whole.ownership.tolist() == [1, 2]
+
     def test_arrays_are_read_only_copies(self):
         X = np.zeros((2, 1))
         noise = np.array([0.1, 0.2])
@@ -298,6 +313,13 @@ class TestGpModelValidation:
         m = three_party_model(points_per_party=2)
         with pytest.raises(ValueError, match=f"^party {party!r} is not"):
             m.points_of([2, party])
+
+    @pytest.mark.parametrize("mask", [True, 1.0])
+    def test_points_of_mask_refuses_a_mask_that_is_not_an_integer(self, mask):
+        # True used to give party 1's points
+        m = three_party_model(points_per_party=2)
+        with pytest.raises(ValueError, match=f"^mask {mask!r} is not an integer$"):
+            m.points_of_mask(mask)
 
     @pytest.mark.parametrize("mask", [8, 16, -1])
     def test_points_of_mask_refuses_unknown_mask(self, mask):
