@@ -6,7 +6,10 @@ conditional information gain, and sweeps party 1's joining time while
 everyone else stays at 0.  Each beta (cumulation) and gamma (time
 valuation) is one scheme k, and the sweep fills arrays indexed
 [k, j, party - 1] for entry j of the t1 grid: the rewards, the scaled
-rewards and, on request, the MNLP of each realized reward.  Each trend
+rewards and, on request, the MNLP of each realized reward.  For the
+MNLP, one eigendecomposition per party of the others' whitened kernel,
+made before that party is tempered, serves both the bisection and the
+tempered model's closed-form predictive at every kappa.  Each trend
 check is one reduction of the scaled rewards: none falls below the
 party's own value; party 1's never rises along the stably sorted grid;
 at every t1 = 0 entry the weakest party stays at or below the strongest
@@ -25,7 +28,7 @@ import numpy as np
 from .games import DEFAULT_TOL, TimeVector
 from .incentives import cumulation_scheme, time_valuation_scheme
 from .rewards import _scale
-from .realization import _others, temper
+from .realization import _tempered_predictor, temper
 from .shapley import shapley_exact
 from .synthdata import (
     Dataset,
@@ -35,7 +38,7 @@ from .synthdata import (
     standardize,
     train_test_split,
 )
-from .valuation import conditional_ig_game, gp_predict, make_gp_model
+from .valuation import conditional_ig_game, make_gp_model
 
 __all__ = ["FriedmanConfig", "SweepRow", "FriedmanResult", "run_friedman_experiment", "write_rows_csv"]
 
@@ -88,21 +91,6 @@ class FriedmanResult:
         return not self.witnesses
 
 
-def _reward_model_mnlp(model, std_targets, test_X, test_y, party, kappa) -> float:
-    """MNLP of the tempered model reward: own data plus others at noise/kappa."""
-    own = model.points_of([party])
-    others = _others(model, party)
-    noise = model.noise_vector()
-    if kappa <= 0.0:
-        idx = own
-        point_noise = noise[own]
-    else:
-        idx = np.concatenate([own, others])
-        point_noise = np.concatenate([noise[own], noise[others] / kappa])
-    pred = gp_predict(model, std_targets, idx, test_X, point_noise=point_noise)
-    return mnlp(pred, test_y)
-
-
 def run_friedman_experiment(config: FriedmanConfig = FriedmanConfig()) -> FriedmanResult:
     if 0 not in config.t1_grid:
         raise ValueError("t1 grid must include 0: the checks at all-zero times need it")
@@ -143,14 +131,16 @@ def run_friedman_experiment(config: FriedmanConfig = FriedmanConfig()) -> Friedm
         for j, t1 in enumerate(grid):
             reward[k, j] = scheme(game, TimeVector.of((t1,) + (0,) * (n - 1))).rewards
             scaled[k, j] = _scale(game, reward[k, j], phi).scaled
-            if not config.with_mnlp:
-                continue
-            for p in range(n):
-                target = min(float(scaled[k, j, p]), grand)
-                realized = temper(model, p + 1, target)
-                cell_mnlp[k, j, p] = _reward_model_mnlp(
-                    model, model_targets, test.features, test_y, p + 1, realized.kappa
-                )
+    for p in range(n if config.with_mnlp else 0):
+        # built before tempering the party, so one eigendecomposition serves
+        # both the bisection and the predictive
+        predict = _tempered_predictor(model, model_targets, p + 1, test.features)
+        by_kappa = {}  # cells with equal targets (every t1 = 0 cell, say) share a kappa
+        for k, j in np.ndindex(reward.shape[:2]):
+            kappa = temper(model, p + 1, min(float(scaled[k, j, p]), grand)).kappa
+            if kappa not in by_kappa:
+                by_kappa[kappa] = mnlp(predict(kappa), test_y)
+            cell_mnlp[k, j, p] = by_kappa[kappa]
 
     def column(k):
         return schemes[k].name, schemes[k].param

@@ -168,11 +168,15 @@ def _whole_numbers(values, what: str) -> np.ndarray:
     """values as a 1-d int array; ValueError unless every entry is a whole number.
 
     Integers and whole floats (2.0) pass; fractions, NaN, infinities,
-    bools and strings do not.  what names an entry: "point", "party".
+    bools and strings do not, also inside a list whose other entries are
+    integers (numpy reads [True, 2] as [1, 2]).  what names an entry:
+    "point", "party".
     """
     raw = np.asarray(values)
     if raw.ndim != 1 or raw.dtype.kind not in "iuf":
         raise ValueError(f"{what} indices must be whole numbers, got {raw.tolist()!r}")
+    if not isinstance(values, np.ndarray) and any(isinstance(x, (bool, np.bool_)) for x in values):
+        raise ValueError(f"{what} indices must be whole numbers, got {list(values)!r}")
     fractional = ~np.isfinite(raw) | (raw != np.floor(raw))
     if fractional.any():
         raise ValueError(f"{what} index {raw[fractional][0]} is not a whole number")

@@ -5,13 +5,17 @@ power kappa in [0, 1].  Precisions add, so for a GP the tempered value
 is IG(all points) - IG(others' points at noise sigma^2/(1-kappa)), which
 is IG(all) - 0.5 * sum_k log1p((1 - kappa) * lambda_k) with lambda_k the
 eigenvalues of the others' whitened kernel.  One eigendecomposition per
-model and party (kept while the model lives) makes every bisection step
-O(m).  Subset selection instead adds shuffled points from the other
-parties until the conditional value first exceeds the target; it works
-for any valuation but is only approximate.  On a GP the points left out
-after k additions are the last ones in joining order, so one Cholesky
-factor of the donors in reversed joining order gives every step's value
-from the cumulative sum of its log diagonal.
+model and party (its eigenvalues kept while the model lives) makes every
+bisection step O(m).  The same decomposition, with its eigenvectors,
+gives the tempered model's predictive in closed form: conditioning on
+the others at noise/kappa only reweights their eigenbasis, so each kappa
+then conditions on the party's own points alone.  Subset selection
+instead adds shuffled points from the other parties until the
+conditional value first exceeds the target; it works for any valuation
+but is only approximate.  On a GP the points left out after k additions
+are the last ones in joining order, so one Cholesky factor of the donors
+in reversed joining order gives every step's value from the cumulative
+sum of its log diagonal.
 """
 
 from __future__ import annotations
@@ -24,7 +28,10 @@ import scipy.linalg
 
 from .errors import TargetOutOfRange
 from .games import Game, _check_party, _check_tolerance
-from .valuation import GpModel, _point_indices, _robust_cholesky, _whitened_kernel, gp_ig
+from .synthdata import PredictiveDistribution
+from .valuation import (
+    GpModel, _point_indices, _robust_cholesky, _whitened_kernel, gp_ig, gp_predict, se_kernel
+)
 
 __all__ = [
     "TemperedReward",
@@ -84,29 +91,98 @@ def _all_points_ig(model: GpModel) -> float:
     return model._all_points_ig
 
 
+def _decompose_others(
+    model: GpModel, party: int, vectors: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The others' points and their whitened kernel A = U diag(spectrum) U^T.
+
+    The eigenvalues, clipped at 0, are kept on the model as the party's
+    spectrum, so the tempering curve and the tempered predictive share
+    one decomposition.  Without vectors only eigvalsh runs and U is
+    empty; the eigenvectors are never kept on the model.
+    """
+    others = _others(model, party)
+    spectrum, U = np.zeros(0), np.zeros((0, 0))
+    if len(others):
+        A = _whitened_kernel(model, others)
+        if vectors:
+            spectrum, U = scipy.linalg.eigh(A, check_finite=False)
+        else:
+            spectrum = scipy.linalg.eigvalsh(A, check_finite=False)
+    # A is positive semi-definite; clip rounding below zero
+    spectrum = model._others_spectra[party] = np.maximum(spectrum, 0.0)
+    return others, spectrum, U
+
+
 def _tempering_curve(model: GpModel, party: int) -> Callable[[float], float]:
     """kappa -> tempered value of party, from one eigendecomposition per model and party.
 
     IG(others at noise/(1-kappa)) is 0.5 * log det(I + (1-kappa) A) with A
-    the others' whitened kernel, so it is a sum over A's eigenvalues.  The
-    curve is kept on the model, whose arrays are read-only, so a sweep
-    that tempers one party for many targets builds it once.
+    the others' whitened kernel, so it is a sum over A's eigenvalues,
+    which are kept on the model (whose arrays are read-only): a sweep
+    that tempers one party for many targets decomposes A once.
     """
-    curves = model._tempering_curves
-    if party not in curves:
-        others = _others(model, party)
-        total = _all_points_ig(model)
-        spectrum = np.zeros(0)
-        if len(others):
-            A = _whitened_kernel(model, others)
-            # A is positive semi-definite; clip rounding below zero
-            spectrum = np.maximum(scipy.linalg.eigvalsh(A, check_finite=False), 0.0)
+    total = _all_points_ig(model)
+    spectrum = model._others_spectra.get(party)
+    if spectrum is None:
+        spectrum = _decompose_others(model, party, vectors=False)[1]
 
-        def value(kappa: float) -> float:
-            return total - 0.5 * float(np.sum(np.log1p((1.0 - kappa) * spectrum)))
+    def value(kappa: float) -> float:
+        return total - 0.5 * float(np.sum(np.log1p((1.0 - kappa) * spectrum)))
 
-        curves[party] = value
-    return curves[party]
+    return value
+
+
+def _tempered_predictor(
+    model: GpModel, targets: np.ndarray, party: int, X_test: np.ndarray
+) -> Callable[[float], PredictiveDistribution]:
+    """kappa -> predictive at X_test of party's tempered model reward.
+
+    The reward model conditions on the party's own points at their noise
+    and the others' points at noise/kappa.  With D_o the others' noise,
+    A = D_o^-1/2 K_oo D_o^-1/2 = U diag(lam) U^T, w = kappa/(1 + kappa lam)
+    and G = K(x, o) D_o^-1/2 U, the others alone give the prior mean
+    G (w * U^T D_o^-1/2 y_o) and covariance K - G diag(w) G^T (GPML
+    ch. 2).  Each kappa then conditions that prior on the own points:
+    one own-size Cholesky factor and matmuls.  At kappa = 0 the others
+    carry no weight, and the model is gp_predict over the own points.
+    The predictive variance adds the model's observation noise, as
+    gp_predict's does.
+    """
+    own = model.points_of([party])
+    others, spectrum, U = _decompose_others(model, party, vectors=True)
+    y = np.asarray(targets, dtype=float)
+    ls, signal = model.lengthscales, model.signal_variance
+    noise = model.noise_vector()
+    inv_sqrt = 1.0 / np.sqrt(noise[others])
+    X_own = model.inputs[own]
+    G = se_kernel(np.vstack([X_own, X_test]), ls, signal, model.inputs[others])
+    G *= inv_sqrt[None, :]
+    G = G @ U
+    G_own, G_test = G[: len(own)], G[len(own) :]
+    b = U.T @ (inv_sqrt * y[others])
+    K_own = se_kernel(X_own, ls, signal)
+    K_own[np.diag_indices_from(K_own)] += noise[own]
+    K_test_own = se_kernel(X_test, ls, signal, X_own)
+    obs_noise = float(np.mean(model.noise_variance))  # a scalar is its own mean
+
+    def predict(kappa: float) -> PredictiveDistribution:
+        if kappa <= 0.0:
+            return gp_predict(model, y, own, X_test)
+        w = kappa / (1.0 + kappa * spectrum)
+        # G diag(w) G^T as H H^T with H = G diag(sqrt(w)), so numpy takes syrk
+        root_w = np.sqrt(w)
+        H_own, H_test = G_own * root_w, G_test * root_w
+        L = _robust_cholesky(K_own - H_own @ H_own.T)
+        cross = K_test_own - H_test @ H_own.T
+        wb = w * b
+        resid = scipy.linalg.solve_triangular(L, y[own] - G_own @ wb, lower=True, check_finite=False)
+        Q = scipy.linalg.solve_triangular(L, cross.T, lower=True, check_finite=False)
+        mean = G_test @ wb + Q.T @ resid
+        var_f = signal - np.sum(H_test * H_test, axis=1) - np.sum(Q * Q, axis=0)
+        return PredictiveDistribution(mean, np.maximum(var_f, 0.0) + obs_noise)
+
+    return predict
 
 
 def tempered_value(model: GpModel, party: int, kappa: float) -> float:

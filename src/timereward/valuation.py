@@ -14,6 +14,9 @@ Schur complement of the later parties' points given the current
 coalition.  Adding a party factors its block of that complement, whose
 log diagonal is the coalition's gain over its parent, and conditions
 the later points on it (one triangular solve and one rank update).
+The factor and the solve call LAPACK's dpotrf and BLAS's dtrsm
+directly, so the walk pays no wrapper checks or finite scans per party:
+every matrix it factors is built from a validated model.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from typing import Iterable
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf
 
 from .errors import NumericalFailure
 from .games import (
@@ -94,9 +99,9 @@ class GpModel:
             noise.flags.writeable = False
         object.__setattr__(self, "noise_variance", noise if noise.ndim else float(noise))
         object.__setattr__(self, "signal_variance", signal)
-        # tempering curves by party and the IG of all points, filled
-        # idempotently by realization
-        object.__setattr__(self, "_tempering_curves", {})
+        # the others' whitened-kernel eigenvalues by party and the IG of
+        # all points, filled idempotently by realization
+        object.__setattr__(self, "_others_spectra", {})
         object.__setattr__(self, "_all_points_ig", None)
 
     @property
@@ -153,22 +158,22 @@ def _robust_cholesky(mat: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor with escalating relative jitter.
 
     Starts jitter-free; on failure adds 1e-8 * mean(diag) and escalates
-    by 10x up to 1e-2 * mean(diag) before giving up.
+    by 10x up to 1e-2 * mean(diag) before giving up.  mat must be
+    finite: LAPACK's dpotrf is called directly, without a scan.
     """
-    try:
-        return scipy.linalg.cholesky(mat, lower=True)
-    except scipy.linalg.LinAlgError:
-        pass
+    L, info = dpotrf(mat, lower=1, clean=1)
+    if info == 0:
+        return L
     scale = float(np.mean(np.diag(mat)))
     if not np.isfinite(scale) or scale <= 0:
         raise NumericalFailure("matrix diagonal is not positive")
     jitter = _JITTER_START
     eye = np.eye(len(mat))
     while jitter <= _JITTER_LIMIT:
-        try:
-            return scipy.linalg.cholesky(mat + jitter * scale * eye, lower=True)
-        except scipy.linalg.LinAlgError:
-            jitter *= 10.0
+        L, info = dpotrf(mat + jitter * scale * eye, lower=1, clean=1)
+        if info == 0:
+            return L
+        jitter *= 10.0
     raise NumericalFailure(
         f"Cholesky failed even with jitter {_JITTER_LIMIT:g} * mean diagonal"
     )
@@ -188,19 +193,34 @@ def information_gain(K: np.ndarray, noise: np.ndarray) -> float:
 
     Evaluated on the symmetrized form I + D^-1/2 K D^-1/2 via Cholesky;
     the log-determinant is the sum of the log factor diagonal, which
-    cannot overflow.
+    cannot overflow.  ValueError unless K is square and finite and noise
+    holds one positive finite variance per row of K.
     """
+    K = np.asarray(K, dtype=float)
+    noise = np.asarray(noise, dtype=float)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError(f"K must be a square matrix, got shape {K.shape}")
+    if not np.all(np.isfinite(K)):
+        raise ValueError("K must be finite")
+    if noise.shape != (len(K),):
+        raise ValueError(f"need one noise variance per row of K: {noise.shape} for {len(K)} rows")
+    positive = (noise > 0) & np.isfinite(noise)
+    if not positive.all():
+        raise ValueError(f"noise variances must be positive and finite, got {noise[~positive][0]}")
     if len(K) == 0:
         return 0.0
     inv_sqrt = 1.0 / np.sqrt(noise)
-    B = np.eye(len(K)) + inv_sqrt[:, None] * K * inv_sqrt[None, :]
+    B = K * inv_sqrt[:, None]  # built in place: one temporary of K's size
+    B *= inv_sqrt[None, :]
+    B[np.diag_indices_from(B)] += 1.0
     L = _robust_cholesky(B)
     return float(np.sum(np.log(np.diag(L))))
 
 
 def _point_indices(model: GpModel, points) -> np.ndarray:
     """points as an int array; ValueError unless distinct whole numbers in 0..n_points - 1."""
-    raw = np.asarray(list(points))
+    entries = points if isinstance(points, np.ndarray) else list(points)
+    raw = np.asarray(entries)
     if raw.size == 0:
         return np.zeros(0, dtype=int)
     if raw.dtype.kind in "iuf":  # NaN and infinities are named as outside the points
@@ -208,7 +228,7 @@ def _point_indices(model: GpModel, points) -> np.ndarray:
         if outside.any():
             bad = raw[outside][0]
             raise ValueError(f"point index {bad} is not one of the points 0..{model.n_points - 1}")
-    idx = _whole_numbers(raw, "point")
+    idx = _whole_numbers(entries, "point")
     uniq, counts = np.unique(idx, return_counts=True)
     if uniq.size != idx.size:
         raise ValueError(f"point index {uniq[counts > 1][0]} is given more than once")
@@ -268,9 +288,7 @@ def _ig_table(model: GpModel) -> np.ndarray:
                 L = _robust_cholesky(S[start:stop, start:stop])
                 table[child] += np.sum(np.log(np.diagonal(L)))
                 if len(later):
-                    W = scipy.linalg.solve_triangular(
-                        L, S[start:stop, stop:], lower=True, check_finite=False
-                    )
+                    W = dtrsm(1.0, L, S[start:stop, stop:], lower=1)
                     later -= W.T @ W
             extend(child, later, p + 1)
 

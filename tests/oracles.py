@@ -10,7 +10,10 @@ They are exponential or worse and meant for small games only.  The
 tempered GP value is built from its virtual copies of the others'
 points, one joint kernel over kept and conditioning points; the
 conditional IG table and the greedy GP subset factorize one kernel per
-coalition or per step.  The axiom and incentive checks enumerate their
+coalition or per step.  The tempered model's predictive conditions on
+one kernel of its own points and the others' points at noise/kappa, and
+the plain IG table walk keeps its scipy.linalg wrapper calls, so the
+library's direct LAPACK calls can be checked bit for bit.  The axiom and incentive checks enumerate their
 quantifiers coalition by coalition with submask loops, in the scan
 order whose first worst pair the library reports as its witness.
 """
@@ -20,6 +23,7 @@ import math
 import re
 
 import numpy as np
+import scipy.linalg
 
 from timereward import (
     AxiomReport,
@@ -36,7 +40,8 @@ from timereward import (
 )
 from timereward.incentives import IncentiveCheck
 from timereward.rewards import cooperative_abilities
-from timereward.valuation import GpModel, information_gain, se_kernel
+from timereward.synthdata import PredictiveDistribution
+from timereward.valuation import GpModel, gp_predict, information_gain, se_kernel
 
 
 def coalition_from_key_reference(key: str, n: int) -> Coalition:
@@ -279,6 +284,77 @@ def select_subset_reference(model: GpModel, party: int, target: float, seed: int
         if achieved > target:
             return SubsetReward(party, tuple(selected), achieved, target, seed)
     return SubsetReward(party, tuple(selected), achieved, target, seed, saturated=True)
+
+
+def tempered_predictive_reference(
+    model: GpModel, targets, party: int, kappa: float, X_test
+) -> PredictiveDistribution:
+    """Predictive of party's tempered model reward: own points plus the others' at noise/kappa.
+
+    One gp_predict over all the conditioning points; kappa = 0 keeps the
+    own points only.
+    """
+    own = model.points_of([party])
+    others = model.points_of(p for p in range(1, model.n_parties + 1) if p != party)
+    noise = model.noise_vector()
+    if kappa <= 0.0:
+        idx = own
+        point_noise = noise[own]
+    else:
+        idx = np.concatenate([own, others])
+        point_noise = np.concatenate([noise[own], noise[others] / kappa])
+    return gp_predict(model, targets, idx, X_test, point_noise=point_noise)
+
+
+def scipy_cholesky_reference(mat: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor through scipy.linalg.cholesky, with the library's jitter ladder."""
+    try:
+        return scipy.linalg.cholesky(mat, lower=True)
+    except scipy.linalg.LinAlgError:
+        pass
+    scale = float(np.mean(np.diag(mat)))
+    jitter = 1e-8
+    while jitter <= 1e-2:
+        try:
+            return scipy.linalg.cholesky(mat + jitter * scale * np.eye(len(mat)), lower=True)
+        except scipy.linalg.LinAlgError:
+            jitter *= 10.0
+    raise AssertionError("the reference factor failed")
+
+
+def ig_table_walk_reference(model: GpModel) -> np.ndarray:
+    """Plain IG of every coalition by the depth-first Schur-complement walk, on scipy wrappers.
+
+    The library's whitened kernel, order of parties and arithmetic, with
+    each factor from scipy.linalg.cholesky, each solve from
+    solve_triangular, and a fresh copy of every child's block.
+    """
+    n = model.n_parties
+    order = np.argsort(model.ownership, kind="stable")
+    inv_sqrt = 1.0 / np.sqrt(model.noise_vector()[order])
+    B = se_kernel(model.inputs[order], model.lengthscales, model.signal_variance)
+    B *= inv_sqrt[:, None]
+    B *= inv_sqrt[None, :]
+    B[np.diag_indices_from(B)] += 1.0
+    bounds = np.searchsorted(model.ownership[order], np.arange(1, n + 2))
+    table = np.zeros(1 << n)
+
+    def extend(mask: int, S: np.ndarray, first: int):
+        for p in range(first, n):
+            start, stop = bounds[p : p + 2] - bounds[first]
+            later = S[stop:, stop:].copy()
+            child = mask | 1 << p
+            table[child] = table[mask]
+            if stop > start:
+                L = scipy_cholesky_reference(S[start:stop, start:stop])
+                table[child] += np.sum(np.log(np.diagonal(L)))
+                if len(later):
+                    W = scipy.linalg.solve_triangular(L, S[start:stop, stop:], lower=True)
+                    later -= W.T @ W
+            extend(child, later, p + 1)
+
+    extend(0, B, 0)
+    return table
 
 
 def _submasks(mask: int):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import count_dividend_passes
-from oracles import select_subset_reference
+from oracles import select_subset_reference, tempered_predictive_reference
 from timereward import (
     GpModel,
     TargetOutOfRange,
@@ -19,7 +19,7 @@ from timereward import (
 )
 from timereward import experiment
 from timereward.experiment import FriedmanConfig, SweepRow, run_friedman_experiment, write_rows_csv
-from timereward.realization import conditional_point_value
+from timereward.realization import _tempered_predictor, conditional_point_value
 from timereward.synthdata import mnlp
 from timereward.valuation import gp_ig, gp_predict, information_gain, se_kernel
 
@@ -342,8 +342,87 @@ def test_reward_model_at_kappa_0_is_the_own_points_model():
     test_X, test_y = rng.uniform(size=(4, 2)), rng.normal(size=4)
     for party in (1, 2, 3):
         own = gp_predict(model, targets, model.points_of([party]), test_X)
-        got = experiment._reward_model_mnlp(model, targets, test_X, test_y, party, 0.0)
-        assert got == mnlp(own, test_y)
+        got = _tempered_predictor(model, targets, party, test_X)(0.0)
+        assert mnlp(got, test_y) == mnlp(own, test_y)
+
+
+def _models_for_the_tempered_predictive():
+    rng = np.random.default_rng(11)
+    X = rng.uniform(size=(13, 2))
+    unequal = np.repeat([1, 2, 3], [2, 7, 4])
+    yield "homoscedastic", three_party_model(3), (1, 2, 3)
+    yield "heteroscedastic", GpModel(
+        X, unequal, np.array([0.4, 0.7]), 1.3, rng.uniform(0.01, 0.5, size=13)
+    ), (1, 2, 3)
+    yield "unequal-sizes", GpModel(X, unequal, np.array([0.5, 0.5]), 1.0, 0.05), (1, 2, 3)
+    # party 1 owns no points, so party 2's others own none either
+    yield "no-others", GpModel(X[:5], np.full(5, 2), np.array([0.5, 0.5]), 1.0, 0.1), (2,)
+
+
+@pytest.mark.parametrize(
+    "name,model,parties", list(_models_for_the_tempered_predictive()),
+    ids=[name for name, *_ in _models_for_the_tempered_predictive()],
+)
+@pytest.mark.parametrize("kappa", [1e-12, 0.3, 1.0])
+def test_closed_form_predictive_matches_the_joint_kernel(name, model, parties, kappa):
+    rng = np.random.default_rng(7)
+    targets = rng.normal(size=model.n_points)
+    test_X, test_y = rng.uniform(size=(6, 2)), rng.normal(size=6)
+    for party in parties:
+        got = _tempered_predictor(model, targets, party, test_X)(kappa)
+        want = tempered_predictive_reference(model, targets, party, kappa, test_X)
+        np.testing.assert_allclose(
+            got.mean, want.mean, rtol=0.0, atol=1e-9 * np.abs(want.mean).max()
+        )
+        np.testing.assert_allclose(got.variance, want.variance, rtol=1e-9)
+        assert mnlp(got, test_y) == pytest.approx(mnlp(want, test_y), rel=1e-9)
+
+
+def _record_decompositions(monkeypatch) -> list:
+    """Names of the eigh and eigvalsh calls made from here on, in order."""
+    from timereward import realization
+
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        inner = getattr(realization.scipy.linalg, name)
+
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(realization.scipy.linalg, name, counted)
+    return calls
+
+
+def test_sweep_decomposes_once_per_party_and_predicts_only_at_kappa_0(monkeypatch):
+    from timereward import realization
+
+    decompositions = _record_decompositions(monkeypatch)
+    predicted, kappas = [], []
+    inner_predict, inner_temper = realization.gp_predict, experiment.temper
+
+    def predict(*args, **kwargs):
+        predicted.append(args)
+        return inner_predict(*args, **kwargs)
+
+    def temper_recorded(*args, **kwargs):
+        realized = inner_temper(*args, **kwargs)
+        if len(kappas) % 2:  # the sweep's own cells all realize kappa > 0
+            realized = dataclasses.replace(realized, kappa=0.0)
+        kappas.append((realized.party, realized.kappa))
+        return realized
+
+    monkeypatch.setattr(realization, "gp_predict", predict)
+    monkeypatch.setattr(experiment, "temper", temper_recorded)
+    result = run_friedman_experiment(
+        FriedmanConfig(count=100, sizes=(30, 30, 20), betas=(1.0,), gammas=(0.0,), with_mnlp=True)
+    )
+    # one eigh per party, shared by the bisection: no separate eigvalsh
+    assert decompositions == ["eigh"] * 3
+    assert len(kappas) == len(result.rows)
+    # one own-points prediction per party with a kappa = 0 cell, and none for kappa > 0
+    zeros = {party for party, kappa in kappas if kappa == 0.0}
+    assert len(predicted) == len(zeros) == 3
 
 
 @pytest.mark.parametrize(
@@ -456,3 +535,12 @@ def test_write_rows_csv_golden(tmp_path):
         b"timeval,0.10000000000000001,3,2,0.33333333333333331,0.30000000000000004,"
         b"0.66666666666666663,-0.10000000000000001\r\n"
     )
+
+
+def test_temper_alone_pays_for_eigenvalues_only(monkeypatch):
+    # realize --method temper never predicts, so it needs no eigenvectors
+    decompositions = _record_decompositions(monkeypatch)
+    model = three_party_model()
+    for target in (0.3, 0.6, 0.9):
+        temper(model, 2, target * tempered_value(model, 2, 1.0))
+    assert decompositions == ["eigvalsh"]

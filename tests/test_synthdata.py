@@ -266,6 +266,8 @@ class TestCsvRoundTrip:
         [
             ([1.5, 0.2], "party index 1.5 is not a whole number"),
             (np.array([True, False]), "party indices must be whole numbers, got [True, False]"),
+            # used to be read as parties [1, 2]
+            ([True, 2], "party indices must be whole numbers, got [True, 2]"),
         ],
     )
     def test_dataset_party_of_whole_numbers_only(self, party, message):

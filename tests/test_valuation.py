@@ -6,10 +6,11 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from conftest import random_monotone_submodular
-from oracles import conditional_ig_table_reference
+from oracles import conditional_ig_table_reference, ig_table_walk_reference, scipy_cholesky_reference
 from timereward import (
     Game,
     GpModel,
@@ -112,6 +113,9 @@ class TestGpIg:
             ([1, 3, 1], "point index 1 is given more than once"),
             ([1.7], "point index 1.7 is not a whole number"),
             (["1"], "point indices must be whole numbers, got ['1']"),
+            # numpy reads [True, 2] as [1, 2], so the list is checked before it
+            ([True, 2], "point indices must be whole numbers, got [True, 2]"),
+            ((2, np.True_), "point indices must be whole numbers, got [2, np.True_]"),
         ],
     )
     def test_gp_ig_and_gp_predict_share_one_index_check(self, points, message):
@@ -283,6 +287,8 @@ class TestGpModelValidation:
             ([1.7, 2.2], "party index 1.7 is not a whole number"),
             ([1.0, np.nan], "party index nan is not a whole number"),
             (np.array([True, True]), "party indices must be whole numbers, got [True, True]"),
+            # used to be read as parties [1, 2]
+            ([True, 2], "party indices must be whole numbers, got [True, 2]"),
         ],
     )
     def test_ownership_of_whole_numbers_only(self, ownership, message):
@@ -339,6 +345,18 @@ class TestRobustCholesky:
         with pytest.raises(NumericalFailure):
             _robust_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_factor_is_lapack_potrf_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(30, 30))
+        spd = X @ X.T + np.eye(30)
+        assert np.array_equal(_robust_cholesky(spd), scipy.linalg.cholesky(spd, lower=True))
+        # a view of a block, as the IG walk passes it
+        assert np.array_equal(
+            _robust_cholesky(spd[5:20, 5:20]), scipy.linalg.cholesky(spd[5:20, 5:20], lower=True)
+        )
+        singular = np.ones((3, 3))
+        assert np.array_equal(_robust_cholesky(singular), scipy_cholesky_reference(singular))
+
     def test_information_gain_of_duplicated_rows(self):
         # duplicated inputs give a singular kernel; IG must still work
         X = np.zeros((3, 1))
@@ -346,6 +364,44 @@ class TestRobustCholesky:
         got = information_gain(K, np.full(3, 0.5))
         expected = 0.5 * math.log(1.0 + 3.0 / 0.5)
         assert got == pytest.approx(expected, abs=1e-6)
+
+
+class TestInformationGainInput:
+    @pytest.mark.parametrize(
+        "K,noise,message",
+        [
+            # an infinite noise was read as "contributes nothing"
+            (np.eye(2), [1.0, math.inf], "noise variances must be positive and finite, got inf"),
+            # a negative noise raised a numpy RuntimeWarning, then scipy's error
+            (np.eye(2), [1.0, -0.5], "noise variances must be positive and finite, got -0.5"),
+            (np.eye(2), [0.0, 1.0], "noise variances must be positive and finite, got 0.0"),
+            (np.eye(2), [math.nan, 1.0], "noise variances must be positive and finite, got nan"),
+            (np.eye(2), [1.0], "need one noise variance per row of K: (1,) for 2 rows"),
+            (np.eye(2), 1.0, "need one noise variance per row of K: () for 2 rows"),
+            (np.array([[1.0, math.nan], [math.nan, 1.0]]), [1.0, 1.0], "K must be finite"),
+            (np.ones((2, 3)), [1.0, 1.0], "K must be a square matrix, got shape (2, 3)"),
+            (np.ones(2), [1.0, 1.0], "K must be a square matrix, got shape (2,)"),
+        ],
+        ids=["inf-noise", "negative-noise", "zero-noise", "nan-noise", "short-noise",
+             "scalar-noise", "nan-K", "non-square-K", "vector-K"],
+    )
+    def test_refused_at_entry(self, K, noise, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            information_gain(K, noise)
+
+    def test_empty_and_valid_inputs(self):
+        assert information_gain(np.zeros((0, 0)), np.zeros(0)) == 0.0
+        assert information_gain(np.eye(2), [1.0, 1.0]) == pytest.approx(math.log(2.0))
+
+
+class TestIgTableWalk:
+    @pytest.mark.parametrize("parties,points", [(8, 80), (12, 5)])
+    def test_equals_the_scipy_wrapper_walk_bit_for_bit(self, parties, points):
+        rng = np.random.default_rng(parties)
+        own = np.repeat(np.arange(1, parties + 1), points)
+        noise = rng.uniform(0.02, 0.3, size=len(own))
+        m = GpModel(rng.uniform(size=(len(own), 3)), own, np.array([0.5, 0.8, 1.1]), 1.2, noise)
+        assert np.array_equal(ig_game(m).table(), ig_table_walk_reference(m))
 
 
 class TestGpPlumbing:
