@@ -314,16 +314,63 @@ def make_table_game(n: int, values: Mapping[str, float]) -> Game:
     Values go into one dense array with NaN for the coalitions left out,
     so a partial table costs as much memory as a full one.  A mapping of
     at least 2**n / 16 keys is matched against a key -> mask map of the
-    canonical ``Coalition.key()`` forms, built once per call, so only
-    other keys (padded or malformed) are parsed; a smaller one has each
-    key parsed, in time proportional to its keys.  Only a mapping that
-    repeats a coalition pays for a second pass to name it.
+    canonical ``Coalition.key()`` forms, built once per call.  If every
+    key is canonical and every value a finite float or int (0 for the
+    empty coalition), the values are checked as one array and stored in
+    one assignment.  Any other mapping, and every smaller one, is read
+    key by key in mapping order, so the first bad key or value is the
+    one named; only keys outside the map (padded or malformed) are
+    parsed, and a small mapping costs time proportional to its keys.
+    Only a mapping that repeats a coalition pays for a second pass to
+    name it.
     """
     _check_party_count(n)
     if not isinstance(values, Mapping):
         raise ValueError(f"coalition values must be a mapping, got {type(values).__name__}")
     table = np.full(1 << n, np.nan)
     canonical = _canonical_masks(n) if 16 * len(values) >= 1 << n else {}
+    if not (canonical and _fill_in_bulk(table, canonical, values)):
+        _fill_by_key(table, n, canonical, values)
+    table[0] = 0.0
+    if not np.isnan(table).any():
+        return Game(n, table=table)
+
+    def oracle(mask: int) -> float:
+        got = table[mask]
+        if math.isnan(got):
+            raise MissingCoalition(
+                f"coalition {Coalition.from_mask(mask, n).key()!r} not in table"
+            )
+        return got
+
+    return Game(n, oracle)
+
+
+def _fill_in_bulk(table: np.ndarray, canonical: dict[str, int], values: Mapping) -> bool:
+    """Fill table from values in one assignment if every entry passes make_table_game's checks.
+
+    Every key must be canonical and every value a float or an int (no
+    bool, no other type) that converts to a finite float, with 0 for the
+    empty coalition.  Canonical keys are distinct, so no coalition can be
+    named twice.  Returns False, leaving table as it was, otherwise.
+    """
+    masks = list(map(canonical.get, values))
+    vals = list(values.values())
+    if None in masks or not set(map(type, vals)) <= {float, int}:
+        return False
+    try:
+        arr = np.array(vals, dtype=float)
+    except OverflowError:  # a JSON integer past the float range
+        return False
+    idx = np.array(masks, dtype=np.intp)
+    if not np.isfinite(arr).all() or arr[idx == 0].any():
+        return False
+    table[idx] = arr
+    return True
+
+
+def _fill_by_key(table: np.ndarray, n: int, canonical: dict[str, int], values: Mapping):
+    """Fill table from values one entry at a time, raising on the first bad key or value."""
     for key, val in values.items():
         mask = canonical.get(key)
         if mask is None:  # not in the map: parse it, raising on a malformed key
@@ -351,19 +398,6 @@ def make_table_game(n: int, values: Mapping[str, float]) -> Game:
                     f"as {first[mask]!r} and {key!r}"
                 )
             first[mask] = key
-    table[0] = 0.0
-    if not np.isnan(table).any():
-        return Game(n, table=table)
-
-    def oracle(mask: int) -> float:
-        got = table[mask]
-        if math.isnan(got):
-            raise MissingCoalition(
-                f"coalition {Coalition.from_mask(mask, n).key()!r} not in table"
-            )
-        return got
-
-    return Game(n, oracle)
 
 
 def _bit_pairs(table: np.ndarray):
@@ -745,25 +779,66 @@ def _read_json_object(path, kind: str, fields, error: type[Exception] = ValueErr
     return doc
 
 
-def load_game_json(path) -> tuple[Game, TimeVector | None]:
-    """Read a game file: {"n", "values", "times"?, "superadditive"?}.
+def _dense_table(n: int, text) -> np.ndarray:
+    """The 2**n table held by a game file's "table_f64le" field, entry 0 stored as +0.0.
 
-    n is an integer, values map coalition keys to numbers, and times,
-    when present, are a list of n non-negative integers, normalized so
-    the earliest party is at 0.  A superadditive field is accepted and
-    ignored: ``check_axioms`` decides the axioms from the values.  Any
-    other field, and a key repeated within one JSON object, raises
-    InvalidCoalitionKey.
+    The party count is checked before anything is decoded.  A field that
+    is not a base64 string or that decodes to other than 8 * 2**n bytes
+    raises ValueError; Game refuses a non-finite entry and a non-zero
+    entry 0.
+    """
+    import base64  # only dense files need it, so importing the CLI stays as lean
+
+    _check_party_count(n)
+    if not isinstance(text, str):
+        raise ValueError(
+            f"game file 'table_f64le' must be a base64 string, got {type(text).__name__}"
+        )
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, whose wording differs across Python versions
+        raise ValueError("game file 'table_f64le' is not valid base64") from None
+    if len(raw) != 8 << n:
+        raise ValueError(
+            f"game file 'table_f64le' decodes to {len(raw)} bytes, "
+            f"expected {8 << n} (2**{n} float64 values)"
+        )
+    table = np.frombuffer(raw, "<f8").astype(float)
+    if table[0] == 0.0:
+        table[0] = 0.0  # -0.0 too, as the keyed path stores it
+    return table
+
+
+def load_game_json(path) -> tuple[Game, TimeVector | None]:
+    """Read a game file: {"n", "values" | "table_f64le", "times"?, "superadditive"?}.
+
+    n is an integer and the file gives exactly one of two forms of the
+    values.  "values" maps coalition keys to numbers (see
+    ``make_table_game``).  "table_f64le" is the base64 of the whole
+    2**n table as little-endian float64, indexed by bitmask, entry 0
+    included: every entry finite, entry 0 zero.  That form decodes in
+    one pass and is meant for large n; n is checked before it is
+    decoded.  times, when present, are a list of n non-negative integers,
+    normalized so the earliest party is at 0.  A superadditive field is
+    accepted and ignored: ``check_axioms`` decides the axioms from the
+    values.  Any other field, and a key repeated within one JSON object,
+    raises InvalidCoalitionKey.
     """
     doc = _read_json_object(
-        path, "game", ("n", "values", "times", "superadditive"), InvalidCoalitionKey
+        path, "game", ("n", "values", "table_f64le", "times", "superadditive"),
+        InvalidCoalitionKey,
     )
-    if "n" not in doc or "values" not in doc:
-        raise InvalidCoalitionKey("game file must contain 'n' and 'values'")
+    if "n" not in doc or ("values" in doc) == ("table_f64le" in doc):
+        raise InvalidCoalitionKey(
+            "game file must contain 'n' and exactly one of 'values' and 'table_f64le'"
+        )
     n = doc["n"]
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"game file 'n' must be an integer, got {n!r}")
-    game = make_table_game(n, doc["values"])
+    if "values" in doc:
+        game = make_table_game(n, doc["values"])
+    else:
+        game = Game(n, table=_dense_table(n, doc["table_f64le"]))
     times = None
     if doc.get("times") is not None:
         raw = doc["times"]
@@ -775,9 +850,26 @@ def load_game_json(path) -> tuple[Game, TimeVector | None]:
     return game, times
 
 
-def save_game_json(path, n: int, values: Mapping[str, float], times=None, superadditive=None):
-    """Write a game file; superadditive, when given, is written for readers of the file only."""
-    doc: dict = {"n": n, "values": {k: float(v) for k, v in values.items()}}
+def save_game_json(
+    path, n: int, values: Mapping[str, float], times=None, superadditive=None, *, dense=False
+):
+    """Write a game file from a coalition-key -> value mapping.
+
+    By default the values are written keyed, as the readable "values"
+    object.  With dense=True the mapping must name every coalition: it
+    is read by ``make_table_game`` and its table written as
+    "table_f64le", which loads far faster at large n.  Both forms load
+    bitwise equal.  superadditive, when given, is written for readers of
+    the file only.
+    """
+    doc: dict = {"n": n}
+    if dense:
+        import base64  # only dense files need it, so importing the CLI stays as lean
+
+        table = make_table_game(n, values).table()
+        doc["table_f64le"] = base64.b64encode(table.astype("<f8").tobytes()).decode("ascii")
+    else:
+        doc["values"] = {k: float(v) for k, v in values.items()}
     if times is not None:
         doc["times"] = [int(t) for t in times]
     if superadditive is not None:

@@ -332,20 +332,33 @@ def gp_predict(
 ) -> PredictiveDistribution:
     """GP posterior predictive at test inputs from a subset of the design points.
 
-    point_noise overrides the model's noise for the conditioning points
-    (used for tempered model rewards).  The predictive variance includes
-    observation noise: the model's scalar noise, else the mean of its
-    per-point noise.
+    targets holds one value per model point, and X_test is 2-d with one
+    column per feature; either one's wrong shape raises ValueError
+    naming it.  point_noise overrides the model's noise for the
+    conditioning points (used for tempered model rewards).  The
+    predictive variance includes observation noise: the model's scalar
+    noise, else the mean of its per-point noise.
     """
     idx = _point_indices(model, point_indices)
-    y = np.asarray(targets, dtype=float)[idx]
+    y = np.asarray(targets, dtype=float)
+    if y.shape != (model.n_points,):
+        raise ValueError(
+            f"targets has shape {y.shape}, expected one target per model point: ({model.n_points},)"
+        )
+    X_test = np.asarray(X_test, dtype=float)
+    if X_test.ndim != 2 or X_test.shape[1] != model.inputs.shape[1]:
+        raise ValueError(
+            f"X_test has shape {X_test.shape}, expected 2-d with {model.inputs.shape[1]} columns"
+        )
+    y = y[idx]
     Xs = model.inputs[idx]
     noise = model.noise_vector()[idx] if point_noise is None else np.asarray(point_noise)
     if len(noise) != len(idx) or not np.all((noise > 0) & np.isfinite(noise)):
         raise ValueError("need one positive finite noise entry per conditioning point")
     obs_noise = float(np.mean(model.noise_variance))  # a scalar is its own mean
 
-    K = se_kernel(Xs, model.lengthscales, model.signal_variance) + np.diag(noise)
+    K = se_kernel(Xs, model.lengthscales, model.signal_variance)
+    K[np.diag_indices_from(K)] += noise
     L = _robust_cholesky(K)
     K_star = se_kernel(Xs, model.lengthscales, model.signal_variance, X_test)
     alpha = scipy.linalg.solve_triangular(L, y, lower=True)

@@ -20,6 +20,7 @@ order whose first worst pair the library reports as its witness.
 
 import itertools
 import math
+import numbers
 import re
 
 import numpy as np
@@ -64,8 +65,12 @@ def coalition_from_key_reference(key: str, n: int) -> Coalition:
 def table_game_reference(n: int, values) -> Game:
     """A coalition-key -> value mapping as an oracle game, one Coalition per key.
 
-    Once every key and value is valid, the first key that names the
-    coalition of an earlier key is refused.
+    Each entry is read in mapping order, its key before its value, and
+    the first bad one is refused: a malformed key, a value that is not a
+    real number (a bool is not one), an integer past the float range, a
+    non-finite value, a non-zero value for the empty coalition.  Once
+    every key and value is valid, the first key that names the coalition
+    of an earlier key is refused.
     """
     if n < 1:
         raise ValueError("party count must be >= 1")
@@ -74,7 +79,12 @@ def table_game_reference(n: int, values) -> Game:
     repeats = []
     for key, val in values.items():
         coalition = coalition_from_key_reference(key, n)
-        val = float(val)
+        if isinstance(val, bool) or not isinstance(val, numbers.Real):
+            raise ValueError(f"coalition {key!r} has non-numeric value {val!r}")
+        try:
+            val = float(val)
+        except OverflowError:
+            raise ValueError(f"coalition {key!r} has a value too large for a float") from None
         if not math.isfinite(val):
             raise ValueError(f"coalition {key!r} has non-finite value {val}")
         if coalition.mask == 0 and val != 0.0:

@@ -1,20 +1,25 @@
 """CLI subcommands, exit codes, and report formats."""
 
+import base64
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import count_dividend_passes
-from timereward import cli, random_superadditive_game, save_game_json
+from timereward import Coalition, cli, load_game_json, random_superadditive_game, save_game_json
 from timereward.cli import (
     EXIT_CHECK_FAILED,
     EXIT_ERROR,
@@ -1129,6 +1134,128 @@ class TestExperimentCommand:
         assert code == EXIT_ERROR
         assert not csv_out.exists()
         assert capsys.readouterr().err.startswith(message)
+
+
+def _dense(table) -> str:
+    return base64.b64encode(np.asarray(table, dtype="<f8").tobytes()).decode("ascii")
+
+
+# float64 entries a dense and a keyed file must carry alike: signed zeros, subnormals, extremes
+EDGE_VALUES = [-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308, 0.1]
+
+
+@st.composite
+def edge_tables(draw):
+    """An n = 1-8 table: a random superadditive game with a few entries set to edge values."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    table = random_superadditive_game(n, draw(st.integers(0, 2**32 - 1))).table().copy()
+    edits = draw(st.dictionaries(
+        st.integers(min_value=1, max_value=(1 << n) - 1),
+        st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False),
+        max_size=3,
+    ))
+    for mask, value in edits.items():
+        table[mask] = value
+    times = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return n, table, times
+
+
+def _run_quietly(argv) -> tuple:
+    """main's exit code, stdout, stderr and the warnings it raised, as strings."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+class TestDenseGameFile:
+    """A "table_f64le" file loads as its keyed twin, and every malformed one exits 1."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(case=edge_tables())
+    def test_dense_and_keyed_files_give_the_same_game_and_reports(self, case):
+        n, table, times = case
+        values = {Coalition.from_mask(m, n).key(): table[m] for m in range(1, 1 << n)}
+        with tempfile.TemporaryDirectory() as tmp:
+            keyed, dense = Path(tmp, "keyed.json"), Path(tmp, "dense.json")
+            save_game_json(keyed, n, values, times)
+            save_game_json(dense, n, values, times, dense=True)
+            assert "values" not in json.loads(dense.read_text())
+            (g_keyed, t_keyed), (g_dense, t_dense) = load_game_json(keyed), load_game_json(dense)
+            assert g_keyed.table().tobytes() == g_dense.table().tobytes() == table.tobytes()
+            assert t_keyed == t_dense
+            for scheme in (["cumulation", "--beta", "0.9"], ["timeval", "--gamma", "0.5"],
+                           ["naive"], ["shapley"]):
+                runs = []
+                for path in (keyed, dense):
+                    out = Path(tmp, f"{path.stem}-report.json")
+                    result = _run_quietly(
+                        ["rewards", "--game", str(path), "--scheme", *scheme, "--out", str(out)]
+                    )
+                    runs.append((result, out.read_bytes() if out.exists() else None))
+                    out.unlink(missing_ok=True)
+                assert runs[0] == runs[1]
+
+    def test_negative_zero_at_the_empty_coalition_is_stored_as_zero(self, tmp_path):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({"n": 2, "table_f64le": _dense([-0.0, 0.2, 0.2, 1.0])}))
+        game, times = load_game_json(path)
+        assert game.table().tobytes() == np.array([0.0, 0.2, 0.2, 1.0]).tobytes()
+        assert times is None
+
+    def test_check_reads_a_dense_file(self, tmp_path, capsys):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({"n": 2, "table_f64le": _dense([0.0, 0.2, 0.2, 1.0])}))
+        assert main(["check", "--game", str(path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["superadditive"] is True
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"n": 2, "values": {"1": 0.2, "2": 0.2, "1,2": 1.0},
+              "table_f64le": _dense([0.0, 0.2, 0.2, 1.0])},
+             "game file must contain 'n' and exactly one of 'values' and 'table_f64le'"),
+            ({"n": 2},
+             "game file must contain 'n' and exactly one of 'values' and 'table_f64le'"),
+            ({"n": 2, "table_f64le": [0.0, 0.2, 0.2, 1.0]},
+             "game file 'table_f64le' must be a base64 string, got list"),
+            ({"n": 2, "table_f64le": None},
+             "game file 'table_f64le' must be a base64 string, got NoneType"),
+            ({"n": 2, "table_f64le": "not base64!"},
+             "game file 'table_f64le' is not valid base64"),
+            ({"n": 2, "table_f64le": _dense([0.0, 0.2, 0.2, 1.0]).rstrip("=")},
+             "game file 'table_f64le' is not valid base64"),
+            ({"n": 2, "table_f64le": "é" + _dense([0.0, 0.2, 0.2, 1.0])},
+             "game file 'table_f64le' is not valid base64"),
+            ({"n": 2, "table_f64le": _dense([0.0, 0.2, 0.2, 1.0])[:-4]},
+             "game file 'table_f64le' decodes to 30 bytes, expected 32 (2**2 float64 values)"),
+            ({"n": 2, "table_f64le": _dense([0.0, 0.2, 0.2, 1.0, 2.0])},
+             "game file 'table_f64le' decodes to 40 bytes, expected 32 (2**2 float64 values)"),
+            ({"n": 2, "table_f64le": _dense([0.0, 0.2, np.nan, 1.0])},
+             "coalition value nan at mask 2 is not finite"),
+            ({"n": 2, "table_f64le": _dense([0.0, 0.2, 0.2, -np.inf])},
+             "coalition value -inf at mask 3 is not finite"),
+            ({"n": 2, "table_f64le": _dense([0.5, 0.2, 0.2, 1.0])},
+             "the empty coalition must have value 0, got 0.5"),
+            # the party count is checked before a byte is decoded
+            ({"n": 25, "table_f64le": "not base64!"}, "party count 25 outside [1, 24]"),
+            ({"n": 0, "table_f64le": ""}, "party count must be an integer >= 1, got 0"),
+        ],
+        ids=["both-fields", "neither-field", "list", "null", "bad-base64", "unpadded", "non-ascii", "short", "long",
+             "nan", "infinite", "non-zero-empty", "n-too-large", "n-zero"],
+    )
+    def test_refused_with_exit_1_and_no_report(self, doc, message, tmp_path, capsys):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        code = main(["rewards", "--game", str(path), "--scheme", "naive", "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestRepeatedCoalition:

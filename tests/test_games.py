@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import re
 import tracemalloc
 
@@ -292,17 +293,33 @@ def _outcome(build):
     return lookups, table
 
 
+# values make_table_game refuses, each naming its key: not a number, past the float range, not finite
+BAD_VALUES = [True, None, "0.5", [1], 10**400, math.nan, math.inf]
+
+
 @st.composite
 def game_mappings(draw):
-    """Key -> value maps: full or partial, with padded, repeated, shuffled or malformed keys."""
+    """Key -> value maps: full or partial, with padded, repeated, shuffled or malformed keys.
+
+    Values are floats and integers.  Half the maps spell every key
+    canonically and name at least 2**n / 16 coalitions, so make_table_game
+    tries its bulk path on them; a bad value, a non-zero "" or a repeated
+    key injected at a random position must send it back to the key-by-key
+    path, which names the first bad entry.
+    """
     n = draw(st.integers(min_value=1, max_value=7))
     size = 1 << n
-    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size))
+    reals = st.floats(-10.0, 10.0) | st.integers(-(10**20), 10**20)
+    values = draw(st.lists(reals, min_size=size, max_size=size))
     dropped = set()
     if draw(st.booleans()):
-        dropped = draw(st.sets(st.integers(min_value=0, max_value=size - 1), min_size=1))
+        dropped = draw(st.sets(
+            st.integers(min_value=0, max_value=size - 1), min_size=1, max_size=size - size // 16
+        ))
     pad = draw(st.sampled_from(["", " ", "  ", "\t"]))
-    padded = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    padded = [False] * size
+    if draw(st.booleans()):
+        padded = draw(st.lists(st.booleans(), min_size=size, max_size=size))
     items = []
     for mask in range(size):
         if mask in dropped:
@@ -315,20 +332,57 @@ def game_mappings(draw):
         key, _ = draw(st.sampled_from(items))
         items.append((" " + key, draw(st.floats(-10.0, 10.0))))
     items = draw(st.permutations(items))
+    if items and draw(st.booleans()):
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            at = draw(st.integers(min_value=0, max_value=len(items) - 1))
+            items[at] = (items[at][0], draw(st.sampled_from(BAD_VALUES)))
     if draw(st.booleans()):
         bad = draw(st.sampled_from(["1,1", "2,1", "0", str(n + 1), "a", "1,,2", "١", "1,²"]))
         items.insert(draw(st.integers(min_value=0, max_value=len(items))), (bad, 0.5))
+    if draw(st.booleans()):  # a non-zero empty coalition, in place or as a new last key
+        items.append(("", draw(st.sampled_from([0.5, -1, 1e-300]))))
     return n, dict(items)
 
 
 class TestTableGameMatchesReference:
-    @settings(derandomize=True, max_examples=150, deadline=None)
+    @settings(derandomize=True, max_examples=300, deadline=None)
     @given(case=game_mappings())
     def test_same_values_and_errors(self, case):
         n, values = case
         got = _outcome(lambda: make_table_game(n, values))
         want = _outcome(lambda: table_game_reference(n, values))
         assert got == want
+
+    def test_canonical_floats_and_ints_are_filled_in_bulk(self, monkeypatch):
+        def by_key(*args):
+            raise AssertionError("read key by key")
+
+        monkeypatch.setattr(games, "_fill_by_key", by_key)
+        n = 6
+        values = {Coalition.from_mask(m, n).key(): (m if m % 3 else m / 7) for m in range(1 << n)}
+        values["1,2,3,4,5,6"] = 10**300  # an integer past int64 but inside the float range
+        del values["2"]
+        game = make_table_game(n, values)
+        assert _outcome(lambda: game) == _outcome(lambda: table_game_reference(n, values))
+
+    @pytest.mark.parametrize("at", [0, 17, 63])
+    @pytest.mark.parametrize(
+        "entry",
+        [*(("2", bad) for bad in BAD_VALUES), ("", 0.5), (" 2", 0.25), ("02", 0.25)],
+        ids=["true", "none", "string", "list", "huge-int", "nan", "inf", "empty-non-zero",
+             "padded-repeat", "zero-led-repeat"],
+    )
+    def test_bulk_sized_mapping_with_one_bad_entry_names_it(self, entry, at):
+        # at least 2**n / 16 canonical keys take the bulk path, which must hand every
+        # bad mapping back to the key-by-key path and its message
+        n = 6
+        items = [(Coalition.from_mask(m, n).key(), m / 64) for m in range(1, 1 << n)]
+        items = [item for item in items if item[0] != entry[0]]
+        items.insert(at, entry)
+        values = dict(items)
+        got = _outcome(lambda: make_table_game(n, values))
+        assert got == _outcome(lambda: table_game_reference(n, values))
+        assert isinstance(got[0], type) and issubclass(got[0], Exception)
 
     def test_partial_table_names_first_missing_mask(self):
         g = make_table_game(3, {"1": 0.1, "1,2": 0.5, "3": 0.2, "1,2,3": 1.0})

@@ -454,6 +454,28 @@ class TestGpPlumbing:
         with pytest.raises(ValueError, match="noise"):
             gp_predict(m, y, range(3), m.inputs[:2], point_noise=np.array([0.1, bad, 0.1]))
 
+    @pytest.mark.parametrize("length", [0, 11, 13])
+    def test_gp_predict_needs_one_target_per_model_point(self, length):
+        # a longer vector used to be read by point index, a shorter one to fail inside numpy
+        m = three_party_model()
+        with pytest.raises(ValueError, match=r"^targets has shape .*one target per model point"):
+            gp_predict(m, np.zeros(length), range(3), m.inputs)
+
+    def test_gp_predict_refuses_a_target_matrix(self):
+        m = three_party_model()
+        with pytest.raises(ValueError, match=r"^targets has shape \(12, 1\)"):
+            gp_predict(m, np.zeros((12, 1)), range(3), m.inputs)
+
+    @pytest.mark.parametrize(
+        "shape", [(4, 3), (4, 1), (2,), (1, 2, 2)], ids=["3-cols", "1-col", "1-d", "3-d"]
+    )
+    def test_gp_predict_names_a_misshapen_x_test(self, shape):
+        # a wrong feature count used to fail inside numpy's matmul, naming no input
+        m = three_party_model()
+        message = rf"^X_test has shape {re.escape(str(shape))}, expected 2-d with 2 columns$"
+        with pytest.raises(ValueError, match=message):
+            gp_predict(m, np.zeros(12), range(3), np.zeros(shape))
+
     def test_gp_predict_interpolates_with_tiny_noise(self):
         rng = np.random.default_rng(3)
         X = rng.uniform(size=(10, 1))
