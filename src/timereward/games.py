@@ -231,6 +231,7 @@ class Game:
             _require_finite(arr)
             if arr[0] != 0.0:
                 raise ValueError(f"the empty coalition must have value 0, got {arr[0]}")
+            arr[0] = 0.0  # -0.0 too: v(empty) is stored as +0.0
             arr.flags.writeable = False
             self._table = arr
 
@@ -780,12 +781,12 @@ def _read_json_object(path, kind: str, fields, error: type[Exception] = ValueErr
 
 
 def _dense_table(n: int, text) -> np.ndarray:
-    """The 2**n table held by a game file's "table_f64le" field, entry 0 stored as +0.0.
+    """The 2**n table held by a game file's "table_f64le" field, as a read-only view of its bytes.
 
     The party count is checked before anything is decoded.  A field that
     is not a base64 string or that decodes to other than 8 * 2**n bytes
-    raises ValueError; Game refuses a non-finite entry and a non-zero
-    entry 0.
+    raises ValueError; Game copies the view once, refuses a non-finite
+    entry and a non-zero entry 0, and stores entry 0 as +0.0.
     """
     import base64  # only dense files need it, so importing the CLI stays as lean
 
@@ -803,10 +804,7 @@ def _dense_table(n: int, text) -> np.ndarray:
             f"game file 'table_f64le' decodes to {len(raw)} bytes, "
             f"expected {8 << n} (2**{n} float64 values)"
         )
-    table = np.frombuffer(raw, "<f8").astype(float)
-    if table[0] == 0.0:
-        table[0] = 0.0  # -0.0 too, as the keyed path stores it
-    return table
+    return np.frombuffer(raw, "<f8")
 
 
 def load_game_json(path) -> tuple[Game, TimeVector | None]:
@@ -850,26 +848,25 @@ def load_game_json(path) -> tuple[Game, TimeVector | None]:
     return game, times
 
 
-def save_game_json(
-    path, n: int, values: Mapping[str, float], times=None, superadditive=None, *, dense=False
-):
-    """Write a game file from a coalition-key -> value mapping.
+def save_game_json(path, n: int, values, times=None, superadditive=None):
+    """Write a game file; the form of values decides the form of the file.
 
-    By default the values are written keyed, as the readable "values"
-    object.  With dense=True the mapping must name every coalition: it
-    is read by ``make_table_game`` and its table written as
-    "table_f64le", which loads far faster at large n.  Both forms load
-    bitwise equal.  superadditive, when given, is written for readers of
-    the file only.
+    A coalition-key -> value mapping is written keyed, as the readable
+    "values" object.  A Game, or its 2**n table indexed by bitmask, is
+    written as "table_f64le", which loads far faster at large n; a game
+    loaded from either form of the same values has the same table.
+    superadditive, when given, is written for readers of the file only.
     """
     doc: dict = {"n": n}
-    if dense:
+    if isinstance(values, Mapping):
+        doc["values"] = {k: float(v) for k, v in values.items()}
+    else:
         import base64  # only dense files need it, so importing the CLI stays as lean
 
-        table = make_table_game(n, values).table()
-        doc["table_f64le"] = base64.b64encode(table.astype("<f8").tobytes()).decode("ascii")
-    else:
-        doc["values"] = {k: float(v) for k, v in values.items()}
+        table = np.asarray(values.table() if isinstance(values, Game) else values, dtype="<f8")
+        if table.shape != (1 << n,):
+            raise ValueError(f"a dense game table must have shape (2**{n},), got {table.shape}")
+        doc["table_f64le"] = base64.b64encode(table.tobytes()).decode("ascii")
     if times is not None:
         doc["times"] = [int(t) for t in times]
     if superadditive is not None:

@@ -1181,7 +1181,7 @@ class TestDenseGameFile:
         with tempfile.TemporaryDirectory() as tmp:
             keyed, dense = Path(tmp, "keyed.json"), Path(tmp, "dense.json")
             save_game_json(keyed, n, values, times)
-            save_game_json(dense, n, values, times, dense=True)
+            save_game_json(dense, n, table, times)
             assert "values" not in json.loads(dense.read_text())
             (g_keyed, t_keyed), (g_dense, t_dense) = load_game_json(keyed), load_game_json(dense)
             assert g_keyed.table().tobytes() == g_dense.table().tobytes() == table.tobytes()

@@ -211,6 +211,12 @@ class TestTableGame:
         assert not check_axioms(Game(2, table=base[:4]), 1e-9).superadditive
         assert base.flags.writeable
 
+    def test_negative_zero_for_the_empty_coalition_is_stored_as_zero(self):
+        view = np.frombuffer(np.array([-0.0, 0.2, 0.2, 1.0]).tobytes(), "<f8")
+        g = Game(2, table=view)  # a read-only buffer is copied, not written
+        assert g.table().tobytes() == np.array([0.0, 0.2, 0.2, 1.0]).tobytes()
+        assert np.signbit(view[0])
+
     def test_restrict_reuses_parent_values(self):
         from oracles import restrict_game
 
@@ -301,24 +307,30 @@ BAD_VALUES = [True, None, "0.5", [1], 10**400, math.nan, math.inf]
 def game_mappings(draw):
     """Key -> value maps: full or partial, with padded, repeated, shuffled or malformed keys.
 
-    Values are floats and integers.  Half the maps spell every key
-    canonically and name at least 2**n / 16 coalitions, so make_table_game
-    tries its bulk path on them; a bad value, a non-zero "" or a repeated
-    key injected at a random position must send it back to the key-by-key
-    path, which names the first bad entry.
+    Values are floats and integers.  Half the maps are bulk-sized: every
+    key is spelled canonically and at least 2**n / 16 coalitions are
+    named, so make_table_game tries its bulk path on them.  The other
+    half drop any number of keys, or keep fewer than 2**n / 16 so they
+    are parsed one by one, and pad any of them.  A bad value, a non-zero ""
+    or a repeated key injected at a random position must send a bulk-sized
+    map back to the key-by-key path, which names the first bad entry.
     """
     n = draw(st.integers(min_value=1, max_value=7))
     size = 1 << n
     reals = st.floats(-10.0, 10.0) | st.integers(-(10**20), 10**20)
     values = draw(st.lists(reals, min_size=size, max_size=size))
+    bulk_sized = draw(st.booleans())
+    masks = st.integers(min_value=0, max_value=size - 1)
     dropped = set()
-    if draw(st.booleans()):
-        dropped = draw(st.sets(
-            st.integers(min_value=0, max_value=size - 1), min_size=1, max_size=size - size // 16
-        ))
+    if bulk_sized and draw(st.booleans()):
+        dropped = draw(st.sets(masks, min_size=1, max_size=size - size // 16))
+    elif not bulk_sized and draw(st.booleans()):
+        dropped = draw(st.sets(masks, min_size=1))
+    elif not bulk_sized and draw(st.booleans()):  # fewer than 2**n / 16 keys
+        dropped = set(range(size)) - draw(st.sets(masks, max_size=max(size // 16 - 1, 0)))
     pad = draw(st.sampled_from(["", " ", "  ", "\t"]))
     padded = [False] * size
-    if draw(st.booleans()):
+    if not bulk_sized:
         padded = draw(st.lists(st.booleans(), min_size=size, max_size=size))
     items = []
     for mask in range(size):
@@ -694,6 +706,23 @@ class TestGameJson:
         assert game.table().tolist() == [0.0, 0.2, 0.2, 1.0]
         assert game.value([1, 2]) == 1.0
         assert times.times == (4, 0)
+
+    @pytest.mark.parametrize("form", ["game", "table", "list"])
+    def test_a_game_or_table_is_written_dense(self, form, tmp_path):
+        game = random_superadditive_game(5, seed=2)
+        values = {"game": game, "table": game.table(), "list": game.table().tolist()}[form]
+        path = tmp_path / "game.json"
+        save_game_json(path, 5, values, times=range(5))
+        assert sorted(json.loads(path.read_text())) == ["n", "table_f64le", "times"]
+        loaded, times = load_game_json(path)
+        assert loaded.table().tobytes() == game.table().tobytes()
+        assert times.times == (0, 1, 2, 3, 4)
+
+    def test_dense_table_of_the_wrong_length_is_not_written(self, tmp_path):
+        path = tmp_path / "game.json"
+        with pytest.raises(ValueError, match=r"must have shape \(2\*\*3,\), got \(4,\)"):
+            save_game_json(path, 3, np.zeros(4))
+        assert not path.exists()
 
     def test_times_normalized_on_load(self, tmp_path):
         path = tmp_path / "game.json"
