@@ -146,7 +146,7 @@ def _write_atomic(path: str, write):
 
 
 def _emit(doc: dict, out: str | None):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out is None:
         sys.stdout.write(text)
         return

@@ -21,7 +21,7 @@ Data, GP model and tempering take the defaults of ``gen_friedman``,
 from __future__ import annotations
 
 import csv
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -191,7 +191,8 @@ def write_rows_csv(rows: list[SweepRow], path):
     def cell(x):
         return f"{x:.17g}" if isinstance(x, float) else "" if x is None else x
 
+    names = [f.name for f in fields(SweepRow)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f.name for f in fields(SweepRow)])
-        writer.writerows([cell(x) for x in astuple(row)] for row in rows)
+        writer.writerow(names)
+        writer.writerows([cell(getattr(row, name)) for name in names] for row in rows)

@@ -419,8 +419,9 @@ def _bit_pairs(table: np.ndarray):
 def _subset_transform(table: np.ndarray, combine) -> np.ndarray:
     """Fold each mask's entry with its subsets' by the ufunc combine, one bit at a time."""
     out = np.array(table, dtype=float)
-    for without_bit, with_bit in _bit_pairs(out):
-        combine(with_bit, without_bit, out=with_bit)
+    with np.errstate(over="ignore"):  # an infinite entry is refused by the caller
+        for without_bit, with_bit in _bit_pairs(out):
+            combine(with_bit, without_bit, out=with_bit)
     return out
 
 
@@ -649,18 +650,19 @@ def _superadditivity_violation(v: np.ndarray, tol: float) -> tuple[int, int] | N
     high_s = np.concatenate((high_s, high_s | top)) << low
     gap, part = np.empty(len(b_low)), np.empty(len(b_low))
     worst, pairs = tol, []
-    for b0, s0 in zip(high_b.tolist(), high_s.tolist()):
-        u0 = b0 | s0
-        np.take(v[b0:b0 + width], b_low, out=gap, mode="clip")
-        gap += np.take(v[s0:s0 + width], s_low, out=part, mode="clip")
-        gap -= np.take(v[u0:u0 + width], u_low, out=part, mode="clip")
-        most = gap.max()
-        if most > worst:
-            worst, pairs = most, []
-        if most == worst > tol:
-            k = np.flatnonzero(gap == most)
-            b, s = b0 + b_low[k], s0 + s_low[k]
-            pairs.append((int(b.min()), int(s[b == b.min()].max())))
+    with np.errstate(over="ignore"):  # v(B) + v(S) past the float range is an infinite gap
+        for b0, s0 in zip(high_b.tolist(), high_s.tolist()):
+            u0 = b0 | s0
+            np.take(v[b0:b0 + width], b_low, out=gap, mode="clip")
+            gap += np.take(v[s0:s0 + width], s_low, out=part, mode="clip")
+            gap -= np.take(v[u0:u0 + width], u_low, out=part, mode="clip")
+            most = gap.max()
+            if most > worst:
+                worst, pairs = most, []
+            if most == worst > tol:
+                k = np.flatnonzero(gap == most)
+                b, s = b0 + b_low[k], s0 + s_low[k]
+                pairs.append((int(b.min()), int(s[b == b.min()].max())))
     return min(pairs, key=lambda pair: (pair[0], -pair[1]), default=None)
 
 

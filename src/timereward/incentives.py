@@ -219,10 +219,11 @@ def _synergy_times(v: np.ndarray, layout) -> np.ndarray:
     u, latest, _ = layout
     out = np.full(v.size.bit_length() - 1, np.inf)
     pairs = zip(_bit_pairs(v), _bit_pairs(latest))
-    for i, ((without, with_i), (latest_without, _)) in enumerate(pairs):
-        ranks = latest_without[with_i > without + v[1 << i]]
-        if ranks.size:
-            out[i] = u[ranks.min()]
+    with np.errstate(over="ignore"):  # v(C) + v(i) past the float range exceeds every value
+        for i, ((without, with_i), (latest_without, _)) in enumerate(pairs):
+            ranks = latest_without[with_i > without + v[1 << i]]
+            if ranks.size:
+                out[i] = u[ranks.min()]
     return out
 
 

@@ -9,12 +9,14 @@ model and party (its eigenvalues kept while the model lives) makes every
 bisection step O(m).  The same decomposition, with its eigenvectors,
 gives the tempered model's predictive in closed form: conditioning on
 the others at noise/kappa only reweights their eigenbasis, so each kappa
-then conditions on the party's own points alone.  Subset selection
-instead adds shuffled points from the other parties until the
-conditional value first exceeds the target; it works for any valuation
-but is only approximate.  On a GP the points left out after k additions
-are the last ones in joining order, so one Cholesky factor of the donors
-in reversed joining order gives every step's value from the cumulative
+then conditions on the party's own points alone.  The eigenvectors come
+from LAPACK's divide-and-conquer driver, which deflates most of a
+smooth kernel's fast-decaying spectrum.  Subset selection instead adds
+shuffled points from the other parties until the conditional value
+first exceeds the target; it works for any valuation but is only
+approximate.  On a GP the points left out after k additions are the
+last ones in joining order, so one Cholesky factor of the donors in
+reversed joining order gives every step's value from the cumulative
 sum of its log diagonal.
 """
 
@@ -98,15 +100,16 @@ def _decompose_others(
 
     The eigenvalues, clipped at 0, are kept on the model as the party's
     spectrum, so the tempering curve and the tempered predictive share
-    one decomposition.  Without vectors only eigvalsh runs and U is
-    empty; the eigenvectors are never kept on the model.
+    one decomposition.  With vectors eigh runs the divide-and-conquer
+    driver (evd); without, only eigvalsh runs and U is empty.  The
+    eigenvectors are never kept on the model.
     """
     others = _others(model, party)
     spectrum, U = np.zeros(0), np.zeros((0, 0))
     if len(others):
         A = _whitened_kernel(model, others)
         if vectors:
-            spectrum, U = scipy.linalg.eigh(A, check_finite=False)
+            spectrum, U = scipy.linalg.eigh(A, check_finite=False, driver="evd")
         else:
             spectrum = scipy.linalg.eigvalsh(A, check_finite=False)
     # A is positive semi-definite; clip rounding below zero

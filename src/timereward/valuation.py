@@ -13,10 +13,13 @@ grouped by party: a depth-first walk over the parties carries the
 Schur complement of the later parties' points given the current
 coalition.  Adding a party factors its block of that complement, whose
 log diagonal is the coalition's gain over its parent, and conditions
-the later points on it (one triangular solve and one rank update).
-The factor and the solve call LAPACK's dpotrf and BLAS's dtrsm
-directly, so the walk pays no wrapper checks or finite scans per party:
-every matrix it factors is built from a validated model.
+the later points on it (one triangular solve and one symmetric rank
+update).  The complement is symmetric, so the walk reads and writes
+only its lower triangle.  The factor, the solve and the update call
+LAPACK's dpotrf and BLAS's dtrsm and dsyrk directly, so the walk pays
+no wrapper checks or finite scans per party: every matrix it factors
+is built from a validated model, whose signal-to-noise ratio keeps it
+finite.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dtrsm
+from scipy.linalg.blas import dsyrk, dtrsm
 from scipy.linalg.lapack import dpotrf
 
 from .errors import NumericalFailure
@@ -50,6 +53,8 @@ __all__ = [
 
 _JITTER_START = 1e-8
 _JITTER_LIMIT = 1e-2
+# the largest m * signal_variance / min(noise_variance) of a model (see GpModel)
+_SNR_LIMIT = 0.5 * np.finfo(float).max
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +64,15 @@ class GpModel:
     noise_variance may be a scalar (homoscedastic) or a per-point vector.
     Hyperparameters are configuration inputs and are never optimized;
     they and the inputs must be finite.
+
+    The signal-to-noise ratio is bounded so that I + D^-1/2 K D^-1/2
+    over all m points can be factored and eigendecomposed in finite
+    arithmetic.  Each entry of D^-1/2 K D^-1/2 is at most
+    r = signal_variance / min(noise_variance), so by Gershgorin its
+    eigenvalues lie in [0, m r], and every entry of a Cholesky factor or
+    Schur complement of I + D^-1/2 K D^-1/2 is at most 1 + r in
+    magnitude.  A model is refused unless m r is at most half the
+    largest float, the half leaving room for rounding.
     """
 
     inputs: np.ndarray
@@ -91,6 +105,12 @@ class GpModel:
         elif noise.shape != (len(X),) or np.any(noise <= 0):
             raise ValueError("per-point noise needs one positive entry per point")
         _check_party_count(int(own.max()))
+        quietest = float(noise.min())
+        if len(X) * (signal / quietest) > _SNR_LIMIT:
+            raise ValueError(
+                f"signal_variance {signal:g} over the smallest noise_variance {quietest:g} "
+                f"is too large for {len(X)} points: the whitened kernel would overflow"
+            )
         # read-only copies, so values derived from a model never go stale
         for name, arr in (("inputs", X), ("ownership", own), ("lengthscales", ls)):
             arr.flags.writeable = False
@@ -254,22 +274,24 @@ def _ig_table(model: GpModel) -> np.ndarray:
 
     Parties are walked depth-first in ascending order, carrying S, the
     Schur complement of the later parties' points given the current
-    coalition (at the root, I + D^-1/2 K D^-1/2 itself).  Adding party p
-    factors its diagonal block of S, whose log diagonal is the
-    coalition's gain over its parent, and hands the child the points
-    after p with the cross block W = L_p^-1 S[p, later] conditioned
-    out: S[later, later] - W^T W.  An empty party adds nothing, and a
-    party with no points after it needs no solve.
+    coalition (at the root, I + D^-1/2 K D^-1/2 itself).  S is symmetric,
+    so it is kept in Fortran order and only its lower triangle is read
+    or written.  Adding party p factors its diagonal block of S, whose
+    log diagonal is the coalition's gain over its parent, and hands the
+    child the points after p with the cross block X = S[later, p] L_p^-T
+    conditioned out: S[later, later] - X X^T, one rank update (dsyrk).
+    An empty party adds nothing, and a party with no points after it
+    needs no solve.
 
     Each call owns its S.  The child of the first party is built last,
     in S's own trailing block, since no sibling reads S after it; the
-    others get copies.  So a path from the root holds one full-size
-    matrix and the copies of smaller blocks, not a new Schur complement
-    per level.
+    others get copies, which dsyrk updates in place.  So a path from the
+    root holds one full-size matrix and the copies of smaller blocks,
+    not a new Schur complement per level.
     """
     n = model.n_parties
     order = np.argsort(model.ownership, kind="stable")
-    B = _whitened_kernel(model, order)
+    B = np.asfortranarray(_whitened_kernel(model, order))
     B[np.diag_indices_from(B)] += 1.0
     bounds = np.searchsorted(model.ownership[order], np.arange(1, n + 2))
     table = np.zeros(1 << n)
@@ -281,15 +303,18 @@ def _ig_table(model: GpModel) -> np.ndarray:
             start, stop = bounds[p : p + 2] - bounds[first]
             later = S[stop:, stop:]
             if p != first:
-                later = later.copy()
+                later = later.copy(order="F")
             child = mask | 1 << p
             table[child] = table[mask]
             if stop > start:
                 L = _robust_cholesky(S[start:stop, start:stop])
                 table[child] += np.sum(np.log(np.diagonal(L)))
                 if len(later):
-                    W = dtrsm(1.0, L, S[start:stop, stop:], lower=1)
-                    later -= W.T @ W
+                    X = dtrsm(1.0, L, S[stop:, start:stop], side=1, lower=1, trans_a=1)
+                    if p == first:  # S's own strided block, through one temporary
+                        later[...] = dsyrk(-1.0, X, beta=1.0, c=later, lower=1)
+                    else:  # a Fortran copy, in place
+                        dsyrk(-1.0, X, beta=1.0, c=later, lower=1, overwrite_c=1)
             extend(child, later, p + 1)
 
     extend(0, B, 0)

@@ -12,10 +12,11 @@ points, one joint kernel over kept and conditioning points; the
 conditional IG table and the greedy GP subset factorize one kernel per
 coalition or per step.  The tempered model's predictive conditions on
 one kernel of its own points and the others' points at noise/kappa, and
-the plain IG table walk keeps its scipy.linalg wrapper calls, so the
-library's direct LAPACK calls can be checked bit for bit.  The axiom and incentive checks enumerate their
-quantifiers coalition by coalition with submask loops, in the scan
-order whose first worst pair the library reports as its witness.
+the plain IG table walk factors with scipy.linalg.cholesky and copies
+every block, so the library's direct LAPACK calls and in-place updates
+can be checked bit for bit.  The axiom and incentive checks enumerate
+their quantifiers coalition by coalition with submask loops, in the
+scan order whose first worst pair the library reports as its witness.
 """
 
 import itertools
@@ -25,6 +26,7 @@ import re
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 
 from timereward import (
     AxiomReport,
@@ -336,8 +338,10 @@ def ig_table_walk_reference(model: GpModel) -> np.ndarray:
     """Plain IG of every coalition by the depth-first Schur-complement walk, on scipy wrappers.
 
     The library's whitened kernel, order of parties and arithmetic, with
-    each factor from scipy.linalg.cholesky, each solve from
-    solve_triangular, and a fresh copy of every child's block.
+    each factor from scipy.linalg.cholesky, each cross block X =
+    S[later, p] L_p^-T from the dtrsm wrapper, and a fresh Fortran copy
+    of every child's block, which the dsyrk wrapper updates to
+    S[later, later] - X X^T in its lower triangle.
     """
     n = model.n_parties
     order = np.argsort(model.ownership, kind="stable")
@@ -352,15 +356,17 @@ def ig_table_walk_reference(model: GpModel) -> np.ndarray:
     def extend(mask: int, S: np.ndarray, first: int):
         for p in range(first, n):
             start, stop = bounds[p : p + 2] - bounds[first]
-            later = S[stop:, stop:].copy()
+            later = S[stop:, stop:].copy(order="F")
             child = mask | 1 << p
             table[child] = table[mask]
             if stop > start:
                 L = scipy_cholesky_reference(S[start:stop, start:stop])
                 table[child] += np.sum(np.log(np.diagonal(L)))
                 if len(later):
-                    W = scipy.linalg.solve_triangular(L, S[start:stop, stop:], lower=True)
-                    later -= W.T @ W
+                    X = scipy.linalg.blas.dtrsm(
+                        1.0, L, S[stop:, start:stop], side=1, lower=1, trans_a=1
+                    )
+                    later = scipy.linalg.blas.dsyrk(-1.0, X, beta=1.0, c=later, lower=1)
             extend(child, later, p + 1)
 
     extend(0, B, 0)

@@ -330,6 +330,34 @@ class TestNonFiniteValues:
         assert capsys.readouterr().out == ""
 
 
+class TestOverflowingValues:
+    """Finite values whose sums or differences overflow give the usual verdict, and no warning."""
+
+    @pytest.mark.parametrize(
+        "values,codes",
+        [
+            # the dividend of {1, 2} overflows: naive and Shapley rewards are
+            # infinite, and the shapley command used to write Infinity as JSON
+            ({"1": 1e308, "2": -1e308, "1,2": 1e308}, (1, 1, 1, 1, 2, 1)),
+            # v(1) + v(2) overflows: an A3 witness
+            ({"1": 1e308, "2": 1e308, "1,2": 1e308}, (2, 2, 1, 1, 2, 0)),
+        ],
+        ids=["dividend", "pair-sum"],
+    )
+    def test_one_error_line_or_none(self, values, codes, tmp_path):
+        # exit codes of the four schemes, check and shapley; 1 = EXIT_ERROR
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 2, "values": values}))
+        schemes = ("naive", "shapley", "cumulation", "timeval")
+        commands = [["rewards", "--scheme", s] for s in schemes] + [["check"], ["shapley"]]
+        for command, expected in zip(commands, codes, strict=True):
+            code, stdout, stderr, caught = _run_quietly([*command, "--game", str(path)])
+            assert (code, caught) == (expected, []), command
+            assert stderr.count("\n") == (code == EXIT_ERROR), command
+            assert stderr.startswith("error: ") == (code == EXIT_ERROR), command
+            assert (stdout == "") == (code == EXIT_ERROR), command
+
+
 class TestMalformedGameFile:
     # each used to end in a traceback or, for times and n, to be truncated
     @pytest.mark.parametrize(
@@ -728,6 +756,31 @@ class TestRealizeCommand:
         )
         assert code == EXIT_ERROR
         assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("method", ["temper", "subset"])
+    def test_overflowing_signal_to_noise_exits_1(self, gp_files, method, tmp_path):
+        # subset used to write "achieved": NaN, temper to print scipy's "Internal Error."
+        csv_path, _ = gp_files
+        config_path = tmp_path / "huge.json"
+        config_path.write_text(json.dumps({"signal_variance": 1e300, "noise_variance": 1e-300}))
+        out = tmp_path / "real.json"
+        code, stdout, stderr, caught = _run_quietly(
+            [
+                "realize", "--method", method, "--data", csv_path,
+                "--gp-config", str(config_path), "--party", "1",
+                "--target", "1.0", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert not out.exists() and stdout == "" and caught == []
+        assert stderr.startswith("error: signal_variance 1e+300 over the smallest noise_variance")
+        assert stderr.count("\n") == 1
+
+    def test_non_finite_report_is_refused(self, capsys):
+        # a NaN used to be written as the bare token NaN, which is not JSON
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._emit({"achieved": float("nan")}, None)
         assert capsys.readouterr().out == ""
 
     def test_noise_list_of_wrong_length_exits_1(self, gp_files, tmp_path, capsys):

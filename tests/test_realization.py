@@ -1,5 +1,6 @@
 """Likelihood tempering and greedy subset selection."""
 
+import csv
 import dataclasses
 
 import numpy as np
@@ -535,6 +536,25 @@ def test_write_rows_csv_golden(tmp_path):
         b"timeval,0.10000000000000001,3,2,0.33333333333333331,0.30000000000000004,"
         b"0.66666666666666663,-0.10000000000000001\r\n"
     )
+
+
+def test_write_rows_csv_matches_a_deep_copying_writer(tmp_path):
+    # rows used to be deep-copied by dataclasses.astuple; the bytes must not move
+    rows = run_friedman_experiment(
+        FriedmanConfig(count=60, sizes=(24, 14, 6), t1_grid=(0, 2), betas=(1.0,), gammas=(0.5,),
+                       with_mnlp=True)
+    ).rows + [SweepRow("timeval", 0.1, 3, 2, 1 / 3, 0.1 + 0.2, 2 / 3)]
+    path, reference = tmp_path / "rows.csv", tmp_path / "reference.csv"
+    write_rows_csv(rows, path)
+
+    def cell(x):
+        return f"{x:.17g}" if isinstance(x, float) else "" if x is None else x
+
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f.name for f in dataclasses.fields(SweepRow)])
+        writer.writerows([cell(x) for x in dataclasses.astuple(row)] for row in rows)
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_temper_alone_pays_for_eigenvalues_only(monkeypatch):

@@ -24,6 +24,7 @@ from timereward import (
     make_gp_model,
     shapley_exact,
 )
+from timereward import valuation
 from timereward.synthdata import Dataset
 from timereward.valuation import (
     _robust_cholesky,
@@ -282,6 +283,20 @@ class TestGpModelValidation:
             GpModel(**args)
 
     @pytest.mark.parametrize(
+        "signal,noise",
+        [(1e300, 1e-300), (1.0, 5e-324), (1e307, np.array([1.0, 0.1]))],
+        ids=["both-extreme", "subnormal-noise", "per-point-noise"],
+    )
+    def test_signal_to_noise_past_the_float_range_rejected(self, signal, noise):
+        # the whitened kernel used to overflow, and its IG came out NaN
+        with pytest.raises(ValueError, match="^signal_variance .* smallest noise_variance"):
+            GpModel(np.zeros((2, 1)), np.array([1, 2]), np.array([1.0]), signal, noise)
+
+    def test_signal_to_noise_inside_the_float_range_accepted(self):
+        m = GpModel(np.array([[0.0], [10.0]]), np.array([1, 2]), np.array([1.0]), 1e305, 1.0)
+        assert np.isfinite(ig_game(m).table()).all()
+
+    @pytest.mark.parametrize(
         "ownership,message",
         [
             ([1.7, 2.2], "party index 1.7 is not a whole number"),
@@ -402,6 +417,31 @@ class TestIgTableWalk:
         noise = rng.uniform(0.02, 0.3, size=len(own))
         m = GpModel(rng.uniform(size=(len(own), 3)), own, np.array([0.5, 0.8, 1.1]), 1.2, noise)
         assert np.array_equal(ig_game(m).table(), ig_table_walk_reference(m))
+
+    def test_reads_only_the_lower_triangle_of_the_kernel(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        own = np.repeat(np.arange(1, 6), [6, 0, 4, 9, 3])
+        m = GpModel(rng.uniform(size=(len(own), 2)), own, np.array([0.4, 0.7]), 1.3, 0.05)
+        clean = ig_game(m).table()
+        whitened = valuation._whitened_kernel
+
+        def poisoned(model, idx):
+            K = whitened(model, idx)
+            K[np.triu_indices_from(K, 1)] = np.nan
+            return K
+
+        monkeypatch.setattr(valuation, "_whitened_kernel", poisoned)
+        assert np.array_equal(ig_game(m).table(), clean)
+
+    def test_uneven_parties_match_per_coalition_ig(self):
+        # an empty middle party and a 3-point party among large ones
+        rng = np.random.default_rng(11)
+        own = np.repeat(np.arange(1, 6), [40, 7, 0, 90, 3])
+        X = rng.uniform(size=(len(own), 3))
+        m = GpModel(X, own, np.array([0.5, 0.8, 1.1]), 1.2, rng.uniform(0.02, 0.3, size=len(own)))
+        table = ig_game(m).table()
+        plain = np.array([gp_ig(m, m.points_of_mask(mask)) for mask in range(len(table))])
+        assert np.max(np.abs(table - plain)) <= 1e-10 * np.max(np.abs(plain))
 
 
 class TestGpPlumbing:
