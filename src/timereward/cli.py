@@ -374,7 +374,7 @@ def _cmd_realize(args) -> int:
             "kappa": result.kappa,
             "achieved": result.achieved_value,
             "target": result.target_value,
-            "flags": [],
+            "flags": [] if result.tolerance_met else ["tolerance_not_met"],
         }
     else:
         source = load_game_json(args.game)[0] if args.game is not None else gp_source()

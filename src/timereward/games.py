@@ -419,7 +419,9 @@ def _bit_pairs(table: np.ndarray):
 def _subset_transform(table: np.ndarray, combine) -> np.ndarray:
     """Fold each mask's entry with its subsets' by the ufunc combine, one bit at a time."""
     out = np.array(table, dtype=float)
-    with np.errstate(over="ignore"):  # an infinite entry is refused by the caller
+    # an entry past the float range (inf, or NaN from inf - inf) is refused by the
+    # caller that reads it as a game or rewards, and returned as is by harsanyi_dividends
+    with np.errstate(over="ignore", invalid="ignore"):
         for without_bit, with_bit in _bit_pairs(out):
             combine(with_bit, without_bit, out=with_bit)
     return out
@@ -601,12 +603,14 @@ def _monotonicity_violation(v: np.ndarray, tol: float) -> tuple[int, int] | None
     counts.  Ties go to the smallest C, then to the largest B.
     """
     best = _subset_transform(np.concatenate(([-np.inf], v[1:])), np.maximum)
-    gap = best - v
-    c = int(np.argmax(gap))
-    if not gap[c] > tol:
-        return None
-    subs = _submask_array(c, len(v).bit_length() - 1)[-2:0:-1]
-    return int(subs[np.argmax(v[subs] - v[c] == gap[c])]), c
+    # v is finite, so a gap past the float range is +inf, the worst drop, or -inf, none
+    with np.errstate(over="ignore"):
+        gap = best - v
+        c = int(np.argmax(gap))
+        if not gap[c] > tol:
+            return None
+        subs = _submask_array(c, len(v).bit_length() - 1)[-2:0:-1]
+        return int(subs[np.argmax(v[subs] - v[c] == gap[c])]), c
 
 
 # parties of the low block in the superadditivity scan: 3**8 disjoint pairs per block

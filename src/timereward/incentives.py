@@ -276,9 +276,14 @@ def check_static(
     t = times.as_array()
     equal = t[a - 1] == t[b - 1]
     hi, lo = np.zeros(len(a)), np.zeros(len(a))
-    for k in np.flatnonzero(equal):
-        diff = _holding_one(cube, a[k], b[k]) - _holding_one(cube, b[k], a[k])
-        hi[k], lo[k] = diff.max(), diff.min()
+    # v and r are finite, so a difference past the float range is +-inf and never
+    # within tol: its pair is not symmetric, its rewards unequal, its party not useless
+    with np.errstate(over="ignore"):
+        for k in np.flatnonzero(equal):
+            diff = _holding_one(cube, a[k], b[k]) - _holding_one(cube, b[k], a[k])
+            hi[k], lo[k] = diff.max(), diff.min()
+        unequal = np.abs(r[a - 1] - r[b - 1]) > tol
+        useless = np.array([np.abs(w - wo).max() <= tol for wo, w in _bit_pairs(v)])
     symmetric = equal & (np.maximum(np.abs(hi), np.abs(lo)) <= tol)
     one_sided = equal & ~symmetric & ((hi > tol) != (lo < -tol))
     better, worse = np.where(hi > tol, a, b), np.where(hi > tol, b, a)
@@ -289,11 +294,9 @@ def check_static(
     f4.skipped = list(zip(a[skipped].tolist(), b[skipped].tolist()))
 
     pair = (a, b, r[a - 1], r[b - 1])
-    unequal = np.abs(r[a - 1] - r[b - 1]) > tol
     party = np.arange(1, n + 1)
     every = np.ones(n, dtype=bool)
     singles = v[1 << (party - 1)]
-    useless = np.array([np.abs(w - wo).max() <= tol for wo, w in _bit_pairs(v)])
     necessary = _necessary(v, tol)
     return IncentiveReport({
         "F1": _check(every, r < -tol, party, r),

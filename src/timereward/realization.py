@@ -9,14 +9,16 @@ model and party (its eigenvalues kept while the model lives) makes every
 bisection step O(m).  The same decomposition, with its eigenvectors,
 gives the tempered model's predictive in closed form: conditioning on
 the others at noise/kappa only reweights their eigenbasis, so each kappa
-then conditions on the party's own points alone.  The eigenvectors come
+then conditions on the party's own points alone, by the conditioning
+step gp_predict runs too (kappa = 0 included).  The eigenvectors come
 from LAPACK's divide-and-conquer driver, which deflates most of a
-smooth kernel's fast-decaying spectrum.  Subset selection instead adds
-shuffled points from the other parties until the conditional value
-first exceeds the target; it works for any valuation but is only
-approximate.  On a GP the points left out after k additions are the
-last ones in joining order, so one Cholesky factor of the donors in
-reversed joining order gives every step's value from the cumulative
+smooth kernel's fast-decaying spectrum.  A bisection that stops further
+than its tolerance from the target says so in its result.  Subset
+selection instead adds shuffled points from the other parties until the
+conditional value first exceeds the target; it works for any valuation
+but is only approximate.  On a GP the points left out after k additions
+are the last ones in joining order, so one Cholesky factor of the donors
+in reversed joining order gives every step's value from the cumulative
 sum of its log diagonal.
 """
 
@@ -32,7 +34,7 @@ from .errors import TargetOutOfRange
 from .games import Game, _check_party, _check_tolerance
 from .synthdata import PredictiveDistribution
 from .valuation import (
-    GpModel, _point_indices, _robust_cholesky, _whitened_kernel, gp_ig, gp_predict, se_kernel
+    GpModel, _condition, _log_diagonal, _point_indices, _whitened_kernel, gp_ig, se_kernel
 )
 
 __all__ = [
@@ -54,6 +56,8 @@ class TemperedReward:
     kappa: float
     achieved_value: float
     target_value: float
+    # False when the bisection ran out of bracket or steps further than tol from the target
+    tolerance_met: bool = True
 
 
 @dataclass(frozen=True)
@@ -146,11 +150,10 @@ def _tempered_predictor(
     A = D_o^-1/2 K_oo D_o^-1/2 = U diag(lam) U^T, w = kappa/(1 + kappa lam)
     and G = K(x, o) D_o^-1/2 U, the others alone give the prior mean
     G (w * U^T D_o^-1/2 y_o) and covariance K - G diag(w) G^T (GPML
-    ch. 2).  Each kappa then conditions that prior on the own points:
-    one own-size Cholesky factor and matmuls.  At kappa = 0 the others
-    carry no weight, and the model is gp_predict over the own points.
-    The predictive variance adds the model's observation noise, as
-    gp_predict's does.
+    ch. 2).  Each kappa then conditions that prior on the own points by
+    valuation's one conditioning step, which gp_predict also runs: one
+    own-size Cholesky factor and matmuls.  At kappa = 0, w = 0, and the
+    prior is the plain GP's.
     """
     own = model.points_of([party])
     others, spectrum, U = _decompose_others(model, party, vectors=True)
@@ -167,23 +170,21 @@ def _tempered_predictor(
     K_own = se_kernel(X_own, ls, signal)
     K_own[np.diag_indices_from(K_own)] += noise[own]
     K_test_own = se_kernel(X_test, ls, signal, X_own)
-    obs_noise = float(np.mean(model.noise_variance))  # a scalar is its own mean
 
     def predict(kappa: float) -> PredictiveDistribution:
-        if kappa <= 0.0:
-            return gp_predict(model, y, own, X_test)
         w = kappa / (1.0 + kappa * spectrum)
         # G diag(w) G^T as H H^T with H = G diag(sqrt(w)), so numpy takes syrk
         root_w = np.sqrt(w)
         H_own, H_test = G_own * root_w, G_test * root_w
-        L = _robust_cholesky(K_own - H_own @ H_own.T)
-        cross = K_test_own - H_test @ H_own.T
         wb = w * b
-        resid = scipy.linalg.solve_triangular(L, y[own] - G_own @ wb, lower=True, check_finite=False)
-        Q = scipy.linalg.solve_triangular(L, cross.T, lower=True, check_finite=False)
-        mean = G_test @ wb + Q.T @ resid
-        var_f = signal - np.sum(H_test * H_test, axis=1) - np.sum(Q * Q, axis=0)
-        return PredictiveDistribution(mean, np.maximum(var_f, 0.0) + obs_noise)
+        return _condition(
+            model,
+            K_own - H_own @ H_own.T,
+            (K_test_own - H_test @ H_own.T).T,
+            y[own] - G_own @ wb,
+            G_test @ wb,
+            signal - np.sum(H_test * H_test, axis=1),
+        )
 
     return predict
 
@@ -207,7 +208,8 @@ def temper(model: GpModel, party: int, target: float, tol: float = 1e-6) -> Temp
 
     The objective is monotone non-decreasing in kappa, so plain bisection
     converges; it stops when the value is within tol of the target or
-    the bracket width drops below 1e-14.  tol must be finite and >= 0.
+    the bracket width drops below 1e-14, and tolerance_met says which.
+    tol must be finite and >= 0.
     """
     _check_tolerance(tol)
     _check_target(target)
@@ -229,7 +231,7 @@ def temper(model: GpModel, party: int, target: float, tol: float = 1e-6) -> Temp
             lo = kappa
         else:
             hi = kappa
-    return TemperedReward(party, kappa, value, target)
+    return TemperedReward(party, kappa, value, target, abs(value - target) <= tol)
 
 
 def conditional_point_value(model: GpModel, point_indices) -> float:
@@ -248,9 +250,7 @@ def _joining_values(model: GpModel, joining: np.ndarray) -> np.ndarray:
     """
     left_out = np.zeros(len(joining) + 1)
     if len(joining):
-        B = _whitened_kernel(model, joining[::-1])
-        B[np.diag_indices_from(B)] += 1.0
-        np.cumsum(np.log(np.diagonal(_robust_cholesky(B))), out=left_out[1:])
+        np.cumsum(_log_diagonal(_whitened_kernel(model, joining[::-1])), out=left_out[1:])
     return _all_points_ig(model) - left_out[::-1]
 
 

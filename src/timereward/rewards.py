@@ -222,6 +222,8 @@ def scale_rewards(game: Game, rewards: RewardVector) -> RewardVector:
     reward exactly v(N) (weak efficiency).  If every reward is zero or
     the game itself is null, scaling is undefined: the rewards are
     returned unchanged, as scaled rewards with no rho (degenerate).
+    Plain Shapley values or scaled rewards past the float range raise
+    ValueError.
     """
     return _scale(game, rewards.rewards, shapley_exact(game).values)
 
@@ -235,8 +237,12 @@ def _scale(game: Game, r: np.ndarray, phi) -> RewardVector:
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (game.n,):
         raise ValueError(f"phi has shape {phi.shape}, not ({game.n},)")
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("plain Shapley values must be finite to scale rewards by them")
     top = float(phi.max())
     if top <= 0.0 or not np.any(r != 0.0):
         return RewardVector(r, scaled=r.copy())
     rho = game.grand_value() / top
-    return RewardVector(r, scaled=rho * r, rho=rho)
+    with np.errstate(over="ignore", invalid="ignore"):  # RewardVector refuses inf or NaN
+        scaled = rho * r
+    return RewardVector(r, scaled=scaled, rho=rho)

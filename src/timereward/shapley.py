@@ -132,7 +132,11 @@ def _own_time_reward(game: Game, times: TimeVector, discount):
 def shapley_exact(game: Game) -> ShapleyResult:
     """Shapley values as solo value plus equal shares of every dividend (n <= 24)."""
     _, shares = _dividend_shares(game, TimeVector((0,) * game.n))
-    return ShapleyResult(values=game.singleton_values() + shares.sum(axis=1), method="exact")
+    # a value past the float range is returned as is: reward vectors, rho and
+    # the shapley command's report refuse it
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = game.singleton_values() + shares.sum(axis=1)
+    return ShapleyResult(values=values, method="exact")
 
 
 def _sample_permutations(n: int, m: int, seed: int) -> np.ndarray:

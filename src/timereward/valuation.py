@@ -19,7 +19,8 @@ only its lower triangle.  The factor, the solve and the update call
 LAPACK's dpotrf and BLAS's dtrsm and dsyrk directly, so the walk pays
 no wrapper checks or finite scans per party: every matrix it factors
 is built from a validated model, whose signal-to-noise ratio keeps it
-finite.
+finite.  Every other IG sums one log Cholesky diagonal, and every GP
+predictive (tempered ones too) is one Gaussian conditioning step.
 """
 
 from __future__ import annotations
@@ -208,13 +209,18 @@ def _whitened_kernel(model: GpModel, idx: np.ndarray) -> np.ndarray:
     return K
 
 
+def _log_diagonal(W: np.ndarray) -> np.ndarray:
+    """Log Cholesky diagonal of I + W (W overwritten), summing to the IG of a whitened kernel W."""
+    W[np.diag_indices_from(W)] += 1.0
+    return np.log(np.diagonal(_robust_cholesky(W)))
+
+
 def information_gain(K: np.ndarray, noise: np.ndarray) -> float:
     """0.5 * log det(I + Knoise^-1 K) for one covariance/noise pair.
 
-    Evaluated on the symmetrized form I + D^-1/2 K D^-1/2 via Cholesky;
-    the log-determinant is the sum of the log factor diagonal, which
-    cannot overflow.  ValueError unless K is square and finite and noise
-    holds one positive finite variance per row of K.
+    Evaluated on the symmetrized form I + D^-1/2 K D^-1/2.  ValueError
+    unless K is square and finite and noise holds one positive finite
+    variance per row of K.
     """
     K = np.asarray(K, dtype=float)
     noise = np.asarray(noise, dtype=float)
@@ -230,11 +236,9 @@ def information_gain(K: np.ndarray, noise: np.ndarray) -> float:
     if len(K) == 0:
         return 0.0
     inv_sqrt = 1.0 / np.sqrt(noise)
-    B = K * inv_sqrt[:, None]  # built in place: one temporary of K's size
-    B *= inv_sqrt[None, :]
-    B[np.diag_indices_from(B)] += 1.0
-    L = _robust_cholesky(B)
-    return float(np.sum(np.log(np.diag(L))))
+    W = K * inv_sqrt[:, None]  # built in place: one temporary of K's size
+    W *= inv_sqrt[None, :]
+    return float(np.sum(_log_diagonal(W)))
 
 
 def _point_indices(model: GpModel, points) -> np.ndarray:
@@ -264,9 +268,7 @@ def gp_ig(model: GpModel, point_set) -> float:
     idx = _point_indices(model, point_set)
     if len(idx) == 0:
         return 0.0
-    X = model.inputs[idx]
-    K = se_kernel(X, model.lengthscales, model.signal_variance)
-    return information_gain(K, model.noise_vector()[idx])
+    return float(np.sum(_log_diagonal(_whitened_kernel(model, idx))))
 
 
 def _ig_table(model: GpModel) -> np.ndarray:
@@ -347,22 +349,32 @@ def dual_game(base: Game) -> Game:
     return Game(base.n, table=v[-1] - v[::-1])
 
 
+def _condition(model: GpModel, cov, cross, resid, prior_mean, prior_var) -> PredictiveDistribution:
+    """Predictive at test inputs of a Gaussian prior conditioned on noisy points (GPML ch. 2).
+
+    cov is the points' prior covariance plus noise, cross their prior
+    covariance with the test inputs (a column each), resid their targets
+    less the prior mean; all finite, as the solves skip scipy's scan.
+    The variance, clipped at 0, adds the model's observation noise: its
+    scalar noise, else the mean of its per-point noise.
+    """
+    L = _robust_cholesky(cov)
+    r = scipy.linalg.solve_triangular(L, resid, lower=True, check_finite=False)
+    Q = scipy.linalg.solve_triangular(L, cross, lower=True, check_finite=False)
+    var_f = np.maximum(prior_var - np.sum(Q * Q, axis=0), 0.0)
+    return PredictiveDistribution(prior_mean + Q.T @ r, var_f + np.mean(model.noise_variance))
+
+
 def gp_predict(
-    model: GpModel,
-    targets: np.ndarray,
-    point_indices,
-    X_test: np.ndarray,
-    *,
-    point_noise: np.ndarray | None = None,
+    model: GpModel, targets: np.ndarray, point_indices, X_test: np.ndarray
 ) -> PredictiveDistribution:
     """GP posterior predictive at test inputs from a subset of the design points.
 
-    targets holds one value per model point, and X_test is 2-d with one
-    column per feature; either one's wrong shape raises ValueError
-    naming it.  point_noise overrides the model's noise for the
-    conditioning points (used for tempered model rewards).  The
-    predictive variance includes observation noise: the model's scalar
-    noise, else the mean of its per-point noise.
+    targets holds one value per model point, finite at the conditioning
+    points, and X_test is 2-d and finite with one column per feature;
+    ValueError names the input that is not.  The predictive variance
+    includes observation noise: the model's scalar noise, else the mean
+    of its per-point noise.
     """
     idx = _point_indices(model, point_indices)
     y = np.asarray(targets, dtype=float)
@@ -375,24 +387,16 @@ def gp_predict(
         raise ValueError(
             f"X_test has shape {X_test.shape}, expected 2-d with {model.inputs.shape[1]} columns"
         )
+    if not np.all(np.isfinite(X_test)):
+        raise ValueError("X_test must be finite")
     y = y[idx]
+    if not np.all(np.isfinite(y)):
+        raise ValueError("targets must be finite at the conditioning points")
     Xs = model.inputs[idx]
-    noise = model.noise_vector()[idx] if point_noise is None else np.asarray(point_noise)
-    if len(noise) != len(idx) or not np.all((noise > 0) & np.isfinite(noise)):
-        raise ValueError("need one positive finite noise entry per conditioning point")
-    obs_noise = float(np.mean(model.noise_variance))  # a scalar is its own mean
-
     K = se_kernel(Xs, model.lengthscales, model.signal_variance)
-    K[np.diag_indices_from(K)] += noise
-    L = _robust_cholesky(K)
+    K[np.diag_indices_from(K)] += model.noise_vector()[idx]
     K_star = se_kernel(Xs, model.lengthscales, model.signal_variance, X_test)
-    alpha = scipy.linalg.solve_triangular(L, y, lower=True)
-    alpha = scipy.linalg.solve_triangular(L.T, alpha, lower=False)
-    mean = K_star.T @ alpha
-    Q = scipy.linalg.solve_triangular(L, K_star, lower=True)
-    var_f = model.signal_variance - np.sum(Q * Q, axis=0)
-    var = np.maximum(var_f, 0.0) + obs_noise
-    return PredictiveDistribution(mean, var)
+    return _condition(model, K, K_star, y, 0.0, model.signal_variance)
 
 
 def make_gp_model(

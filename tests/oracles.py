@@ -10,13 +10,14 @@ They are exponential or worse and meant for small games only.  The
 tempered GP value is built from its virtual copies of the others'
 points, one joint kernel over kept and conditioning points; the
 conditional IG table and the greedy GP subset factorize one kernel per
-coalition or per step.  The tempered model's predictive conditions on
-one kernel of its own points and the others' points at noise/kappa, and
-the plain IG table walk factors with scipy.linalg.cholesky and copies
-every block, so the library's direct LAPACK calls and in-place updates
-can be checked bit for bit.  The axiom and incentive checks enumerate
-their quantifiers coalition by coalition with submask loops, in the
-scan order whose first worst pair the library reports as its witness.
+coalition or per step.  The GP predictive solves one joint kernel with
+np.linalg.solve, and the tempered model's is the predictive from its
+own points and the others' points at noise/kappa.  The plain IG table
+walk factors with scipy.linalg.cholesky and copies every block, so the
+library's direct LAPACK calls and in-place updates can be checked bit
+for bit.  The axiom and incentive checks enumerate their quantifiers
+coalition by coalition with submask loops, in the scan order whose first
+worst pair the library reports as its witness.
 """
 
 import itertools
@@ -44,7 +45,7 @@ from timereward import (
 from timereward.incentives import IncentiveCheck
 from timereward.rewards import cooperative_abilities
 from timereward.synthdata import PredictiveDistribution
-from timereward.valuation import GpModel, gp_predict, information_gain, se_kernel
+from timereward.valuation import GpModel, information_gain, se_kernel
 
 
 def coalition_from_key_reference(key: str, n: int) -> Coalition:
@@ -298,24 +299,39 @@ def select_subset_reference(model: GpModel, party: int, target: float, seed: int
     return SubsetReward(party, tuple(selected), achieved, target, seed, saturated=True)
 
 
+def gp_posterior_reference(
+    model: GpModel, targets, idx, point_noise, X_test
+) -> PredictiveDistribution:
+    """GP predictive from the points idx at the given noise, by K + diag(noise) and np.linalg.solve.
+
+    The predictive variance adds the model's observation noise: its
+    scalar noise, else the mean of its per-point noise.
+    """
+    X = model.inputs[idx]
+    ls, signal = model.lengthscales, model.signal_variance
+    K = se_kernel(X, ls, signal) + np.diag(point_noise)
+    K_star = se_kernel(X, ls, signal, X_test)
+    mean = K_star.T @ np.linalg.solve(K, np.asarray(targets, dtype=float)[idx])
+    var_f = signal - np.sum(K_star * np.linalg.solve(K, K_star), axis=0)
+    return PredictiveDistribution(mean, np.maximum(var_f, 0.0) + np.mean(model.noise_variance))
+
+
 def tempered_predictive_reference(
     model: GpModel, targets, party: int, kappa: float, X_test
 ) -> PredictiveDistribution:
     """Predictive of party's tempered model reward: own points plus the others' at noise/kappa.
 
-    One gp_predict over all the conditioning points; kappa = 0 keeps the
-    own points only.
+    One joint kernel over all the conditioning points; kappa = 0 keeps
+    the own points only.
     """
     own = model.points_of([party])
     others = model.points_of(p for p in range(1, model.n_parties + 1) if p != party)
     noise = model.noise_vector()
-    if kappa <= 0.0:
-        idx = own
-        point_noise = noise[own]
-    else:
-        idx = np.concatenate([own, others])
-        point_noise = np.concatenate([noise[own], noise[others] / kappa])
-    return gp_predict(model, targets, idx, X_test, point_noise=point_noise)
+    if kappa == 0.0:
+        return gp_posterior_reference(model, targets, own, noise[own], X_test)
+    idx = np.concatenate([own, others])
+    point_noise = np.concatenate([noise[own], noise[others] / kappa])
+    return gp_posterior_reference(model, targets, idx, point_noise, X_test)
 
 
 def scipy_cholesky_reference(mat: np.ndarray) -> np.ndarray:

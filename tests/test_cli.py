@@ -357,6 +357,26 @@ class TestOverflowingValues:
             assert stderr.startswith("error: ") == (code == EXIT_ERROR), command
             assert (stdout == "") == (code == EXIT_ERROR), command
 
+    def test_games_near_the_float_range_raise_no_warning(self, tmp_path):
+        # inf - inf in the Moebius transform, and overflowing differences, sums and
+        # products in the axiom, incentive, scaling and Shapley steps used to warn
+        entries = np.array([1e308, -1e308, 1.7e308, 9e307, 0.0, 1.0])
+        rng = np.random.default_rng(2029)
+        path = tmp_path / "huge.json"
+        schemes = ("naive", "shapley", "cumulation", "timeval")
+        commands = [["rewards", "--scheme", s] for s in schemes] + [["check"], ["shapley"]]
+        for _ in range(300):
+            n = int(rng.integers(2, 5))
+            table = rng.choice(entries, size=1 << n)
+            values = {Coalition.from_mask(m, n).key(): table[m] for m in range(1, 1 << n)}
+            path.write_text(json.dumps({"n": n, "values": values}))
+            for command in commands:
+                code, stdout, stderr, caught = _run_quietly([*command, "--game", str(path)])
+                assert caught == [], (values, command)
+                assert stderr.count("\n") == (code == EXIT_ERROR), (values, command)
+                assert stderr.startswith("error: ") == (code == EXIT_ERROR), (values, command)
+                assert (stdout == "") == (code == EXIT_ERROR), (values, command)
+
 
 class TestMalformedGameFile:
     # each used to end in a traceback or, for times and n, to be truncated
@@ -691,6 +711,41 @@ class TestRealizeCommand:
         record = doc["parties"]["1"]
         assert abs(record["achieved"] - record["target"]) <= 1e-6
         assert 0.0 < record["kappa"] < 1.0
+        assert record["flags"] == []
+
+    @pytest.mark.parametrize(
+        "config,target,kappa_above",
+        [
+            # the bracket shrinks below 1e-14 first: achieved 2999.99998 against tol 1e-6
+            ({"noise_variance": 1e-12}, "3000", 0.9999999),
+            # kappa runs into 1 while the value is still ~12000 short
+            ({"signal_variance": 1e305, "noise_variance": 1.0}, "5e4", 0.9999999),
+        ],
+        ids=["tiny-noise", "huge-signal"],
+    )
+    def test_temper_flags_a_result_outside_its_tolerance(
+        self, config, target, kappa_above, tmp_path
+    ):
+        # both used to be reported with no flag
+        csv_path, config_path = tmp_path / "data.csv", tmp_path / "gp.json"
+        main(["gen", "friedman", "--count", "300", "--sizes", "100,100,100", "--seed", "1",
+              "--out", str(csv_path)])
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "real.json"
+        code = main(
+            [
+                "realize", "--method", "temper", "--data", str(csv_path),
+                "--gp-config", str(config_path), "--party", "1",
+                "--target", target, "--out", str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out.read_text())
+        jsonschema.validate(doc, REALIZATION_REPORT_SCHEMA)
+        record = doc["parties"]["1"]
+        assert abs(record["achieved"] - record["target"]) > 1e-6
+        assert record["kappa"] > kappa_above
+        assert record["flags"] == ["tolerance_not_met"]
 
     def test_temper_rejects_seed(self, tmp_path, capsys):
         # tempering draws nothing: --seed used to be accepted and echoed in the report;

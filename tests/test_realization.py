@@ -147,6 +147,7 @@ class TestTemper:
             target = lo + fraction * (hi - lo)
             result = temper(model, party, target, tol=1e-6)
             assert abs(result.achieved_value - target) <= 1e-6
+            assert result.tolerance_met
             assert 0.0 < result.kappa < 1.0
             # independent recomputation of the heteroscedastic value
             assert tempered_value(model, party, result.kappa) == pytest.approx(
@@ -336,15 +337,16 @@ class TestFriedmanMnlp:
 
 
 def test_reward_model_at_kappa_0_is_the_own_points_model():
-    # kappa = 0 gives the others' points no weight, so they are left out
+    # kappa = 0 gives the others' points no weight, and both run one conditioning step
     model = three_party_model()
     rng = np.random.default_rng(5)
     targets = rng.normal(size=model.n_points)
-    test_X, test_y = rng.uniform(size=(4, 2)), rng.normal(size=4)
+    test_X = rng.uniform(size=(4, 2))
     for party in (1, 2, 3):
         own = gp_predict(model, targets, model.points_of([party]), test_X)
         got = _tempered_predictor(model, targets, party, test_X)(0.0)
-        assert mnlp(got, test_y) == mnlp(own, test_y)
+        np.testing.assert_array_equal(got.mean, own.mean)
+        np.testing.assert_array_equal(got.variance, own.variance)
 
 
 def _models_for_the_tempered_predictive():
@@ -364,7 +366,7 @@ def _models_for_the_tempered_predictive():
     "name,model,parties", list(_models_for_the_tempered_predictive()),
     ids=[name for name, *_ in _models_for_the_tempered_predictive()],
 )
-@pytest.mark.parametrize("kappa", [1e-12, 0.3, 1.0])
+@pytest.mark.parametrize("kappa", [0.0, 1e-12, 0.3, 1.0])
 def test_closed_form_predictive_matches_the_joint_kernel(name, model, parties, kappa):
     rng = np.random.default_rng(7)
     targets = rng.normal(size=model.n_points)
@@ -395,16 +397,15 @@ def _record_decompositions(monkeypatch) -> list:
     return calls
 
 
-def test_sweep_decomposes_once_per_party_and_predicts_only_at_kappa_0(monkeypatch):
-    from timereward import realization
+def test_sweep_decomposes_once_per_party_and_never_calls_gp_predict(monkeypatch):
+    from timereward import valuation
 
     decompositions = _record_decompositions(monkeypatch)
-    predicted, kappas = [], []
-    inner_predict, inner_temper = realization.gp_predict, experiment.temper
+    kappas = []
+    inner_temper = experiment.temper
 
     def predict(*args, **kwargs):
-        predicted.append(args)
-        return inner_predict(*args, **kwargs)
+        raise AssertionError("the tempered predictive called gp_predict")
 
     def temper_recorded(*args, **kwargs):
         realized = inner_temper(*args, **kwargs)
@@ -413,7 +414,7 @@ def test_sweep_decomposes_once_per_party_and_predicts_only_at_kappa_0(monkeypatc
         kappas.append((realized.party, realized.kappa))
         return realized
 
-    monkeypatch.setattr(realization, "gp_predict", predict)
+    monkeypatch.setattr(valuation, "gp_predict", predict)
     monkeypatch.setattr(experiment, "temper", temper_recorded)
     result = run_friedman_experiment(
         FriedmanConfig(count=100, sizes=(30, 30, 20), betas=(1.0,), gammas=(0.0,), with_mnlp=True)
@@ -421,9 +422,9 @@ def test_sweep_decomposes_once_per_party_and_predicts_only_at_kappa_0(monkeypatc
     # one eigh per party, shared by the bisection: no separate eigvalsh
     assert decompositions == ["eigh"] * 3
     assert len(kappas) == len(result.rows)
-    # one own-points prediction per party with a kappa = 0 cell, and none for kappa > 0
-    zeros = {party for party, kappa in kappas if kappa == 0.0}
-    assert len(predicted) == len(zeros) == 3
+    # every party has a kappa = 0 cell, served by the same closed form
+    assert {party for party, kappa in kappas if kappa == 0.0} == {1, 2, 3}
+    assert all(np.isfinite(row.mnlp) for row in result.rows)
 
 
 @pytest.mark.parametrize(

@@ -376,6 +376,29 @@ class TestScaleRewards:
         with pytest.raises(ValueError, match="rewards has 3 entries"):
             scale_rewards(ir_counterexample, RewardVector(np.array([0.5, 0.5, 0.5])))
 
+    def test_plain_shapley_values_past_the_float_range_rejected(self):
+        # the dividend of {1, 2} overflows, so phi = (inf, inf): rho used to come out 0
+        g = Game(2, table=np.array([0.0, 1.7e308, -1.7e308, 1.7e308]))
+        with pytest.raises(ValueError, match="plain Shapley values must be finite"):
+            scale_rewards(g, RewardVector(np.array([1.0, 2.0])))
+
+    @pytest.mark.parametrize(
+        "table,r",
+        [
+            # rho = 2, and 2 * 1e308 overflows
+            ([0.0, 0.5, 0.0, 1.7e308], [1e308, 1.0]),
+            # rho = -1e308 / 1e-300 is -inf, and -inf * 0 is NaN
+            ([0.0, 1e-300, -1e308, -1e308], [0.0, 1.0]),
+        ],
+        ids=["overflow", "zero-times-inf"],
+    )
+    def test_scaled_rewards_past_the_float_range_rejected(self, table, r):
+        g = Game(2, table=np.array(table))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="scaled rewards must be finite"):
+                scale_rewards(g, RewardVector(np.array(r)))
+
 
 class TestBetaMonotoneResponse:
     def test_late_party_reward_sampled_over_beta(self):

@@ -10,7 +10,12 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from conftest import random_monotone_submodular
-from oracles import conditional_ig_table_reference, ig_table_walk_reference, scipy_cholesky_reference
+from oracles import (
+    conditional_ig_table_reference,
+    gp_posterior_reference,
+    ig_table_walk_reference,
+    scipy_cholesky_reference,
+)
 from timereward import (
     Game,
     GpModel,
@@ -487,12 +492,29 @@ class TestGpPlumbing:
         with pytest.raises(ValueError, match=f"GP config file has unknown field '{key}'"):
             load_gp_config(path)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
-    def test_gp_predict_rejects_bad_point_noise(self, bad):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_gp_predict_refuses_a_non_finite_conditioning_target(self, bad):
+        # used to be refused only by scipy's finite scan inside a triangular solve
         m = three_party_model()
         y = np.zeros(m.n_points)
-        with pytest.raises(ValueError, match="noise"):
-            gp_predict(m, y, range(3), m.inputs[:2], point_noise=np.array([0.1, bad, 0.1]))
+        y[1] = bad
+        with pytest.raises(ValueError, match=r"^targets must be finite at the conditioning points"):
+            gp_predict(m, y, range(3), m.inputs[:2])
+
+    def test_gp_predict_reads_no_target_outside_the_conditioning_set(self):
+        m = three_party_model()
+        y = np.zeros(m.n_points)
+        y[5] = np.nan
+        pred = gp_predict(m, y, range(3), m.inputs[:2])
+        assert np.all(np.isfinite(pred.mean)) and np.all(np.isfinite(pred.variance))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gp_predict_refuses_a_non_finite_x_test(self, bad):
+        m = three_party_model()
+        X_test = np.zeros((2, 2))
+        X_test[1, 0] = bad
+        with pytest.raises(ValueError, match="^X_test must be finite$"):
+            gp_predict(m, np.zeros(m.n_points), range(3), X_test)
 
     @pytest.mark.parametrize("length", [0, 11, 13])
     def test_gp_predict_needs_one_target_per_model_point(self, length):
@@ -524,3 +546,28 @@ class TestGpPlumbing:
         pred = gp_predict(m, y, range(10), X)
         assert np.max(np.abs(pred.mean - y)) < 1e-4
         assert np.all(pred.variance > 0)
+
+
+def _models_for_gp_predict():
+    rng = np.random.default_rng(11)
+    X = rng.uniform(size=(13, 2))
+    unequal = np.repeat([1, 2, 3], [2, 7, 4])
+    yield "heteroscedastic", GpModel(
+        X, unequal, np.array([0.4, 0.7]), 1.3, rng.uniform(0.01, 0.5, size=13)
+    )
+    yield "unequal-sizes", GpModel(X, unequal, np.array([0.5, 0.5]), 1.0, 0.05)
+
+
+@pytest.mark.parametrize(
+    "name,model", list(_models_for_gp_predict()), ids=[name for name, _ in _models_for_gp_predict()]
+)
+def test_gp_predict_matches_the_joint_kernel_solve(name, model):
+    rng = np.random.default_rng(7)
+    targets = rng.normal(size=model.n_points)
+    test_X = rng.uniform(size=(6, 2))
+    noise = model.noise_vector()
+    for points in (*(model.points_of([p]) for p in (1, 2, 3)), np.arange(model.n_points)):
+        got = gp_predict(model, targets, points, test_X)
+        want = gp_posterior_reference(model, targets, points, noise[points], test_X)
+        assert_allclose(got.mean, want.mean, rtol=0.0, atol=1e-9 * np.abs(want.mean).max())
+        assert_allclose(got.variance, want.variance, rtol=1e-9)
