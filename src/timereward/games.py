@@ -419,9 +419,14 @@ def _bit_pairs(table: np.ndarray):
 def _subset_transform(table: np.ndarray, combine) -> np.ndarray:
     """Fold each mask's entry with its subsets' by the ufunc combine, one bit at a time."""
     out = np.array(table, dtype=float)
+    shift = math.frexp(max(out.max(initial=0.0), -out.min(initial=0.0)))[1]
     # an entry past the float range (inf, or NaN from inf - inf) is refused by the
     # caller that reads it as a game or rewards, and returned as is by harsanyi_dividends
     with np.errstate(over="ignore", invalid="ignore"):
+        # no intermediate exceeds 2**n * max|x|: where that could overflow, fold the
+        # table scaled by a power of two, which is exact for normal values
+        if shift + len(out).bit_length() - 1 > 1023:
+            return np.ldexp(_subset_transform(np.ldexp(out, -shift), combine), shift)
         for without_bit, with_bit in _bit_pairs(out):
             combine(with_bit, without_bit, out=with_bit)
     return out

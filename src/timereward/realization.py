@@ -14,12 +14,12 @@ step gp_predict runs too (kappa = 0 included).  The eigenvectors come
 from LAPACK's divide-and-conquer driver, which deflates most of a
 smooth kernel's fast-decaying spectrum.  A bisection that stops further
 than its tolerance from the target says so in its result.  Subset
-selection instead adds shuffled points from the other parties until the
-conditional value first exceeds the target; it works for any valuation
-but is only approximate.  On a GP the points left out after k additions
-are the last ones in joining order, so one Cholesky factor of the donors
-in reversed joining order gives every step's value from the cumulative
-sum of its log diagonal.
+selection instead adds shuffled donors until the value first exceeds
+the target, taking every prefix's value from its source at once; it
+works for any valuation but is only approximate.  On a GP the points
+left out after k additions are the last ones in joining order, so one
+Cholesky factor of the donors in reversed joining order gives every
+prefix's value from the cumulative sum of its log diagonal.
 """
 
 from __future__ import annotations
@@ -260,9 +260,10 @@ def select_subset(source: Game | GpModel, party: int, target: float, seed: int) 
 
     With a GpModel the atoms are the other parties' individual points and
     the value is the conditional information gain of the selected set.
-    With a Game the atoms are whole parties and the value is the game's.
-    Deterministic per seed.  If even the full set only reaches the
-    target, the result is flagged saturated.
+    With a Game the atoms are whole parties and the value is the game's,
+    looked up for every prefix of the joining order whatever the target.
+    Deterministic per seed; flagged saturated if even the full set only
+    reaches the target.
     """
     _check_target(target)
     rng = np.random.default_rng(seed)
@@ -272,29 +273,19 @@ def select_subset(source: Game | GpModel, party: int, target: float, seed: int) 
         joining_idx = donors[rng.permutation(len(donors))]
         values = _joining_values(source, joining_idx)
         joining = joining_idx.tolist()
-
-        def value(k: int) -> float:
-            return float(values[k])
-
     elif isinstance(source, Game):
         _check_party(source.n, party)
         own = [party]
         donors = [p for p in range(1, source.n + 1) if p != party]
         joining = [donors[pos] for pos in rng.permutation(len(donors))]
-
-        def value(k: int) -> float:
-            return source.value(own + joining[:k])
-
+        values = np.array([source.value(own + joining[:k]) for k in range(len(joining) + 1)])
     else:
         raise TypeError("source must be a Game or a GpModel")
 
-    floor, total = value(0), value(len(joining))
-    _check_reachable(target, floor, total, 1e-12)
-    if floor >= target:
-        return SubsetReward(party, tuple(own), floor, target, seed)
-    achieved = floor
-    for k in range(1, len(joining) + 1):
-        achieved = value(k)
-        if achieved > target:
-            return SubsetReward(party, tuple(own + joining[:k]), achieved, target, seed)
-    return SubsetReward(party, tuple(own + joining), achieved, target, seed, saturated=True)
+    _check_reachable(target, values[0], values[-1], 1e-12)
+    # the own data alone need only meet the target; a donor prefix must exceed it
+    reached = values > target
+    reached[0] = values[0] >= target
+    saturated = not reached.any()
+    k = len(joining) if saturated else int(np.argmax(reached))
+    return SubsetReward(party, tuple(own + joining[:k]), float(values[k]), target, seed, saturated)

@@ -180,7 +180,8 @@ def _ability_discount(gamma: float):
         raise ValueError("gamma must be non-negative and finite")
 
     def discount(latest: np.ndarray, horizon) -> np.ndarray:
-        return np.maximum(np.exp(-gamma * np.asarray(latest, dtype=float)), _ABILITY_FLOOR)
+        with np.errstate(over="ignore"):  # gamma * t past the float range: exp(-inf) = 0, floored
+            return np.maximum(np.exp(-gamma * np.asarray(latest, dtype=float)), _ABILITY_FLOOR)
 
     return discount
 

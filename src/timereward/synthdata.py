@@ -105,7 +105,10 @@ def gen_friedman(count: int, noise_std: float = 1.0, seed: int = 0) -> Dataset:
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.0, 1.0, size=(count, 6))
-    y = friedman_signal(X) + rng.normal(0.0, 1.0, size=count) * noise_std
+    with np.errstate(over="ignore"):  # an infinite target is refused below
+        y = friedman_signal(X) + rng.normal(0.0, 1.0, size=count) * noise_std
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"noise_std {noise_std} gives targets past the float range")
     return Dataset(X, y, np.zeros(count, dtype=int))
 
 

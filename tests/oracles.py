@@ -10,9 +10,11 @@ They are exponential or worse and meant for small games only.  The
 tempered GP value is built from its virtual copies of the others'
 points, one joint kernel over kept and conditioning points; the
 conditional IG table and the greedy GP subset factorize one kernel per
-coalition or per step.  The GP predictive solves one joint kernel with
-np.linalg.solve, and the tempered model's is the predictive from its
-own points and the others' points at noise/kappa.  The plain IG table
+coalition or per step, and the greedy table subset looks up each prefix
+of the joining order only as the scan reaches it.  The GP predictive
+solves one joint kernel with np.linalg.solve, and the tempered model's
+is the predictive from its own points and the others' points at
+noise/kappa.  The plain IG table
 walk factors with scipy.linalg.cholesky and copies every block, so the
 library's direct LAPACK calls and in-place updates can be checked bit
 for bit.  The axiom and incentive checks enumerate their quantifiers
@@ -294,6 +296,25 @@ def select_subset_reference(model: GpModel, party: int, target: float, seed: int
     for pos in np.random.default_rng(seed).permutation(len(donors)):
         selected.append(donors[pos])
         achieved = value(selected)
+        if achieved > target:
+            return SubsetReward(party, tuple(selected), achieved, target, seed)
+    return SubsetReward(party, tuple(selected), achieved, target, seed, saturated=True)
+
+
+def select_subset_table_reference(game: Game, party: int, target: float, seed: int) -> SubsetReward:
+    """Greedy table subset: append shuffled donor parties, looking up each new prefix."""
+    donors = [p for p in range(1, game.n + 1) if p != party]
+    selected = [party]
+    achieved, total = game.value(selected), game.grand_value()
+    if target < achieved - 1e-12 or target > total + 1e-12:
+        raise TargetOutOfRange(
+            f"target {float(target)!r} outside achievable [{float(achieved)!r}, {float(total)!r}]"
+        )
+    if achieved >= target:
+        return SubsetReward(party, tuple(selected), achieved, target, seed)
+    for pos in np.random.default_rng(seed).permutation(len(donors)):
+        selected.append(donors[pos])
+        achieved = game.value(selected)
         if achieved > target:
             return SubsetReward(party, tuple(selected), achieved, target, seed)
     return SubsetReward(party, tuple(selected), achieved, target, seed, saturated=True)

@@ -152,6 +152,16 @@ class TestRewardsCommand:
         args = ["rewards", "--game", ir_game_file, "--scheme", scheme, flag, value]
         assert main(args + ["--times", "0,0"]) == EXIT_ERROR
 
+    def test_timeval_gamma_past_the_float_range_raises_no_warning(self, ir_game_file):
+        # gamma * t used to overflow with a RuntimeWarning; every late ability is floored
+        argv = ["rewards", "--game", ir_game_file, "--scheme", "timeval", "--times", "3,0"]
+        code, stdout, stderr, caught = _run_quietly([*argv, "--gamma", "1e308"])
+        assert (code, stderr, caught) == (EXIT_CHECK_FAILED, "", [])
+        # the report equals the one at gamma = 1e3, whose late abilities are floored too
+        doc, reference = json.loads(stdout), json.loads(_run_quietly([*argv, "--gamma", "1e3"])[1])
+        assert (doc.pop("param"), reference.pop("param")) == (1e308, 1e3)
+        assert doc == reference
+
     @pytest.mark.parametrize("source", ["flag", "file"])
     def test_time_past_int64_exits_1(self, source, tmp_path, capsys):
         # used to end in an OverflowError traceback
@@ -336,13 +346,15 @@ class TestOverflowingValues:
     @pytest.mark.parametrize(
         "values,codes",
         [
-            # the dividend of {1, 2} overflows: naive and Shapley rewards are
-            # infinite, and the shapley command used to write Infinity as JSON
-            ({"1": 1e308, "2": -1e308, "1,2": 1e308}, (1, 1, 1, 1, 2, 1)),
+            # v(1, 2) - v(2) overflows, but the dividend of {1, 2} is 1e308: the
+            # transform runs on a scaled table, so naive and Shapley rewards are finite
+            ({"1": 1e308, "2": -1e308, "1,2": 1e308}, (2, 2, 1, 1, 2, 0)),
+            # the same with Shapley values 1.75e308 and -7.5e307 (checked in test_games)
+            ({"1": 1.5e308, "2": -1e308, "1,2": 1e308}, (2, 2, 1, 1, 2, 0)),
             # v(1) + v(2) overflows: an A3 witness
             ({"1": 1e308, "2": 1e308, "1,2": 1e308}, (2, 2, 1, 1, 2, 0)),
         ],
-        ids=["dividend", "pair-sum"],
+        ids=["dividend", "intermediate", "pair-sum"],
     )
     def test_one_error_line_or_none(self, values, codes, tmp_path):
         # exit codes of the four schemes, check and shapley; 1 = EXIT_ERROR
@@ -642,6 +654,18 @@ class TestGenCommand:
             ["gen", "friedman", "--count", "30", "--noise-std", "1", "--out", str(b)]
         ) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_noise_std_past_the_float_range_exits_1(self, tmp_path):
+        # used to warn and write inf targets
+        path = tmp_path / "x.csv"
+        argv = ["gen", "friedman", "--count", "50", "--noise-std", "1e308", "--out", str(path)]
+        code, stdout, stderr, caught = _run_quietly(argv)
+        assert (code, stdout, caught) == (EXIT_ERROR, "", [])
+        assert stderr == "error: noise_std 1e+308 gives targets past the float range\n"
+        assert not path.exists()
+        argv[5] = "1e200"
+        assert _run_quietly(argv) == (EXIT_OK, "", "", [])
+        assert path.exists()
 
     @pytest.mark.parametrize("noise", ["nan", "inf", "-inf", "-1"])
     def test_noise_std_not_finite_and_non_negative_exits_1(self, noise, tmp_path, capsys):
@@ -1002,6 +1026,27 @@ class TestRealizeCommand:
         record = doc["parties"]["1"]
         assert doc["seed"] == 1 and record["achieved"] > record["target"] == 5.0
 
+    def test_subset_on_a_partial_game_names_the_missing_prefix(self, tmp_path):
+        # seed 0 joins 4, 2, 3 after party 1; the target is crossed at {1, 4}, so the
+        # search used to stop there and never ask for the missing {1, 2, 4}
+        game = random_superadditive_game(4, 3)
+        table = game.table()
+        values = {Coalition.from_mask(m, 4).key(): table[m] for m in range(1, 16)}
+        del values["1,2,4"]
+        path = tmp_path / "partial.json"
+        save_game_json(path, 4, values)
+        target = 0.5 * (game.value([1]) + game.value([1, 4]))
+        out = tmp_path / "real.json"
+        code, stdout, stderr, caught = _run_quietly(
+            [
+                "realize", "--method", "subset", "--game", str(path), "--party", "1",
+                "--target", repr(target), "--seed", "0", "--out", str(out),
+            ]
+        )
+        assert (code, stdout, caught) == (EXIT_ERROR, "", [])
+        assert stderr == "error: coalition '1,2,4' not in table\n"
+        assert not out.exists()
+
     def test_subset_rejects_tol(self, ir_game_file, tmp_path, capsys):
         # select_subset has no tolerance; --tol used to be accepted and ignored
         out = tmp_path / "real.json"
@@ -1162,6 +1207,17 @@ class TestExperimentCommand:
 
         config = self._config_of(argv, tmp_path, monkeypatch)
         assert config == dataclasses.replace(FriedmanConfig(), **{field: value})
+
+    def test_gamma_past_the_float_range_raises_no_warning(self, tmp_path):
+        # gamma * t used to overflow with a RuntimeWarning at t1 = 2
+        csv_out = tmp_path / "sweep.csv"
+        code, _, stderr, caught = _run_quietly(
+            [
+                "experiment-friedman", "--count", "60", "--sizes", "10,10", "--t1-grid", "0,2",
+                "--betas", "1", "--gammas", "1e308", "--out-csv", str(csv_out),
+            ]
+        )
+        assert (code, stderr, caught) == (EXIT_OK, "", [])
 
     def test_empty_test_split_refused_with_mnlp(self, tmp_path, monkeypatch, capsys):
         # 20% of 2 points rounds to none: every MNLP cell used to be nan, with

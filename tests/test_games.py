@@ -43,7 +43,7 @@ from timereward import (
     time_aware_game,
 )
 from timereward import games
-from timereward.games import _canonical_masks, mask_of, members_of, subset_sums
+from timereward.games import _canonical_masks, mask_of, members_of, subset_differences, subset_sums
 
 
 class TestCoalition:
@@ -640,6 +640,26 @@ class TestRandomSuperadditiveGame:
         for mask in range(16):
             brute = sum(d[s] for s in range(16) if s & mask == s)
             assert table[mask] == pytest.approx(brute, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 10, 14])
+    def test_transforms_near_the_float_range_scale_exactly(self, n):
+        # 2**n times the largest entry passes the float range: the transform runs on
+        # the table scaled by a power of two, so it is the small table's, scaled
+        table = random_superadditive_game(n, seed=n).table()
+        shift = 1024 - n - math.frexp(table.max())[1] + 1
+        huge = np.ldexp(table, shift)
+        assert np.isfinite(huge).all()
+        dividends = subset_differences(table)
+        assert np.array_equal(subset_differences(huge), np.ldexp(dividends, shift))
+        sums = subset_sums(np.ldexp(dividends, shift))
+        assert np.array_equal(sums, np.ldexp(subset_sums(dividends), shift))
+
+    def test_dividends_with_an_overflowing_intermediate_are_finite(self):
+        # v(1, 2) - v(2) = 2e308 used to overflow, though the dividend of {1, 2} is 0.5e308
+        g = make_table_game(2, {"1": 1.5e308, "2": -1e308, "1,2": 1e308})
+        d = {c.key(): value for c, value in harsanyi_dividends(g).items()}
+        assert d == {"": 0.0, "1": 1.5e308, "2": -1e308, "1,2": pytest.approx(0.5e308, rel=1e-15)}
+        assert shapley_exact(g).values.tolist() == [1.75e308, -7.5e307]
 
 
 class TestTimeVector:

@@ -7,9 +7,15 @@ import numpy as np
 import pytest
 
 from conftest import count_dividend_passes
-from oracles import select_subset_reference, tempered_predictive_reference
+from oracles import (
+    select_subset_reference,
+    select_subset_table_reference,
+    tempered_predictive_reference,
+)
 from timereward import (
+    Coalition,
     GpModel,
+    MissingCoalition,
     TargetOutOfRange,
     conditional_ig_game,
     make_table_game,
@@ -219,6 +225,32 @@ class TestSelectSubsetTable:
     def test_rejects_unknown_source(self):
         with pytest.raises(TypeError):
             select_subset(object(), 1, 0.5, seed=0)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_the_literal_prefix_scan(self, n):
+        fractions = (0.0, 1e-9, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0 - 1e-9, 1.0)
+        for game_seed in range(3):
+            g = random_superadditive_game(n, game_seed)
+            for party in range(1, n + 1):
+                lo, hi = g.value([party]), g.grand_value()
+                for seed in range(3):
+                    for target in [lo + f * (hi - lo) for f in fractions] + [lo, hi]:
+                        got = select_subset(g, party, target, seed)
+                        want = select_subset_table_reference(g, party, target, seed)
+                        assert got == want, (n, game_seed, party, seed, target)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+    def test_partial_game_missing_a_prefix_is_refused_whatever_the_target(self, fraction):
+        # seed 0 joins 4, 2, 3 after party 1, so {1, 2, 4} is on the path; a target
+        # below v(1, 4) used to stop the scan first and return (1, 4)
+        full = random_superadditive_game(4, 3)
+        table = full.table()
+        values = {Coalition.from_mask(m, 4).key(): table[m] for m in range(1, 16)}
+        del values["1,2,4"]
+        g = make_table_game(4, values)
+        lo, hi = full.value([1]), full.value([1, 4])
+        with pytest.raises(MissingCoalition, match=r"^coalition '1,2,4' not in table$"):
+            select_subset(g, 1, lo + fraction * (hi - lo), seed=0)
 
 
 class TestSelectSubsetGp:

@@ -304,6 +304,22 @@ class TestRewardTimeValuation:
         with pytest.raises(AxiomViolation):
             reward_time_valuation(bad, late_first, 1.0)
 
+    def test_gamma_past_the_float_range_floors_every_late_ability(self):
+        # gamma * t used to overflow with a RuntimeWarning, an error under the test filter
+        g = random_superadditive_game(4, seed=16)
+        times = TimeVector.of((2, 0, 3, 1))
+        huge, large = cooperative_abilities(times, 1e308), cooperative_abilities(times, 1e3)
+        assert np.array_equal(huge, large)
+        tiny = np.finfo(float).tiny
+        assert huge.tolist() == [tiny, 1.0, tiny, tiny]
+        assert np.array_equal(
+            time_aware_game(g, times, 1e308).table(), time_aware_game(g, times, 1e3).table()
+        )
+        assert np.array_equal(
+            reward_time_valuation(g, times, 1e308).rewards,
+            reward_time_valuation(g, times, 1e3).rewards,
+        )
+
 
 @pytest.mark.parametrize(
     "values,message",

@@ -74,6 +74,13 @@ class TestFriedman:
             with pytest.raises(ValueError, match="finite"):
                 gen_friedman(10, noise_std=noise, seed=0)
 
+    def test_noise_past_the_float_range_refused(self):
+        # infinite targets used to be drawn, with a RuntimeWarning
+        message = r"^noise_std 1e\+308 gives targets past the float range$"
+        with pytest.raises(ValueError, match=message):
+            gen_friedman(50, noise_std=1e308, seed=0)
+        assert np.isfinite(gen_friedman(50, noise_std=1e200, seed=0).targets).all()
+
     @pytest.mark.parametrize("count", [2.5, 3.0, True, "3"])
     def test_count_is_an_integer(self, count):
         # 2.5 used to raise a bare TypeError, and True to draw one point
