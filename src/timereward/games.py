@@ -90,8 +90,13 @@ class Coalition:
     def from_key(cls, key: str, n_max: int) -> "Coalition":
         """Parse the wire encoding: comma-separated ascending indices, "" for the empty set.
 
-        The party count and the range of each index are Coalition's own checks.
+        A key that is not a string raises InvalidCoalitionKey.  The party
+        count and the range of each index are Coalition's own checks.
         """
+        if not isinstance(key, str):
+            raise InvalidCoalitionKey(
+                f"coalition key {key!r} is of type {type(key).__name__}, not str"
+            )
         key = key.strip()
         members = []
         for p in key.split(",") if key else ():
@@ -283,17 +288,39 @@ class Game:
         return self._table
 
 
-def _canonical_masks(n: int) -> dict[str, int]:
-    """Map each canonical key (``Coalition.key()``) of n parties to its mask.
+def _sorted_keys(n: int) -> tuple[str, np.ndarray]:
+    """The canonical keys (``Coalition.key()``) of n parties' non-empty coalitions, sorted.
 
-    Built by doubling: the keys of masks in [2**i, 2**(i+1)) are those of
-    the masks below 2**i with party i+1 appended.
+    Returns them as one text, each key followed by ";", and their masks
+    in the same order.  "," sorts below every digit, so the string order
+    of two keys is the order of their tuples of index strings: block b,
+    the keys that start with party b, is "b" followed by "b," put in
+    front of each key over the parties after b, and the keys over the
+    parties after a are the blocks a+1..n in the string order of b.
+    Built from party n down, one ``str.replace`` per block.
     """
-    keys = [""]
+    blocks: dict[int, tuple[str, np.ndarray]] = {}
+    text, masks = "", np.empty(0, dtype=np.intp)  # the keys over the parties after b
+    for b in range(n, 0, -1):
+        head, bit = f"{b},", 1 << (b - 1)
+        members = head + text.replace(";", ";" + head)[: -len(head)] if text else ""
+        blocks[b] = f"{b};" + members, np.concatenate(([bit], masks | bit))
+        order = sorted(blocks, key=str)
+        text = "".join(blocks[c][0] for c in order)
+        masks = np.concatenate([blocks[c][1] for c in order])
+    return text, masks
+
+
+def _mask_order_keys(n: int) -> str:
+    """The canonical keys of n parties' non-empty coalitions in mask order, each followed by ";".
+
+    Built by doubling: the keys of masks in [2**(i-1), 2**i) are "i",
+    then the keys of the masks below 2**(i-1) with ",i" appended.
+    """
+    text = ""
     for i in range(1, n + 1):
-        suffix = f",{i}"
-        keys += [str(i)] + [key + suffix for key in keys[1:]]
-    return dict(zip(keys, range(1 << n)))
+        text += f"{i};" + text.replace(";", f",{i};")
+    return text
 
 
 def make_table_game(n: int, values: Mapping[str, float]) -> Game:
@@ -313,25 +340,24 @@ def make_table_game(n: int, values: Mapping[str, float]) -> Game:
         repeats an earlier one, once every key and value is valid.
 
     Values go into one dense array with NaN for the coalitions left out,
-    so a partial table costs as much memory as a full one.  A mapping of
-    at least 2**n / 16 keys is matched against a key -> mask map of the
-    canonical ``Coalition.key()`` forms, built once per call.  If every
-    key is canonical and every value a finite float or int (0 for the
-    empty coalition), the values are checked as one array and stored in
-    one assignment.  Any other mapping, and every smaller one, is read
-    key by key in mapping order, so the first bad key or value is the
-    one named; only keys outside the map (padded or malformed) are
-    parsed, and a small mapping costs time proportional to its keys.
-    Only a mapping that repeats a coalition pays for a second pass to
-    name it.
+    so a partial table costs as much memory as a full one.  A mapping
+    that names every non-empty coalition (2**n - 1 keys, or 2**n with
+    "") is matched against the canonical ``Coalition.key()`` forms in
+    string order (the order ``save_game_json`` writes) or in mask order,
+    and sorted first if its keys are in neither.  If every key is
+    canonical and every value a finite float or int (0 for the empty
+    coalition), the values are checked as one array and stored in one
+    assignment.  Any other mapping, partial ones included, is read key
+    by key in mapping order, so the first bad key or value is the one
+    named, in time proportional to its keys.  Only a mapping that
+    repeats a coalition pays for a second pass to name it.
     """
     _check_party_count(n)
     if not isinstance(values, Mapping):
         raise ValueError(f"coalition values must be a mapping, got {type(values).__name__}")
     table = np.full(1 << n, np.nan)
-    canonical = _canonical_masks(n) if 16 * len(values) >= 1 << n else {}
-    if not (canonical and _fill_in_bulk(table, canonical, values)):
-        _fill_by_key(table, n, canonical, values)
+    if not _fill_in_bulk(table, n, values):
+        _fill_by_key(table, n, values)
     table[0] = 0.0
     if not np.isnan(table).any():
         return Game(n, table=table)
@@ -347,35 +373,54 @@ def make_table_game(n: int, values: Mapping[str, float]) -> Game:
     return Game(n, oracle)
 
 
-def _fill_in_bulk(table: np.ndarray, canonical: dict[str, int], values: Mapping) -> bool:
+def _fill_in_bulk(table: np.ndarray, n: int, values: Mapping) -> bool:
     """Fill table from values in one assignment if every entry passes make_table_game's checks.
 
-    Every key must be canonical and every value a float or an int (no
-    bool, no other type) that converts to a finite float, with 0 for the
-    empty coalition.  Canonical keys are distinct, so no coalition can be
-    named twice.  Returns False, leaving table as it was, otherwise.
+    values must name every non-empty coalition of n parties once, by its
+    canonical key, and may add "" for the empty one.  Its keys, each
+    followed by ";", are matched as one text, after a leading "", against
+    ``_sorted_keys(n)`` (the order ``save_game_json`` writes) or
+    ``_mask_order_keys(n)``; keys in any other order are sorted first.
+    Equal texts from as many keys as the text has ";" mean equal keys, so
+    no coalition is named twice.  Every value must be a float or an int
+    (no bool, no other type) that converts to a finite float, with 0 for
+    "".  Returns False, leaving table as it was, otherwise.
     """
-    masks = list(map(canonical.get, values))
-    vals = list(values.values())
-    if None in masks or not set(map(type, vals)) <= {float, int}:
+    empty = len(values) - ((1 << n) - 1)  # 1 if "" is a key: it sorts first
+    if empty not in (0, 1):
+        return False
+    keys = list(values)
+    try:
+        joined = ";".join(keys) + ";"
+    except TypeError:  # a key that is not a str, refused before sorted could meet it
+        return False
+    lead = ";" * empty
+    text, masks = _sorted_keys(n)
+    if joined == lead + text:  # the order save_game_json writes
+        vals = list(values.values())
+    elif joined == lead + _mask_order_keys(n):  # a mapping built over range(2**n)
+        vals, masks = list(values.values()), np.arange(1, 1 << n)
+    else:
+        keys.sort()
+        if ";".join(keys) + ";" != lead + text:
+            return False
+        vals = list(map(values.__getitem__, keys))
+    if not set(map(type, vals)) <= {float, int}:
         return False
     try:
         arr = np.array(vals, dtype=float)
     except OverflowError:  # a JSON integer past the float range
         return False
-    idx = np.array(masks, dtype=np.intp)
-    if not np.isfinite(arr).all() or arr[idx == 0].any():
+    if not np.isfinite(arr).all() or arr[:empty].any():
         return False
-    table[idx] = arr
+    table[masks] = arr[empty:]
     return True
 
 
-def _fill_by_key(table: np.ndarray, n: int, canonical: dict[str, int], values: Mapping):
+def _fill_by_key(table: np.ndarray, n: int, values: Mapping):
     """Fill table from values one entry at a time, raising on the first bad key or value."""
     for key, val in values.items():
-        mask = canonical.get(key)
-        if mask is None:  # not in the map: parse it, raising on a malformed key
-            mask = Coalition.from_key(key, n).mask
+        mask = Coalition.from_key(key, n).mask
         # float is listed first because the Real ABC check is slow
         if isinstance(val, bool) or not isinstance(val, (float, numbers.Real)):
             raise ValueError(f"coalition {key!r} has non-numeric value {val!r}")
@@ -392,7 +437,7 @@ def _fill_by_key(table: np.ndarray, n: int, canonical: dict[str, int], values: M
     if np.count_nonzero(~np.isnan(table)) < len(values):
         first: dict[int, str] = {}
         for key in values:
-            mask = canonical[key] if key in canonical else Coalition.from_key(key, n).mask
+            mask = Coalition.from_key(key, n).mask
             if mask in first:
                 raise InvalidCoalitionKey(
                     f"coalition {Coalition.from_mask(mask, n).key()!r} is named twice, "

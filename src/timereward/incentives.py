@@ -366,9 +366,13 @@ def full_incentive_report(
     scheme: RewardScheme,
     tol: float = DEFAULT_TOL,
 ) -> tuple[RewardVector, IncentiveReport]:
-    """Run a scheme, check all eight incentives, and scale the rewards as ``scale_rewards``.
+    """Run a scheme, check all eight incentives, and scale the rewards by rho = v(N) / max phi.
 
-    The Shapley values behind rho come from the F7/F8 own-time call.
+    That is the rule of ``scale_rewards``, but phi, the plain Shapley
+    values, comes from the F7/F8 own-time call, not from
+    ``shapley_exact``.  The two sum the dividends in other orders, so
+    rho and the scaled rewards may differ from ``scale_rewards``' in the
+    last bits (a few ulps).
     """
     r = scheme(game, times)
     phi, temporal = _sweep(game, times, scheme, tol)

@@ -52,6 +52,8 @@ from timereward.valuation import GpModel, information_gain, se_kernel
 
 def coalition_from_key_reference(key: str, n: int) -> Coalition:
     """Parse a wire key: comma-separated ascending ASCII-digit indices, "" for the empty set."""
+    if not isinstance(key, str):
+        raise InvalidCoalitionKey(f"coalition key {key!r} is of type {type(key).__name__}, not str")
     key = key.strip()
     if key == "":
         return Coalition((), n)
@@ -65,6 +67,19 @@ def coalition_from_key_reference(key: str, n: int) -> Coalition:
         if b <= a:
             raise InvalidCoalitionKey(f"coalition key not strictly ascending: {key!r}")
     return Coalition(tuple(members), n)
+
+
+def canonical_masks(n: int) -> dict[str, int]:
+    """Map each canonical key (``Coalition.key()``) of n parties to its mask.
+
+    Built by doubling: the keys of masks in [2**i, 2**(i+1)) are those of
+    the masks below 2**i with party i+1 appended.
+    """
+    keys = [""]
+    for i in range(1, n + 1):
+        suffix = f",{i}"
+        keys += [str(i)] + [key + suffix for key in keys[1:]]
+    return dict(zip(keys, range(1 << n)))
 
 
 def table_game_reference(n: int, values) -> Game:

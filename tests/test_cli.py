@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import count_dividend_passes
+from oracles import canonical_masks
 from timereward import Coalition, cli, load_game_json, random_superadditive_game, save_game_json
 from timereward.cli import (
     EXIT_CHECK_FAILED,
@@ -28,7 +29,7 @@ from timereward.cli import (
     REWARD_REPORT_SCHEMA,
     main,
 )
-from timereward.games import DEFAULT_TOL, _canonical_masks
+from timereward.games import DEFAULT_TOL
 
 
 # a Friedman sweep small enough to run in a unit test, without its output flags
@@ -248,7 +249,7 @@ class TestRewardsCommand:
         for name, pad in (("canonical", ""), ("padded", " ")):
             values = {
                 pad + key.replace(",", f"{pad},{pad}") + pad: float(table[mask])
-                for key, mask in _canonical_masks(12).items()
+                for key, mask in canonical_masks(12).items()
             }
             path, out = tmp_path / f"{name}.json", tmp_path / f"rewards-{name}.json"
             save_game_json(path, 12, values, times=[i % 3 for i in range(12)])
@@ -291,7 +292,7 @@ class TestCheckCommand:
         table = random_superadditive_game(12, 1).table().copy()
         table[-1] *= 0.3
         path, out = tmp_path / "cut.json", tmp_path / "report.json"
-        masks = _canonical_masks(12)
+        masks = canonical_masks(12)
         save_game_json(path, 12, {key: float(table[mask]) for key, mask in masks.items()})
         assert main(["check", "--game", str(path), "--out", str(out)]) == EXIT_CHECK_FAILED
         every = np.arange(1 << 12)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import check_axioms_reference, table_game_reference
+from oracles import canonical_masks, check_axioms_reference, table_game_reference
 
 from timereward import (
     AxiomReport,
@@ -43,7 +43,7 @@ from timereward import (
     time_aware_game,
 )
 from timereward import games
-from timereward.games import _canonical_masks, mask_of, members_of, subset_differences, subset_sums
+from timereward.games import mask_of, members_of, subset_differences, subset_sums
 
 
 class TestCoalition:
@@ -307,13 +307,13 @@ BAD_VALUES = [True, None, "0.5", [1], 10**400, math.nan, math.inf]
 def game_mappings(draw):
     """Key -> value maps: full or partial, with padded, repeated, shuffled or malformed keys.
 
-    Values are floats and integers.  Half the maps are bulk-sized: every
-    key is spelled canonically and at least 2**n / 16 coalitions are
-    named, so make_table_game tries its bulk path on them.  The other
-    half drop any number of keys, or keep fewer than 2**n / 16 so they
-    are parsed one by one, and pad any of them.  A bad value, a non-zero ""
-    or a repeated key injected at a random position must send a bulk-sized
-    map back to the key-by-key path, which names the first bad entry.
+    Values are floats and integers.  Half the maps spell every key
+    canonically and keep all of them, so make_table_game fills them in
+    bulk, or keep at least 2**n / 16, which are read key by key.  The
+    other half drop any number of keys, or keep fewer than 2**n / 16,
+    and pad any of them.  A bad value, a non-zero "" or a repeated key
+    injected at a random position must send a complete map back to the
+    key-by-key path, which names the first bad entry.
     """
     n = draw(st.integers(min_value=1, max_value=7))
     size = 1 << n
@@ -373,7 +373,6 @@ class TestTableGameMatchesReference:
         n = 6
         values = {Coalition.from_mask(m, n).key(): (m if m % 3 else m / 7) for m in range(1 << n)}
         values["1,2,3,4,5,6"] = 10**300  # an integer past int64 but inside the float range
-        del values["2"]
         game = make_table_game(n, values)
         assert _outcome(lambda: game) == _outcome(lambda: table_game_reference(n, values))
 
@@ -385,7 +384,7 @@ class TestTableGameMatchesReference:
              "padded-repeat", "zero-led-repeat"],
     )
     def test_bulk_sized_mapping_with_one_bad_entry_names_it(self, entry, at):
-        # at least 2**n / 16 canonical keys take the bulk path, which must hand every
+        # a mapping of 2**n - 1 keys tries the bulk path, which must hand every
         # bad mapping back to the key-by-key path and its message
         n = 6
         items = [(Coalition.from_mask(m, n).key(), m / 64) for m in range(1, 1 << n)]
@@ -418,13 +417,15 @@ class TestTableGameMatchesReference:
             {"1": 0.5, "2,1": 0.5},
             {"1": 0.5, "1,9": 0.5},
             {"": 0.0, "3,7,8": 0.25, "8": 0.75},
+            # half the coalitions: such mappings used to be filled in bulk
+            {Coalition.from_mask(m, 8).key(): m / 3 for m in range(1, 1 << 8, 2)},
         ],
-        ids=["partial", "repeat", "descending", "outside", "padded-empty"],
+        ids=["partial", "repeat", "descending", "outside", "padded-empty", "half"],
     )
     def test_a_few_keys_parsed_one_by_one(self, values):
-        # below 2**n / 16 keys no key -> mask map is built
+        # a mapping that does not name every coalition once is not tried in bulk
         n = 8
-        assert 16 * len(values) < 1 << n
+        assert not games._fill_in_bulk(np.full(1 << n, np.nan), n, values)
         got = _outcome(lambda: make_table_game(n, values))
         assert got == _outcome(lambda: table_game_reference(n, values))
 
@@ -441,12 +442,59 @@ class TestTableGameMatchesReference:
         with pytest.raises(MissingCoalition, match="coalition '3' not in table"):
             g.value([3])
 
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_canonical_key_map(self, n):
-        want = {Coalition.from_mask(mask, n).key(): mask for mask in range(1 << n)}
-        assert _canonical_masks(n) == want
-        # the loader's fast path and the one key decoder must agree
-        assert {key: Coalition.from_key(key, n).mask for key in want} == want
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_sorted_keys_are_the_canonical_keys_in_string_order(self, n):
+        keys = sorted(Coalition.from_mask(mask, n).key() for mask in range(1, 1 << n))
+        text, masks = games._sorted_keys(n)
+        assert text == "".join(key + ";" for key in keys)
+        # the loader's bulk path and the one key decoder must agree
+        assert masks.tolist() == [Coalition.from_key(key, n).mask for key in keys]
+        assert masks.tolist() == [canonical_masks(n)[key] for key in keys]
+        in_mask_order = (Coalition.from_mask(mask, n).key() for mask in range(1, 1 << n))
+        assert games._mask_order_keys(n) == "".join(key + ";" for key in in_mask_order)
+
+    @pytest.mark.parametrize("order", ["sorted", "mask", "shuffled", "mask-with-empty"])
+    def test_complete_mapping_in_any_order_is_filled_in_bulk(self, order, monkeypatch):
+        def by_key(*args):
+            raise AssertionError("read key by key")
+
+        monkeypatch.setattr(games, "_fill_by_key", by_key)
+        n = 7
+        first = 0 if order == "mask-with-empty" else 1
+        items = [(Coalition.from_mask(m, n).key(), m / 3) for m in range(first, 1 << n)]
+        if order == "sorted":
+            items.sort()
+        if order == "shuffled":
+            items = [items[i] for i in np.random.default_rng(0).permutation(len(items))]
+        values = dict(items)
+        game = make_table_game(n, values)
+        assert _outcome(lambda: game) == _outcome(lambda: table_game_reference(n, values))
+
+    def test_save_writes_keyed_values_in_the_bulk_order(self, tmp_path):
+        # the bulk path matches keys in the order written here without sorting them
+        n = 9
+        table = random_superadditive_game(n, 2).table()
+        path = tmp_path / "game.json"
+        save_game_json(path, n, {key: table[mask] for key, mask in canonical_masks(n).items()})
+        written = list(json.loads(path.read_text())["values"])
+        assert "".join(key + ";" for key in written[1:]) == games._sorted_keys(n)[0]
+        assert written[0] == ""
+
+    @pytest.mark.parametrize("bad", [1, None, b"1"], ids=["int", "none", "bytes"])
+    @pytest.mark.parametrize("complete", [False, True], ids=["partial", "complete"])
+    def test_non_string_key_is_refused_by_name(self, bad, complete):
+        # used to raise AttributeError ('int' object has no attribute 'strip') or TypeError
+        n = 3
+        values = {Coalition.from_mask(m, n).key(): m / 8 for m in range(2, 1 << n)}
+        if not complete:
+            del values["1,2,3"]
+        values = {bad: 0.125, **values}
+        message = f"coalition key {bad!r} is of type {type(bad).__name__}, not str"
+        with pytest.raises(InvalidCoalitionKey, match=re.escape(message)):
+            make_table_game(n, values)
+        assert _outcome(lambda: make_table_game(n, values)) == _outcome(
+            lambda: table_game_reference(n, values)
+        )
 
     @pytest.mark.parametrize("n,error", [(0, ValueError), (25, TooLarge)])
     def test_party_count_checked_first(self, n, error):
