@@ -291,36 +291,27 @@ class Game:
 def _sorted_keys(n: int) -> tuple[str, np.ndarray]:
     """The canonical keys (``Coalition.key()``) of n parties' non-empty coalitions, sorted.
 
-    Returns them as one text, each key followed by ";", and their masks
+    Returns them as one text, each key preceded by ";", and their masks
     in the same order.  "," sorts below every digit, so the string order
     of two keys is the order of their tuples of index strings: block b,
     the keys that start with party b, is "b" followed by "b," put in
     front of each key over the parties after b, and the keys over the
     parties after a are the blocks a+1..n in the string order of b.
-    Built from party n down, one ``str.replace`` per block.
+    Built from party n down, one ``str.replace`` per block, each block
+    put into the text at its place, so the keys are held once.
     """
-    blocks: dict[int, tuple[str, np.ndarray]] = {}
     text, masks = "", np.empty(0, dtype=np.intp)  # the keys over the parties after b
+    sizes: dict[str, tuple[int, int]] = {}  # each block in text: its length and key count
     for b in range(n, 0, -1):
-        head, bit = f"{b},", 1 << (b - 1)
-        members = head + text.replace(";", ";" + head)[: -len(head)] if text else ""
-        blocks[b] = f"{b};" + members, np.concatenate(([bit], masks | bit))
-        order = sorted(blocks, key=str)
-        text = "".join(blocks[c][0] for c in order)
-        masks = np.concatenate([blocks[c][1] for c in order])
+        bit = 1 << (b - 1)
+        block = f";{b}" + text.replace(";", f";{b},")
+        # the blocks whose party sorts before b as a string stay in front of block b
+        front = [size for label, size in sizes.items() if label < str(b)]
+        chars, count = sum(size[0] for size in front), sum(size[1] for size in front)
+        text = text[:chars] + block + text[chars:]
+        masks = np.concatenate((masks[:count], [bit], masks | bit, masks[count:]))
+        sizes[str(b)] = len(block), 1 << (n - b)
     return text, masks
-
-
-def _mask_order_keys(n: int) -> str:
-    """The canonical keys of n parties' non-empty coalitions in mask order, each followed by ";".
-
-    Built by doubling: the keys of masks in [2**(i-1), 2**i) are "i",
-    then the keys of the masks below 2**(i-1) with ",i" appended.
-    """
-    text = ""
-    for i in range(1, n + 1):
-        text += f"{i};" + text.replace(";", f",{i};")
-    return text
 
 
 def make_table_game(n: int, values: Mapping[str, float]) -> Game:
@@ -343,8 +334,8 @@ def make_table_game(n: int, values: Mapping[str, float]) -> Game:
     so a partial table costs as much memory as a full one.  A mapping
     that names every non-empty coalition (2**n - 1 keys, or 2**n with
     "") is matched against the canonical ``Coalition.key()`` forms in
-    string order (the order ``save_game_json`` writes) or in mask order,
-    and sorted first if its keys are in neither.  If every key is
+    string order (the order ``save_game_json`` writes), and sorted first
+    if its keys are in another order.  If every key is
     canonical and every value a finite float or int (0 for the empty
     coalition), the values are checked as one array and stored in one
     assignment.  Any other mapping, partial ones included, is read key
@@ -377,34 +368,35 @@ def _fill_in_bulk(table: np.ndarray, n: int, values: Mapping) -> bool:
     """Fill table from values in one assignment if every entry passes make_table_game's checks.
 
     values must name every non-empty coalition of n parties once, by its
-    canonical key, and may add "" for the empty one.  Its keys, each
-    followed by ";", are matched as one text, after a leading "", against
-    ``_sorted_keys(n)`` (the order ``save_game_json`` writes) or
-    ``_mask_order_keys(n)``; keys in any other order are sorted first.
-    Equal texts from as many keys as the text has ";" mean equal keys, so
-    no coalition is named twice.  Every value must be a float or an int
-    (no bool, no other type) that converts to a finite float, with 0 for
-    "".  Returns False, leaving table as it was, otherwise.
+    canonical key, and may add "" for the empty one.  Its keys, joined
+    by ";", are matched as one text against ``_sorted_keys(n)`` (the
+    order ``save_game_json`` writes), and sorted first if they do not
+    match as given.  Equal texts from as many keys as the text has ";"
+    mean equal keys, so no coalition is named twice.  Every value
+    must be a float or an int (no bool, no other type) that converts to
+    a finite float, with 0 for "".  Returns False, leaving table as it
+    was, otherwise.
     """
     empty = len(values) - ((1 << n) - 1)  # 1 if "" is a key: it sorts first
     if empty not in (0, 1):
         return False
+    text, masks = _sorted_keys(n)
+
+    def canonical(keys: list) -> bool:
+        joined = ";".join(keys)  # text, less its leading ";" if "" is not a key
+        return len(joined) == len(text) - 1 + empty and text.startswith(joined, 1 - empty)
+
     keys = list(values)
     try:
-        joined = ";".join(keys) + ";"
-    except TypeError:  # a key that is not a str, refused before sorted could meet it
+        if canonical(keys):  # as save_game_json writes them: the values are in order
+            vals = list(values.values())
+        else:
+            keys.sort()
+            if not canonical(keys):
+                return False
+            vals = list(map(values.__getitem__, keys))
+    except TypeError:  # a key that is not a str, refused by the first join before any sort
         return False
-    lead = ";" * empty
-    text, masks = _sorted_keys(n)
-    if joined == lead + text:  # the order save_game_json writes
-        vals = list(values.values())
-    elif joined == lead + _mask_order_keys(n):  # a mapping built over range(2**n)
-        vals, masks = list(values.values()), np.arange(1, 1 << n)
-    else:
-        keys.sort()
-        if ";".join(keys) + ";" != lead + text:
-            return False
-        vals = list(map(values.__getitem__, keys))
     if not set(map(type, vals)) <= {float, int}:
         return False
     try:

@@ -419,8 +419,12 @@ class TestTableGameMatchesReference:
             {"": 0.0, "3,7,8": 0.25, "8": 0.75},
             # half the coalitions: such mappings used to be filled in bulk
             {Coalition.from_mask(m, 8).key(): m / 3 for m in range(1, 1 << 8, 2)},
+            # 2**n - 1 keys in sorted order whose text is the canonical one cut short:
+            # the last key, "8", is left out and "" comes after "7,8"
+            {**{key: 0.5 for key in sorted(Coalition.from_mask(m, 8).key() for m in range(1, 256))
+                if key != "8"}, "": 0.0},
         ],
-        ids=["partial", "repeat", "descending", "outside", "padded-empty", "half"],
+        ids=["partial", "repeat", "descending", "outside", "padded-empty", "half", "cut-short"],
     )
     def test_a_few_keys_parsed_one_by_one(self, values):
         # a mapping that does not name every coalition once is not tried in bulk
@@ -446,12 +450,10 @@ class TestTableGameMatchesReference:
     def test_sorted_keys_are_the_canonical_keys_in_string_order(self, n):
         keys = sorted(Coalition.from_mask(mask, n).key() for mask in range(1, 1 << n))
         text, masks = games._sorted_keys(n)
-        assert text == "".join(key + ";" for key in keys)
+        assert text == "".join(";" + key for key in keys)
         # the loader's bulk path and the one key decoder must agree
         assert masks.tolist() == [Coalition.from_key(key, n).mask for key in keys]
         assert masks.tolist() == [canonical_masks(n)[key] for key in keys]
-        in_mask_order = (Coalition.from_mask(mask, n).key() for mask in range(1, 1 << n))
-        assert games._mask_order_keys(n) == "".join(key + ";" for key in in_mask_order)
 
     @pytest.mark.parametrize("order", ["sorted", "mask", "shuffled", "mask-with-empty"])
     def test_complete_mapping_in_any_order_is_filled_in_bulk(self, order, monkeypatch):
@@ -477,8 +479,20 @@ class TestTableGameMatchesReference:
         path = tmp_path / "game.json"
         save_game_json(path, n, {key: table[mask] for key, mask in canonical_masks(n).items()})
         written = list(json.loads(path.read_text())["values"])
-        assert "".join(key + ";" for key in written[1:]) == games._sorted_keys(n)[0]
+        assert ";".join(written) == games._sorted_keys(n)[0]
         assert written[0] == ""
+
+    def test_keys_in_the_written_order_are_not_looked_up(self):
+        # a complete mapping in save_game_json's order is read through values() alone
+        class NoLookup(dict):
+            def __getitem__(self, key):
+                raise AssertionError(f"looked up {key!r}")
+
+        n = 7
+        items = sorted((Coalition.from_mask(m, n).key(), m / 3) for m in range(1 << n))
+        table = np.full(1 << n, np.nan)
+        assert games._fill_in_bulk(table, n, NoLookup(items))
+        assert table[1:].tolist() == [m / 3 for m in range(1, 1 << n)]
 
     @pytest.mark.parametrize("bad", [1, None, b"1"], ids=["int", "none", "bytes"])
     @pytest.mark.parametrize("complete", [False, True], ids=["partial", "complete"])
