@@ -445,10 +445,7 @@ def _bit_pairs(table: np.ndarray):
     plus that bit, so one in-place update per bit gives a subset
     transform (Yates' butterfly).
     """
-    n = len(table).bit_length() - 1
-    if len(table) != 1 << n:
-        raise ValueError("length must be a power of two")
-    for i in range(n):
+    for i in range(len(table).bit_length() - 1):
         pairs = table.reshape(-1, 2, 1 << i)
         yield pairs[:, 0, :], pairs[:, 1, :]
 

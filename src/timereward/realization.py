@@ -10,9 +10,10 @@ bisection step O(m).  The same decomposition, with its eigenvectors,
 gives the tempered model's predictive in closed form: conditioning on
 the others at noise/kappa only reweights their eigenbasis, so each kappa
 then conditions on the party's own points alone, by the conditioning
-step gp_predict runs too (kappa = 0 included).  The eigenvectors come
-from LAPACK's divide-and-conquer driver, which deflates most of a
-smooth kernel's fast-decaying spectrum.  A bisection that stops further
+step gp_predict runs too (kappa = 0 included).  Both take it from one
+call, LAPACK's divide-and-conquer driver, which deflates most of a
+smooth kernel's fast-decaying spectrum, so a tempered value does not
+depend on which of them ran first.  A bisection that stops further
 than its tolerance from the target says so in its result.  Subset
 selection instead adds shuffled donors until the value first exceeds
 the target, taking every prefix's value from its source at once; it
@@ -97,25 +98,21 @@ def _all_points_ig(model: GpModel) -> float:
     return model._all_points_ig
 
 
-def _decompose_others(
-    model: GpModel, party: int, vectors: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _decompose_others(model: GpModel, party: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The others' points and their whitened kernel A = U diag(spectrum) U^T.
 
-    The eigenvalues, clipped at 0, are kept on the model as the party's
-    spectrum, so the tempering curve and the tempered predictive share
-    one decomposition.  With vectors eigh runs the divide-and-conquer
-    driver (evd); without, only eigvalsh runs and U is empty.  The
-    eigenvectors are never kept on the model.
+    The one producer of a party's spectrum: eigh with the
+    divide-and-conquer driver (evd), whichever of the tempering curve and
+    the tempered predictive asks first.  The eigenvalues, clipped at 0,
+    are kept on the model as the party's spectrum; the eigenvectors never
+    are.
     """
     others = _others(model, party)
     spectrum, U = np.zeros(0), np.zeros((0, 0))
     if len(others):
-        A = _whitened_kernel(model, others)
-        if vectors:
-            spectrum, U = scipy.linalg.eigh(A, check_finite=False, driver="evd")
-        else:
-            spectrum = scipy.linalg.eigvalsh(A, check_finite=False)
+        spectrum, U = scipy.linalg.eigh(
+            _whitened_kernel(model, others), check_finite=False, driver="evd"
+        )
     # A is positive semi-definite; clip rounding below zero
     spectrum = model._others_spectra[party] = np.maximum(spectrum, 0.0)
     return others, spectrum, U
@@ -127,12 +124,15 @@ def _tempering_curve(model: GpModel, party: int) -> Callable[[float], float]:
     IG(others at noise/(1-kappa)) is 0.5 * log det(I + (1-kappa) A) with A
     the others' whitened kernel, so it is a sum over A's eigenvalues,
     which are kept on the model (whose arrays are read-only): a sweep
-    that tempers one party for many targets decomposes A once.
+    that tempers one party for many targets decomposes A once.  The
+    party is checked before the kept spectra are read, since a bool or
+    float party would find an integer party's entry.
     """
-    total = _all_points_ig(model)
+    _check_party(model.n_parties, party)
     spectrum = model._others_spectra.get(party)
     if spectrum is None:
-        spectrum = _decompose_others(model, party, vectors=False)[1]
+        spectrum = _decompose_others(model, party)[1]
+    total = _all_points_ig(model)
 
     def value(kappa: float) -> float:
         return total - 0.5 * float(np.sum(np.log1p((1.0 - kappa) * spectrum)))
@@ -156,7 +156,7 @@ def _tempered_predictor(
     prior is the plain GP's.
     """
     own = model.points_of([party])
-    others, spectrum, U = _decompose_others(model, party, vectors=True)
+    others, spectrum, U = _decompose_others(model, party)
     y = np.asarray(targets, dtype=float)
     ls, signal = model.lengthscales, model.signal_variance
     noise = model.noise_vector()

@@ -656,6 +656,12 @@ class TestGenCommand:
         ) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_size_exits_1(self, tmp_path):
+        path = tmp_path / "x.csv"
+        argv = ["gen", "friedman", "--count", "10", "--sizes", "2,-1", "--out", str(path)]
+        assert _run_quietly(argv) == (EXIT_ERROR, "", "error: sizes must be non-negative\n", [])
+        assert not path.exists()
+
     def test_noise_std_past_the_float_range_exits_1(self, tmp_path):
         # used to warn and write inf targets
         path = tmp_path / "x.csv"

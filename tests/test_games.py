@@ -82,6 +82,12 @@ class TestCoalition:
         with pytest.raises(InvalidCoalitionKey, match=f"party index {bad!r}"):
             Coalition.of([bad], 2)
 
+    @pytest.mark.parametrize("members", [(2, 1), (1, 1)])
+    def test_members_not_strictly_ascending_refused(self, members):
+        message = f"indices not strictly ascending: {members}"
+        with pytest.raises(InvalidCoalitionKey, match=f"^{re.escape(message)}$"):
+            Coalition(members, 3)
+
     def test_numpy_integer_members_are_taken_as_ints(self):
         # np.int64(1) used to be refused as "outside [1, 2]"
         c = Coalition.of([np.int64(1)], 2)

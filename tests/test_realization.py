@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,10 @@ from timereward import (
     MissingCoalition,
     TargetOutOfRange,
     conditional_ig_game,
+    gen_friedman,
+    make_gp_model,
     make_table_game,
+    partition,
     random_superadditive_game,
     select_subset,
     temper,
@@ -294,14 +298,26 @@ class TestRequestValidation:
         with pytest.raises(ValueError, match="party"):
             select_subset(model, party, 0.5, seed=0)
 
-    @pytest.mark.parametrize("party", [1.0, True])
-    def test_non_integer_party_refused(self, party):
-        # 1.0 used to raise TypeError from mask_of on a game
+    @pytest.mark.parametrize("party", [1.0, True, np.float64(1.0)], ids=repr)
+    def test_non_integer_party_refused(self, party, monkeypatch):
+        # 1.0 used to raise TypeError from mask_of on a game, and once party 1's
+        # spectrum was kept, temper and tempered_value served True and 1.0 as party 1
+        from timereward import realization
+
+        message = f"^party {re.escape(repr(party))} is not an integer$"
         g = make_table_game(2, {"1": 0.2, "2": 0.2, "1,2": 1.0})
-        with pytest.raises(ValueError, match=f"^party {party!r} is not an integer$"):
+        with pytest.raises(ValueError, match=message):
             select_subset(g, party, 0.5, seed=0)
-        with pytest.raises(ValueError, match=f"^party {party!r} is not an integer$"):
-            select_subset(three_party_model(), party, 0.5, seed=0)
+        cold, warm = three_party_model(), three_party_model()
+        temper(warm, 1, 0.5 * tempered_value(warm, 1, 1.0))
+        monkeypatch.setattr(realization, "gp_ig", None)  # refused before the all-points IG
+        for model in (cold, warm):
+            with pytest.raises(ValueError, match=message):
+                select_subset(model, party, 0.5, seed=0)
+            with pytest.raises(ValueError, match=message):
+                temper(model, party, 1.0)
+            with pytest.raises(ValueError, match=message):
+                tempered_value(model, party, 0.5)
 
     @pytest.mark.parametrize("party", [0, 3])
     def test_game_party_out_of_range(self, party):
@@ -590,10 +606,25 @@ def test_write_rows_csv_matches_a_deep_copying_writer(tmp_path):
     assert path.read_bytes() == reference.read_bytes()
 
 
-def test_temper_alone_pays_for_eigenvalues_only(monkeypatch):
-    # realize --method temper never predicts, so it needs no eigenvectors
+def test_temper_decomposes_once_per_model_and_party(monkeypatch):
+    # realize --method temper reads the same eigh as the tempered predictive
     decompositions = _record_decompositions(monkeypatch)
     model = three_party_model()
     for target in (0.3, 0.6, 0.9):
         temper(model, 2, target * tempered_value(model, 2, 1.0))
-    assert decompositions == ["eigvalsh"]
+    assert decompositions == ["eigh"]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_temper_does_not_depend_on_what_ran_before(seed):
+    # a cold temper used to take eigvalsh's spectrum, and differ in the last bits
+    # from a temper after the tempered predictive
+    data = partition(gen_friedman(300, seed=seed), (100, 80, 60), seed + 1)
+    fresh, warm = make_gp_model(data), make_gp_model(data)
+    targets = data.targets[data.party >= 1]
+    for party in (1, 2, 3):
+        _tempered_predictor(warm, targets, party, data.features[:5])
+        floor, total = tempered_value(warm, party, 0.0), tempered_value(warm, party, 1.0)
+        for fraction in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0):
+            target = floor + fraction * (total - floor)
+            assert temper(fresh, party, target) == temper(warm, party, target)

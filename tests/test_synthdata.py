@@ -74,6 +74,11 @@ class TestFriedman:
             with pytest.raises(ValueError, match="finite"):
                 gen_friedman(10, noise_std=noise, seed=0)
 
+    @pytest.mark.parametrize("shape", [(4, 5), (6,)])
+    def test_signal_needs_six_feature_columns(self, shape):
+        with pytest.raises(ValueError, match="^expected at least 6 feature columns$"):
+            friedman_signal(np.zeros(shape))
+
     def test_noise_past_the_float_range_refused(self):
         # infinite targets used to be drawn, with a RuntimeWarning
         message = r"^noise_std 1e\+308 gives targets past the float range$"
@@ -123,6 +128,10 @@ class TestPartition:
             partition(data, sizes, seed=0)
         assert np.bincount(partition(data, [np.int64(2), 3], seed=0).party).tolist() == [5, 2, 3]
 
+    def test_negative_size_refused(self):
+        with pytest.raises(ValueError, match="^sizes must be non-negative$"):
+            partition(gen_friedman(10, seed=2), [2, -1], seed=0)
+
     def test_disjoint_assignment(self):
         data = gen_friedman(100, seed=4)
         split = partition(data, (30, 30, 30), seed=1)
@@ -136,6 +145,11 @@ class TestTrainTestSplit:
         data = gen_friedman(1000, seed=0)
         train, test = train_test_split(data, 0.2, seed=1)
         assert len(train) == 800 and len(test) == 200
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, 1.5])
+    def test_fraction_outside_the_open_unit_interval_refused(self, fraction):
+        with pytest.raises(ValueError, match=re.escape("test_fraction must be in (0, 1)")):
+            train_test_split(gen_friedman(10, seed=0), fraction, seed=1)
 
     def test_deterministic_partition_of_rows(self):
         data = gen_friedman(100, seed=0)
@@ -206,6 +220,10 @@ class TestMnlp:
         with pytest.raises(ValueError, match="MNLP needs at least one point"):
             mnlp(pred, np.zeros(0))
 
+    def test_mean_and_variance_of_different_lengths_refused(self):
+        with pytest.raises(LengthMismatch, match="^mean and variance must have equal lengths$"):
+            PredictiveDistribution(np.zeros(3), np.ones(2))
+
     def test_variance_must_be_positive(self):
         with pytest.raises(ValueError):
             PredictiveDistribution(np.zeros(2), np.array([1.0, 0.0]))
@@ -275,6 +293,7 @@ class TestCsvRoundTrip:
             (np.array([True, False]), "party indices must be whole numbers, got [True, False]"),
             # used to be read as parties [1, 2]
             ([True, 2], "party indices must be whole numbers, got [True, 2]"),
+            ([-1, 2], "party indices must be >= 0 (0 = unassigned)"),
         ],
     )
     def test_dataset_party_of_whole_numbers_only(self, party, message):

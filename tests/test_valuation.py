@@ -263,6 +263,19 @@ class TestGpModelValidation:
         with pytest.raises(ValueError):
             GpModel(X, own, np.array([1.0]), 1.0, np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize(
+        "inputs,ownership,message",
+        [
+            (np.zeros(2), [1, 2], "inputs must be a 2-d design matrix"),
+            (np.zeros((2, 1)), [1, 2, 2], "ownership must assign every design point"),
+            (np.zeros((3, 1)), [1, 2], "ownership must assign every design point"),
+        ],
+        ids=["1-d-inputs", "ownership-too-long", "ownership-too-short"],
+    )
+    def test_shapes_refused(self, inputs, ownership, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GpModel(inputs, np.array(ownership), np.array([1.0]), 1.0, 1.0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize(
         "field", ["inputs", "lengthscales", "signal_variance", "noise_variance", "point_noise"]
@@ -364,6 +377,11 @@ class TestRobustCholesky:
     def test_indefinite_fails(self):
         with pytest.raises(NumericalFailure):
             _robust_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("diagonal", [[-1.0, -2.0], [0.0, 0.0], [1.0, -3.0]])
+    def test_non_positive_diagonal_refused_before_any_jitter(self, diagonal):
+        with pytest.raises(NumericalFailure, match="^matrix diagonal is not positive$"):
+            _robust_cholesky(np.diag(diagonal))
 
     def test_factor_is_lapack_potrf_bit_for_bit(self):
         rng = np.random.default_rng(4)
