@@ -20,7 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import count_dividend_passes
 from oracles import canonical_masks
-from timereward import Coalition, cli, load_game_json, random_superadditive_game, save_game_json
+from timereward import (
+    Coalition, cli, games, load_game_json, random_superadditive_game, save_game_json,
+)
 from timereward.cli import (
     EXIT_CHECK_FAILED,
     EXIT_ERROR,
@@ -280,6 +282,23 @@ class TestRewardsCommand:
         assert capsys.readouterr().err == (
             "error: game fails A3 at tol 1e-09; witnesses: {'superadditive': ['1', '2']}\n"
         )
+
+    def test_report_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the table path calls no BLAS; GP values move in the last bits with the thread count
+        n = 12
+        game = tmp_path / "game.json"
+        save_game_json(game, n, random_superadditive_game(n, 1), [i % 5 for i in range(n)])
+        root = os.path.dirname(os.path.dirname(cli.__file__))
+        run = "import sys; from timereward.cli import main; sys.exit(main(sys.argv[1:]))"
+        reports = []
+        for threads in ("1", "2"):
+            blas = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+            env = {**os.environ, "PYTHONPATH": root, **dict.fromkeys(blas, threads)}
+            out = tmp_path / f"report-{threads}.json"
+            args = ["rewards", "--game", str(game), "--scheme", "cumulation", "--out", str(out)]
+            subprocess.run([sys.executable, "-c", run, *args], env=env, check=True, timeout=120)
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestCheckCommand:
@@ -825,8 +844,10 @@ class TestRealizeCommand:
             ("subset", "1", "nan"),
             ("temper", "7", "0.5"),
             ("subset", "0", "0.5"),
+            ("temper", "1", "0"),
         ],
-        ids=["temper-nan-target", "subset-nan-target", "temper-party-7", "subset-party-0"],
+        ids=["temper-nan-target", "subset-nan-target", "temper-party-7", "subset-party-0",
+             "temper-below-own-value"],
     )
     def test_bad_request_exits_1_without_report(
         self, gp_files, method, party, target, tmp_path, capsys
@@ -1368,6 +1389,33 @@ class TestDenseGameFile:
                     runs.append((result, out.read_bytes() if out.exists() else None))
                     out.unlink(missing_ok=True)
                 assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("order", ["written", "descending"])
+    def test_keyed_file_of_twelve_parties_is_filled_in_bulk(self, order, tmp_path, monkeypatch):
+        # from n = 10 on, the keys "10".."12" sort before "2": descending mask order
+        # is neither the order save_game_json writes nor numeric order
+        def by_key(*args):
+            raise AssertionError("read key by key")
+
+        monkeypatch.setattr(games, "_fill_by_key", by_key)
+        n = 12
+        times = [i % 5 for i in range(n)]
+        table = random_superadditive_game(n, 1).table()
+        keyed, dense = tmp_path / "keyed.json", tmp_path / "dense.json"
+        descending = range((1 << n) - 1, 0, -1)
+        values = {Coalition.from_mask(m, n).key(): float(table[m]) for m in descending}
+        if order == "written":  # sorted, as save_game_json writes any mapping
+            save_game_json(keyed, n, values, times)
+        else:
+            keyed.write_text(json.dumps({"n": n, "values": values, "times": times}))
+        save_game_json(dense, n, table, times)
+        reports = []
+        for path in (keyed, dense):
+            out = tmp_path / f"{path.stem}-report.json"
+            argv = ["rewards", "--game", str(path), "--scheme", "cumulation", "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_negative_zero_at_the_empty_coalition_is_stored_as_zero(self, tmp_path):
         path = tmp_path / "game.json"
