@@ -27,7 +27,7 @@ import tempfile
 from dataclasses import fields
 
 from .errors import TimeRewardError
-from .games import DEFAULT_TOL, TimeVector, check_axioms, load_game_json
+from .games import DEFAULT_TOL, TimeVector, _game_times, check_axioms, load_game_json
 from .incentives import (
     cumulation_scheme,
     full_incentive_report,
@@ -285,7 +285,7 @@ def _cmd_rewards(args) -> int:
 
     game, times = load_game_json(args.game)
     if args.times is not None:
-        times = TimeVector.of(args.times).normalize()
+        times = _game_times(game.n, args.times).normalize()
     elif times is None:
         times = TimeVector.of([0] * game.n)
     scheme = SCHEMES[args.scheme](args)

@@ -230,9 +230,9 @@ class Game:
         self._axiom_reports: dict[float, "AxiomReport"] = {}
         if table is not None:
             _check_party_count(n)
-            if len(table) != 1 << n:
-                raise ValueError("table length must be 2**n")
             arr = np.array(table, dtype=float)
+            if arr.shape != (1 << n,):
+                raise ValueError(f"a game table must have shape (2**{n},), got {arr.shape}")
             _require_finite(arr)
             if arr[0] != 0.0:
                 raise ValueError(f"the empty coalition must have value 0, got {arr[0]}")
@@ -882,15 +882,19 @@ def load_game_json(path) -> tuple[Game, TimeVector | None]:
         game = make_table_game(n, doc["values"])
     else:
         game = Game(n, table=_dense_table(n, doc["table_f64le"]))
-    times = None
-    if doc.get("times") is not None:
-        raw = doc["times"]
-        if not isinstance(raw, list):
-            raise ValueError(f"game file 'times' must be a list, got {raw!r}")
-        if len(raw) != n:
-            raise LengthMismatch(f"expected {n} times, got {len(raw)}")
-        times = TimeVector(tuple(raw)).normalize()
+    times = doc.get("times")
+    if times is not None:
+        if not isinstance(times, list):
+            raise ValueError(f"game file 'times' must be a list, got {times!r}")
+        times = _game_times(n, times).normalize()
     return game, times
+
+
+def _game_times(n: int, raw) -> TimeVector:
+    """The n joining times in raw, as given; a wrong count is refused before any entry is read."""
+    if len(raw) != n:
+        raise LengthMismatch(f"expected {n} times, got {len(raw)}")
+    return TimeVector.of(raw)
 
 
 def save_game_json(path, n: int, values, times=None, superadditive=None):
@@ -900,23 +904,27 @@ def save_game_json(path, n: int, values, times=None, superadditive=None):
     "values" object.  A Game, or its 2**n table indexed by bitmask, is
     written as "table_f64le", which loads far faster at large n; a game
     loaded from either form of the same values has the same table.
-    superadditive, when given, is written for readers of the file only.
+    times, a sequence of n joining times, is written as given and
+    normalized on load.  Before the file is opened, values and times go
+    through the constructors ``load_game_json`` reads them with, so what
+    the loader would refuse is refused with the same exception, and
+    nothing is written.  superadditive, when given, is written for
+    readers of the file only.
     """
-    doc: dict = {"n": n}
     if isinstance(values, Mapping):
-        doc["values"] = {k: float(v) for k, v in values.items()}
+        game = make_table_game(n, values)
+        doc: dict = {"values": {k: float(v) for k, v in values.items()}}
     else:
         import base64  # only dense files need it, so importing the CLI stays as lean
 
-        table = np.asarray(values.table() if isinstance(values, Game) else values, dtype="<f8")
-        if table.shape != (1 << n,):
-            raise ValueError(f"a dense game table must have shape (2**{n},), got {table.shape}")
-        doc["table_f64le"] = base64.b64encode(table.tobytes()).decode("ascii")
+        game = Game(n, table=values.table() if isinstance(values, Game) else values)
+        raw = game.table().astype("<f8", copy=False).tobytes()
+        doc = {"table_f64le": base64.b64encode(raw).decode("ascii")}
+    doc["n"] = game.n
     if times is not None:
-        doc["times"] = [int(t) for t in times]
+        doc["times"] = list(_game_times(game.n, times).times)
     if superadditive is not None:
         doc["superadditive"] = bool(superadditive)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-

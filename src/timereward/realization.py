@@ -47,7 +47,6 @@ __all__ = [
     "conditional_point_value",
 ]
 
-_BISECT_MAX_ITER = 200
 _KAPPA_FLOOR = 1e-14
 
 
@@ -221,17 +220,15 @@ def temper(model: GpModel, party: int, target: float, tol: float = 1e-6) -> Temp
         return TemperedReward(party, lo, lo_val, target)
     if abs(hi_val - target) <= tol:
         return TemperedReward(party, hi, hi_val, target)
-    kappa, value = lo, lo_val
-    for _ in range(_BISECT_MAX_ITER):
+    while True:  # the bracket halves each step, so it drops below 1e-14 by the 48th midpoint
         kappa = 0.5 * (lo + hi)
         value = tempered(kappa)
         if abs(value - target) <= tol or hi - lo < _KAPPA_FLOOR:
-            break
+            return TemperedReward(party, kappa, value, target, abs(value - target) <= tol)
         if value < target:
             lo = kappa
         else:
             hi = kappa
-    return TemperedReward(party, kappa, value, target, abs(value - target) <= tol)
 
 
 def conditional_point_value(model: GpModel, point_indices) -> float:

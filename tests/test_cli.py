@@ -170,8 +170,10 @@ class TestRewardsCommand:
         # used to end in an OverflowError traceback
         huge = 10**20
         path = tmp_path / "late.json"
-        times = (huge, 0) if source == "file" else None
-        save_game_json(path, 2, {"1": 0.2, "2": 0.2, "1,2": 1.0}, times=times)
+        times = [huge, 0] if source == "file" else None
+        # written with json: save_game_json refuses the time, as load_game_json does
+        doc = {"n": 2, "values": {"1": 0.2, "2": 0.2, "1,2": 1.0}, "times": times}
+        path.write_text(json.dumps(doc))
         args = ["rewards", "--game", str(path), "--scheme", "naive"]
         if source == "flag":
             args += ["--times", f"{huge},0"]
@@ -181,6 +183,20 @@ class TestRewardsCommand:
         assert captured.err == (
             f"error: joining time {huge} is past the int64 range (at most {2**63 - 1})\n"
         )
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_wrong_count_of_times_exits_1(self, source, tmp_path, capsys):
+        # the flag used to give "times has 3 entries for an n=2 game", another line than a file's
+        path = tmp_path / "three.json"
+        times = [1, 0, 0] if source == "file" else None
+        # written with json: save_game_json refuses the count, as load_game_json does
+        doc = {"n": 2, "values": {"1": 0.2, "2": 0.2, "1,2": 1.0}, "times": times}
+        path.write_text(json.dumps(doc))
+        args = ["rewards", "--game", str(path), "--scheme", "naive"]
+        if source == "flag":
+            args += ["--times", "1,0,0"]
+        assert main(args) == EXIT_ERROR
+        assert capsys.readouterr() == ("", "error: expected 2 times, got 3\n")
 
     @pytest.mark.parametrize("late", [2**63 - 1, 2**62])
     @pytest.mark.parametrize("scheme", ["naive", "cumulation"])
@@ -351,7 +367,8 @@ class TestNonFiniteValues:
     )
     def test_rejected_with_exit_1_and_no_report(self, bad, command, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        save_game_json(path, 2, {"1": 0.2, "2": bad, "1,2": 1.0})
+        # written with json: save_game_json refuses the value, as load_game_json does
+        path.write_text(json.dumps({"n": 2, "values": {"1": 0.2, "2": bad, "1,2": 1.0}}))
         assert "NaN" in path.read_text() or "Infinity" in path.read_text()
         out = tmp_path / "report.json"
         code = main([*command, "--game", str(path), "--out", str(out)])

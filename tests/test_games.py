@@ -1,10 +1,14 @@
 """Coalition encoding, table games, axiom checks, random game generation."""
 
+import base64
 import itertools
 import json
 import math
 import re
+import tempfile
 import tracemalloc
+from collections.abc import Mapping
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,10 +199,12 @@ class TestTableGame:
         assert g.value_mask(5) == 5.0
         assert len(calls) == 3 + 7
 
-    @pytest.mark.parametrize("length", [3, 8])
-    def test_table_of_wrong_length_rejected(self, length):
-        with pytest.raises(ValueError, match=r"^table length must be 2\*\*n$"):
-            Game(2, table=np.zeros(length))
+    @pytest.mark.parametrize("shape", [(3,), (8,), (4, 1), ()])
+    def test_table_of_wrong_shape_rejected(self, shape):
+        # (4, 1) used to be kept as a 2-D table, and a scalar to raise a bare TypeError
+        message = rf"^a game table must have shape \(2\*\*2,\), got {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            Game(2, table=np.zeros(shape))
 
     @pytest.mark.parametrize("args", [{}, {"oracle": lambda m: 0.0, "table": np.zeros(4)}])
     def test_exactly_one_of_oracle_and_table(self, args):
@@ -784,6 +790,96 @@ class TestRewardVector:
         assert not rv.degenerate
 
 
+GOOD_VALUES = {"1": 0.2, "2": 0.2, "1,2": 1.0}
+
+# save_game_json's (n, values, times) that a game file cannot hold
+WRITER_REFUSALS = {
+    "time-half": (2, GOOD_VALUES, (0.5, 0)),
+    "time-fraction": (2, GOOD_VALUES, (1.7, 0)),
+    "time-bool": (2, GOOD_VALUES, (True, 0)),
+    "time-negative": (2, GOOD_VALUES, (-1, 0)),
+    "three-times": (2, GOOD_VALUES, (1, 0, 0)),
+    "nan-value": (2, {"1": 0.2, "2": math.nan, "1,2": 1.0}, None),
+    "alias-keys": (2, {"1": 0.2, " 1": 0.3, "2": 0.2, "1,2": 1.0}, None),
+    "n-0": (0, GOOD_VALUES, None),
+    "n-25": (25, GOOD_VALUES, None),
+    "game-of-5-as-4": (4, random_superadditive_game(5, seed=1), None),
+    "infinite-entry": (2, [0.0, 0.2, math.inf, 1.0], None),
+    "nonzero-entry-0": (2, [0.5, 0.2, 0.2, 1.0], None),
+}
+
+
+def _game_file(n, values, times) -> dict:
+    """The game file document that holds save_game_json's arguments, unchecked."""
+    if isinstance(values, Mapping):
+        doc = {"n": n, "values": dict(values)}
+    else:
+        table = values.table() if isinstance(values, Game) else np.asarray(values, "<f8")
+        doc = {"n": n, "table_f64le": base64.b64encode(table.tobytes()).decode("ascii")}
+    if times is not None:
+        doc["times"] = list(times)
+    return doc
+
+
+def _entries(game: Game) -> bytes:
+    """A game's values by mask as float64 bytes, NaN where a partial game has none."""
+    out = np.full(1 << game.n, np.nan)
+    for mask in range(1 << game.n):
+        try:
+            out[mask] = game.value_mask(mask)
+        except MissingCoalition:
+            pass
+    return out.tobytes()
+
+
+ODD_VALUES = [math.nan, math.inf, -math.inf, -0.0, 2**1100, True, None, "0.5", 3]
+ODD_KEYS = ["", " 1", "01", "1,1", "2,1", "9", "x"]
+ODD_TIMES = [0.5, 1.0, True, -1, 2**63, "1", np.int64(4)]
+
+
+@st.composite
+def writer_args(draw):
+    """save_game_json's (n, values, times) for n <= 8: valid, or with a fault drawn in any part.
+
+    values is a keyed mapping in a drawn order, a table, or a Game.  Each
+    part is faulty about one time in four: n = 0, a Game of n - 1 or n + 1
+    parties, a table of another length or with odd entries, a mapping
+    with coalitions left out or odd keys and values put in, and times of
+    another count or with an odd entry.
+    """
+    faulty = st.sampled_from([False, False, False, True])
+    n = 0 if draw(faulty) else draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    form = draw(st.sampled_from(["keyed", "table", "game"]))
+    if form == "game":
+        parties = max(n + draw(st.sampled_from([-1, 1])), 1) if draw(faulty) else max(n, 1)
+        values = random_superadditive_game(parties, seed)
+    elif form == "table":
+        length = (1 << n) + draw(st.sampled_from([-1, 1])) if draw(faulty) else 1 << n
+        values = np.random.default_rng(seed).uniform(size=max(length, 1))
+        values[0] = 0.0
+        if draw(faulty):
+            values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from([
+                v for v in ODD_VALUES if type(v) is float
+            ]))
+    else:
+        table = random_superadditive_game(max(n, 1), seed).table()
+        keys = [Coalition.from_mask(m, max(n, 1)).key() for m in range(1, len(table))]
+        items = draw(st.permutations([(key, float(table[m])) for m, key in enumerate(keys, 1)]))
+        values = dict(items[draw(st.integers(0, 2)):] if draw(faulty) else items)
+        if draw(faulty):
+            key = draw(st.sampled_from(ODD_KEYS) | st.sampled_from(keys))
+            values[key] = draw(st.just(0.0) | st.sampled_from(ODD_VALUES))
+    if draw(st.booleans()):
+        return n, values, None
+    times = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    if draw(faulty):
+        times = times[:-1] if times and draw(st.booleans()) else times + [0]
+    if times and draw(faulty):
+        times[draw(st.integers(0, len(times) - 1))] = draw(st.sampled_from(ODD_TIMES))
+    return n, values, times
+
+
 class TestGameJson:
     def test_round_trip(self, tmp_path):
         # a file carrying the superadditive field still loads; the field is ignored
@@ -878,6 +974,49 @@ class TestGameJson:
         path.write_text(json.dumps({"n": 2, "values": {"1,2": 1.0}, "times": [0]}))
         with pytest.raises(LengthMismatch):
             load_game_json(path)
+
+    @pytest.mark.parametrize("case", sorted(WRITER_REFUSALS))
+    def test_writer_refuses_what_the_loader_refuses(self, case, tmp_path):
+        # all but "game-of-5-as-4" used to be written: "time-half", "time-fraction"
+        # and "time-bool" then loaded as times (0, 0), (1, 0) and (1, 0)
+        n, values, times = WRITER_REFUSALS[case]
+        unchecked = tmp_path / "unchecked.json"
+        unchecked.write_text(json.dumps(_game_file(n, values, times)))
+        with pytest.raises(Exception) as loaded:
+            load_game_json(unchecked)
+        path = tmp_path / "game.json"
+        with pytest.raises(loaded.type) as written:
+            save_game_json(path, n, values, times)
+        assert written.type is loaded.type
+        assert not path.exists()
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(args=writer_args())
+    def test_writer_checks_with_the_loader_constructors(self, args):
+        n, values, times = args
+        try:
+            if isinstance(values, Mapping):
+                expected = make_table_game(n, values)
+            else:
+                expected = Game(n, table=values.table() if isinstance(values, Game) else values)
+            if times is not None:
+                games._game_times(n, times)
+        except Exception as exc:  # noqa: BLE001 - the writer must raise the same
+            refused = exc
+        else:
+            refused = None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "game.json")
+            if refused is not None:
+                with pytest.raises(type(refused)) as written:
+                    save_game_json(path, n, values, times)
+                assert (written.type, str(written.value)) == (type(refused), str(refused))
+                assert not path.exists()
+                return
+            save_game_json(path, n, values, times)
+            game, loaded_times = load_game_json(path)
+        assert _entries(game) == _entries(expected)
+        assert loaded_times == (None if times is None else TimeVector.of(times).normalize())
 
 
 # A scheme that never reads the game, so the incentive checks must refuse on their own

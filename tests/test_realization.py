@@ -28,7 +28,7 @@ from timereward import (
     temper,
     tempered_value,
 )
-from timereward import experiment
+from timereward import experiment, realization
 from timereward.experiment import FriedmanConfig, SweepRow, run_friedman_experiment, write_rows_csv
 from timereward.realization import _tempered_predictor, conditional_point_value
 from timereward.synthdata import mnlp
@@ -171,6 +171,24 @@ class TestTemper:
             temper(model, 1, game.value([1]) - 0.5)
         with pytest.raises(TargetOutOfRange):
             temper(model, 1, game.grand_value() + 0.5)
+
+    @pytest.mark.parametrize("fraction", [1e-9, 0.3, 0.7, 1 - 1e-9])
+    def test_tol_0_ends_within_50_curve_evaluations(self, fraction, monkeypatch):
+        # the bracket halves each step, and 2**-47 < 1e-14 stops the 48th midpoint
+        model = three_party_model(2)
+        game = conditional_ig_game(model)
+        target = game.value([2]) + fraction * (game.grand_value() - game.value([2]))
+        kappas = []
+        curve = realization._tempering_curve
+
+        def counted(model, party):
+            tempered = curve(model, party)
+            return lambda kappa: kappas.append(kappa) or tempered(kappa)
+
+        monkeypatch.setattr(realization, "_tempering_curve", counted)
+        result = temper(model, 2, target, tol=0.0)
+        assert 2 < len(kappas) <= 50
+        assert result.kappa == kappas[-1]
 
 
 class TestSelectSubsetTable:
