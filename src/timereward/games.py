@@ -668,6 +668,26 @@ def _disjoint_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     return b, s
 
 
+def _relabelled(masks: np.ndarray, order: list[int]) -> np.ndarray:
+    """Masks whose bit p is moved to bit order[p]."""
+    out = np.zeros_like(masks)
+    for p, q in enumerate(order):
+        out |= (masks >> p & 1) << q
+    return out
+
+
+def _block_gaps(v: np.ndarray, v_b: np.ndarray, s0: int, u0: int, low: tuple, gap: np.ndarray, part: np.ndarray):
+    """Write v(B) + v(S) - v(B | S) into gap for one block: S = s0 + s_low, B | S = u0 + u_low.
+
+    v_b holds the block's v(B), gathered once for the blocks that share
+    B's high digits; low is (s_low, u_low), and part is scratch of gap's
+    size.
+    """
+    s_low, u_low = low
+    np.add(v_b, v[s0:].take(s_low, out=part, mode="clip"), out=gap)
+    gap -= v[u0:].take(u_low, out=part, mode="clip")
+
+
 def _superadditivity_violation(v: np.ndarray, tol: float) -> tuple[int, int] | None:
     """Disjoint (B, S) with the largest v(B) + v(S) - v(B | S) above tol, or None.
 
@@ -675,38 +695,91 @@ def _superadditivity_violation(v: np.ndarray, tol: float) -> tuple[int, int] | N
     blocks: the low parties' 3**8 strings (fewer when n <= 8) are built
     once, and each block fixes the digits of the parties above them, so
     one gather per coalition reads a block's v(B), v(S) and v(B | S).
-    Party n is never in B, so a pair without party n is met both as
+    The top party is never in B, so a pair without it is met both as
     (B, S) and as (S, B), and the float gap is the same both ways (the
-    sum is commutative).  The smallest coalition among the pairs with
-    the largest gap cannot hold party n, so it is met as B: ties go to
-    the smallest B, then to the largest S, which gives B < S.  A pair
-    with an empty side has gap v(empty) = 0, never above tol.
+    sum is commutative).  A pair with an empty side has gap
+    v(empty) = 0, never above tol.
+
+    ``_union_bounds`` bounds every gap by its pair's union, and a block's
+    unions all lie inside the one with every low party.  A block is read
+    only if that union's bound is above tol and not below the largest
+    gap found so far, so ties are kept; the largest gap starts at that
+    of the pairs ({i}, U - {i}), O(n 2**n).  A party without which no
+    union reaches that gap or beats tol sits in every pair the scan can
+    report; such parties are moved to the top digits (one transpose of
+    the table), where a block that leaves one of them out is skipped
+    whole.  Blocks that share B's high digits are read in a row and
+    share one gather of v(B).  Each largest gap is mapped back to the
+    caller's masks and written smaller side first: ties go to the
+    smallest B, then to the largest S, so B < S.
     """
     n = len(v).bit_length() - 1
+    full = (1 << n) - 1
+    bound = _union_bounds(v)
+    worst = max(tol, _largest_split_gap(v))  # a gap the scan meets, if above tol
+
+    def readable(ceiling):  # can a union with this bound hold a pair to report?
+        return (ceiling > tol) & (ceiling >= worst)
+
+    # parties that every such union holds go on top, in party order; the
+    # relabelled party p is the caller's party order[p]
+    order = sorted(range(n), key=lambda i: not readable(bound[full ^ 1 << i]))
+    axes = [n - 1 - order[n - 1 - a] for a in range(n)]
+    v = v.reshape((2,) * n).transpose(axes).reshape(-1)
+    bound = bound.reshape((2,) * n).transpose(axes).reshape(-1)
     low = min(n - 1, _SCAN_BLOCK_PARTIES)
     b_low, s_low = _disjoint_pairs(low)
-    u_low = b_low | s_low
-    width = 1 << low
+    low_pairs = (s_low, b_low | s_low)
     high_b, high_s = _disjoint_pairs(n - 1 - low)
-    top = 1 << (n - 1 - low)  # party n: in neither or in S
+    top = 1 << (n - 1 - low)  # the top party: in neither or in S
     high_b = np.concatenate((high_b, high_b)) << low
     high_s = np.concatenate((high_s, high_s | top)) << low
-    gap, part = np.empty(len(b_low)), np.empty(len(b_low))
-    worst, pairs = tol, []
+    ceilings = bound[high_b | high_s | (1 << low) - 1]
+    keep = np.flatnonzero(readable(ceilings))
+    keep = keep[np.argsort(high_b[keep], kind="stable")]
+    blocks = zip(
+        high_b[keep].tolist(), high_s[keep].tolist(), ceilings[keep].tolist(),
+        _relabelled(high_b[keep], order).tolist(), _relabelled(high_s[keep], order).tolist(),
+    )
+    labels = _relabelled(np.arange(1 << low), order)  # the low digits' masks in the caller's labels
+    b_orig, s_orig = labels[b_low], labels[s_low]
+    pairs, read_b0 = [], -1
+    v_b, gap, part = np.empty(len(b_low)), np.empty(len(b_low)), np.empty(len(b_low))
     with np.errstate(over="ignore"):  # v(B) + v(S) past the float range is an infinite gap
-        for b0, s0 in zip(high_b.tolist(), high_s.tolist()):
-            u0 = b0 | s0
-            np.take(v[b0:b0 + width], b_low, out=gap, mode="clip")
-            gap += np.take(v[s0:s0 + width], s_low, out=part, mode="clip")
-            gap -= np.take(v[u0:u0 + width], u_low, out=part, mode="clip")
+        for b0, s0, ceiling, b0_orig, s0_orig in blocks:
+            if ceiling < worst:
+                continue
+            if b0 != read_b0:
+                v[b0:].take(b_low, out=v_b, mode="clip")
+                read_b0 = b0
+            _block_gaps(v, v_b, s0, b0 | s0, low_pairs, gap, part)
             most = gap.max()
             if most > worst:
                 worst, pairs = most, []
             if most == worst > tol:
                 k = np.flatnonzero(gap == most)
-                b, s = b0 + b_low[k], s0 + s_low[k]
-                pairs.append((int(b.min()), int(s[b == b.min()].max())))
+                b, s = b0_orig + b_orig[k], s0_orig + s_orig[k]
+                small, large = np.minimum(b, s), np.maximum(b, s)
+                first = small.min()
+                pairs.append((int(first), int(large[small == first].max())))
     return min(pairs, key=lambda pair: (pair[0], -pair[1]), default=None)
+
+
+def _largest_split_gap(v: np.ndarray) -> float:
+    """The largest v({i}) + v(U - {i}) - v(U) over parties i in coalitions U, computed as the scan does."""
+    most = 0.0  # U = {i}
+    with np.errstate(over="ignore"):  # v(B) + v(S) past the float range is an infinite gap
+        for i, (without, with_i) in enumerate(_bit_pairs(v)):
+            most = max(most, float((v[1 << i] + without - with_i).max()))
+    return most
+
+
+def _rounding_margin(v: np.ndarray) -> float | None:
+    """8 eps max|v|, or None when max|v| is neither 0 nor in [2**-960, 2**1020]."""
+    scale = float(np.abs(v).max())
+    if not (scale == 0.0 or 2.0**-960 <= scale <= 2.0**1020):
+        return None
+    return 8.0 * float(np.finfo(float).eps) * scale
 
 
 def _superadditivity_certified(v: np.ndarray, tol: float) -> bool:
@@ -738,21 +811,61 @@ def _superadditivity_certified(v: np.ndarray, tol: float) -> bool:
     every quantity here and in the scan finite and margin a normal
     number, 8 eps being a power of two; M = 0 is exact throughout.  Other
     tables go to the scan.
+
+    Per union.  Each difference D_{b_k s_l}(B_{k-1} | S_{l-1}) above has
+    all its coalitions inside U = B | S, and p*q <= K(|U|) with
+    K(k) = floor(k/2)*ceil(k/2).  So the same bound, with min D' taken
+    over the differences inside U and K(|U|) for K, holds for every
+    computed gap of a pair with union U (``_union_bounds``).
     """
-    n = len(v).bit_length() - 1
-    eps = float(np.finfo(float).eps)
-    scale = float(np.abs(v).max())
-    if not (scale == 0.0 or 2.0**-960 <= scale <= 2.0**1020):
+    margin = _rounding_margin(v)
+    if margin is None:
         return False
+    n = len(v).bit_length() - 1
     min_delta = math.inf
     for i, (without, with_i) in enumerate(_bit_pairs(v)):
         marginal = (with_i - without).ravel()
         # bits >= i of the marginal table are the parties j > i
         for without_j, with_j in itertools.islice(_bit_pairs(marginal), i, None):
             min_delta = min(min_delta, float((with_j - without_j).min()))
-    margin = 8.0 * eps * scale
     bound = (n // 2) * ((n + 1) // 2) * max(0.0, -min_delta + margin) + margin
-    return bound * (1.0 + 4.0 * eps) <= tol
+    return bound * (1.0 + 4.0 * float(np.finfo(float).eps)) <= tol
+
+
+def _union_bounds(v: np.ndarray) -> np.ndarray:
+    """bound[U] >= every computed gap of a disjoint pair with union U.
+
+    The certificate's bound per union (see ``_superadditivity_certified``):
+    d[W] is the smallest computed D_ij(W - {i, j}) over i < j in W, and
+    its subset-min transform m[U] the smallest over the differences
+    inside U.  m shrinks and K(|U|) grows as U grows, and rounding is
+    monotone, so the bound grows with U.  Outside the certificate's range
+    of max|v| every bound is inf.
+    """
+    n = len(v).bit_length() - 1
+    margin = _rounding_margin(v)
+    if margin is None:
+        return np.full(1 << n, np.inf)
+    # the bound reads m only through max(0, margin - m), so capping d at margin
+    # changes nothing, and a pair whose differences are all >= margin adds nothing
+    d = np.full(1 << n, margin)
+    cells = d.reshape((2,) * n)  # axis n - 1 - p holds party p's bit
+    for i, (without, with_i) in enumerate(_bit_pairs(v)):
+        marginal = (with_i - without).ravel()
+        for j, (without_j, with_j) in enumerate(itertools.islice(_bit_pairs(marginal), i, None), i + 1):
+            delta = with_j - without_j  # D_ij(S), S indexed without bits i and j
+            if delta.min() < margin:
+                at = [slice(None)] * n
+                at[n - 1 - i] = at[n - 1 - j] = slice(1, 2)
+                cell = cells[tuple(at)]
+                np.minimum(cell, delta.reshape(cell.shape), out=cell)
+    size = np.zeros(1, dtype=np.int8)
+    for _ in range(n):
+        size = np.concatenate((size, size + 1))
+    products = np.array([(k // 2) * ((k + 1) // 2) for k in range(n + 1)], dtype=float)[size]
+    m = _subset_transform(d, np.minimum)
+    with np.errstate(over="ignore"):  # a bound past the float range is inf, which skips nothing
+        return (products * np.maximum(0.0, -m + margin) + margin) * (1.0 + 4.0 * float(np.finfo(float).eps))
 
 
 def check_axioms(game: Game, tol: float = DEFAULT_TOL) -> AxiomReport:
@@ -761,13 +874,17 @@ def check_axioms(game: Game, tol: float = DEFAULT_TOL) -> AxiomReport:
     Monotonicity is an O(n 2**n) subset-max transform.  Superadditivity
     is first certified from the smallest mixed second difference of the
     table, O(n**2 2**n), which settles convex games; only a game that
-    fails the certificate is scanned over every disjoint pair, O(3**n),
-    in blocks of 3**8 pairs with one gather of each coalition's values
-    per block.  Either way the verdict is the scan's.  On failure the
-    worst violating coalition pair is returned as a witness: ties go to
-    the smallest B, then to the largest S (nested pairs: the smallest C,
-    then the largest B).  Results are memoised on the game per
-    tolerance, which must be finite and >= 0.
+    fails the certificate is scanned over its disjoint pairs, O(3**n) at
+    most, in blocks of 3**8 pairs with one gather of each coalition's
+    values per block.  The same differences bound every gap by its pair's
+    union, and a block whose bound cannot beat tol or the worst gap found
+    so far is skipped: a convex game with one coalition of k <= n - 8
+    parties cut reads (2/3)**(k - 1) / 2 of the blocks.  Either way the
+    verdict is the scan's.  On failure the worst violating coalition
+    pair is returned as a witness: ties go to the smallest B, then to
+    the largest S (nested pairs: the smallest C, then the largest B).
+    Results are memoised on the game per tolerance, which must be finite
+    and >= 0.
     """
     _check_tolerance(tol)
     cached = game._axiom_reports.get(tol)

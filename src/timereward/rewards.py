@@ -3,7 +3,8 @@
 Both schemes require a non-negative, superadditive game, checked by
 ``check_axioms`` and memoised on the game: superadditivity is first
 certified from the table's mixed second differences, and only games
-that fail the certificate are scanned pair by pair.  Both are the one
+that fail the certificate are scanned pair by pair, skipping the pairs
+whose union the same differences bound within tol.  Both are the one
 formula of ``shapley``: every multi-member coalition T splits its
 Harsanyi dividend d(T) equally among its members, discounted by a
 function D of the joining time t_T of its latest member, and each party

@@ -157,7 +157,9 @@ def shapley_mc(game: Game, permutations: int, seed: int) -> ShapleyResult:
     for each visited prefix, so only those are computed.  Both paths
     accumulate in the same order and return identical results.
     Coalitions are int64 bitmasks, so n is limited to 62 parties; larger
-    games raise TooLarge.
+    games raise TooLarge.  The m sampled permutations are one m-by-n
+    int64 array, so a count with m*n past numpy's size limit raises
+    ValueError.
     """
     if not _is_integer(permutations):
         raise ValueError(f"permutations must be an integer, got {permutations!r}")
@@ -167,6 +169,11 @@ def shapley_mc(game: Game, permutations: int, seed: int) -> ShapleyResult:
     if n > _MAX_MC_PARTIES:
         raise TooLarge(f"Monte-Carlo Shapley needs n <= {_MAX_MC_PARTIES}, got {n}")
     m = int(permutations)
+    if m * n > np.iinfo(np.intp).max // 8:  # numpy's size limit for one int64 array
+        raise ValueError(
+            f"permutations {m} over {n} parties need {m * n} indices, "
+            "more than one int64 array can hold"
+        )
     perms = _sample_permutations(n, m, seed)
     sums = np.zeros(n)
     sumsq = np.zeros(n)

@@ -510,6 +510,15 @@ class TestShapleyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: permutations")
 
+    def test_permutations_past_the_array_size_limit_exit_1(self, ir_game_file, capsys):
+        # used to end in an OverflowError traceback from np.tile
+        code = main(["shapley", "--game", ir_game_file, "--permutations", str(2**63)])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: permutations {2**63} over ")
+        assert captured.err.count("\n") == 1
+
     def test_monte_carlo_on_a_partial_game_names_the_missing_coalition(self, tmp_path, capsys):
         # an oracle game is asked only for the prefixes it visits: coalition 2 is one
         path = tmp_path / "partial.json"

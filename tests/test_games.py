@@ -14,7 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import canonical_masks, check_axioms_reference, table_game_reference
+from oracles import (
+    blocked_scan_reference,
+    canonical_masks,
+    check_axioms_reference,
+    table_game_reference,
+)
 
 from timereward import (
     AxiomReport,
@@ -684,6 +689,96 @@ class TestSuperadditivityCertificate:
         report = check_axioms(g, tol * scale)
         assert report.superadditive is not cut
         assert report.to_dict() == check_axioms_reference(g, tol * scale).to_dict()
+
+    def test_table_above_the_range_is_scanned_in_full(self, monkeypatch):
+        # above max|v| = 2**1020 a bound could overflow: no block is skipped
+        table = cut_table(10, 5, (4,), integer=True)
+        table = np.ldexp(table, 1021 - math.frexp(table.max())[1])
+        assert np.abs(table).max() > 2.0**1020
+        blocks = count_blocks(monkeypatch)
+        want = blocked_scan_reference(table, 0.5)
+        assert want is not None
+        assert games._superadditivity_violation(table, 0.5) == want
+        assert blocks == [2 * 3]  # 2 * 3**(n - 1 - 8)
+        report = check_axioms(Game(10, table=table), 0.5)
+        assert report.to_dict() == check_axioms_reference(Game(10, table=table), 0.5).to_dict()
+
+
+def cut_table(n: int, seed: int, sizes, integer: bool = False) -> np.ndarray:
+    """A convex table with one coalition of each size cut, so it fails the certificate.
+
+    Float tables draw dividends from [0, 1) and scale each cut value by
+    0.2-0.4; integer tables have sparse 0/1 dividends and lose 3 on each
+    cut coalition, which ties several of the worst gaps.
+    """
+    rng = np.random.default_rng(seed)
+    if integer:
+        dividends = (rng.random(1 << n) < 0.1).astype(float)
+    else:
+        dividends = rng.uniform(0.0, 1.0, size=1 << n)
+    dividends[0] = 0.0
+    table = subset_sums(dividends)
+    for size in sizes:
+        mask = mask_of(1 + int(i) for i in rng.choice(n, size=size, replace=False))
+        table[mask] = table[mask] - 3.0 if integer else rng.uniform(0.2, 0.4) * table[mask]
+    return table
+
+
+def count_blocks(monkeypatch) -> list[int]:
+    """A one-item list counting the blocks the superadditivity scan gathers from now on."""
+    gathered = [0]
+    gather = games._block_gaps
+
+    def counting(*args):
+        gathered[0] += 1
+        gather(*args)
+
+    monkeypatch.setattr(games, "_block_gaps", counting)
+    return gathered
+
+
+class TestPrunedScan:
+    """Blocks whose per-union bound cannot beat tol or the best gap are skipped."""
+
+    @pytest.mark.parametrize("n", [12, 14, 16])
+    @pytest.mark.parametrize(
+        "sizes,integer",
+        [((5,), False), ((4, 6), False), ((4, 6), True)],
+        ids=["one-cut", "two-cuts", "integer-ties"],
+    )
+    def test_matches_the_unpruned_scan(self, n, sizes, integer):
+        table = cut_table(n, n, sizes, integer)
+        game = Game(n, table=table)
+        for tol in (0.0, 1e-9):
+            want = blocked_scan_reference(table, tol)
+            assert want is not None
+            assert games._superadditivity_violation(table, tol) == want
+            witness = check_axioms(game, tol).witnesses["superadditive"]
+            assert tuple(c.mask for c in witness) == want
+
+    def test_six_party_cut_at_n18(self):
+        table = cut_table(18, 3, (6,))
+        want = blocked_scan_reference(table, 1e-9)
+        assert want is not None
+        assert games._superadditivity_violation(table, 1e-9) == want
+
+    @pytest.mark.parametrize("tol,scale", [(1e-9, 1.0), (0.0, 1.0), (1e-9, 1e8)], ids=["tol", "tol-0", "margin-above-tol"])
+    def test_a_five_party_cut_reads_few_blocks(self, monkeypatch, tol, scale):
+        # the cut's parties go on the top digits, and a block that leaves one out
+        # is skipped: 1/2 * (2/3)**4 of the blocks hold all five.  Where the rounding
+        # margin alone beats tol, the gaps of the pairs ({i}, U - {i}) find them
+        table = cut_table(16, 2, (5,)) * scale
+        blocks = count_blocks(monkeypatch)
+        want = blocked_scan_reference(table, tol)
+        assert games._superadditivity_violation(table, tol) == want
+        assert 0 < blocks[0] < 0.2 * 2 * 3**7
+
+    def test_a_convex_game_reads_no_block(self, monkeypatch):
+        # the scan alone, which check_axioms skips on a certified game
+        table = random_superadditive_game(12, seed=6).table()
+        blocks = count_blocks(monkeypatch)
+        assert games._superadditivity_violation(table, 1e-9) is None
+        assert blocks == [0]
 
 
 class TestRandomSuperadditiveGame:

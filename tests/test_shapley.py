@@ -147,6 +147,13 @@ class TestShapleyMc:
         assert np.array_equal(oracle.values, twin.values)
         assert np.array_equal(oracle.std_error, twin.std_error)
 
+    @pytest.mark.parametrize("count", [2**63, 2**59], ids=["past-int64", "2**60-indices"])
+    def test_permutations_past_the_array_size_limit_refused(self, count):
+        # np.tile used to raise OverflowError on 2**63, which the CLI does not catch;
+        # 2**60 int64 indices are 2**63 bytes, one past numpy's size limit
+        with pytest.raises(ValueError, match=f"^permutations {count} over 2 parties need"):
+            shapley_mc(random_superadditive_game(2, 0), count, seed=0)
+
     def test_requires_positive_permutations(self):
         with pytest.raises(ValueError):
             shapley_mc(random_superadditive_game(2, 0), 0, seed=0)
