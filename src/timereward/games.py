@@ -715,7 +715,9 @@ def _superadditivity_violation(v: np.ndarray, tol: float) -> tuple[int, int] | N
     """
     n = len(v).bit_length() - 1
     full = (1 << n) - 1
-    bound = _union_bounds(v)
+    bound = _union_bounds(v, tol)
+    if bound is None:  # certified: no pair can have a gap above tol
+        return None
     worst = max(tol, _largest_split_gap(v))  # a gap the scan meets, if above tol
 
     def readable(ceiling):  # can a union with this bound hold a pair to report?
@@ -782,18 +784,40 @@ def _rounding_margin(v: np.ndarray) -> float | None:
     return 8.0 * float(np.finfo(float).eps) * scale
 
 
-def _superadditivity_certified(v: np.ndarray, tol: float) -> bool:
-    """True if no disjoint pair can have a computed gap above tol, judged in O(n**2 2**n).
+def _second_difference_minima(v: np.ndarray, margin: float) -> tuple[float, np.ndarray | None]:
+    """The smallest computed D_ij(S) capped at margin, and d (``_union_bounds``), None if no D is below margin."""
+    n = len(v).bit_length() - 1
+    least, d = margin, None
+    for i, (without, with_i) in enumerate(_bit_pairs(v)):
+        marginal = (with_i - without).ravel()
+        # bits >= i of the marginal table are the parties j > i
+        for j, (without_j, with_j) in enumerate(itertools.islice(_bit_pairs(marginal), i, None), i + 1):
+            delta = with_j - without_j  # D_ij(S), S indexed without bits i and j
+            low = float(delta.min())
+            if low < margin:
+                least = min(least, low)
+                if d is None:
+                    d = np.full(1 << n, margin)
+                at = [slice(None)] * n  # axis n - 1 - p holds party p's bit
+                at[n - 1 - i] = at[n - 1 - j] = slice(1, 2)
+                cell = d.reshape((2,) * n)[tuple(at)]
+                np.minimum(cell, delta.reshape(cell.shape), out=cell)
+    return least, d
+
+
+def _union_bounds(v: np.ndarray, tol: float) -> np.ndarray | None:
+    """bound[U] >= every computed gap of a disjoint pair with union U; None when bound[N] <= tol.
 
     For parties i < j and S holding neither, the mixed second difference
     is D_ij(S) = v(S+i+j) - v(S+i) - v(S+j) + v(S), read as the per-bit
     difference of party i's marginal table v(S+i) - v(S).  Let B, S be
-    disjoint, B = {b_1..b_p}, S = {s_1..s_q}, and F(k, l) the value of
-    the first k members of B with the first l of S.  Then
+    disjoint with union U, B = {b_1..b_p}, S = {s_1..s_q}, and F(k, l)
+    the value of the first k members of B with the first l of S.  Then
     v(B | S) - v(B) - v(S) = F(p, q) - F(p, 0) - F(0, q) + F(0, 0)
     telescopes into the p*q differences D_{b_k s_l}(B_{k-1} | S_{l-1}),
-    so the gap v(B) + v(S) - v(B | S) is at most p*q*max(0, -min D),
-    with p*q <= K = floor(n/2)*ceil(n/2).  (Shapley, "Cores of convex
+    all with their coalitions inside U, so the gap v(B) + v(S) - v(B | S)
+    is at most K(|U|)*max(0, -m[U]), m[U] the smallest difference inside
+    U and K(k) = floor(k/2)*ceil(k/2) >= p*q.  (Shapley, "Cores of convex
     games", 1971: convex games are superadditive.)
 
     Rounding.  Let M = max|v| and eps machine epsilon; each rounded sum
@@ -802,85 +826,62 @@ def _superadditivity_certified(v: np.ndarray, tol: float) -> bool:
     so it is within 4 eps M + eps**2 M < 5 eps M of the exact D; the
     scan's computed gap is two roundings of sizes <= 2M and 3M + eps M,
     within 3 eps M of the exact gap.  With margin = 8 eps M, every
-    computed gap is therefore at most K*max(0, -min D' + margin) + margin,
-    D' the computed differences.  All terms there are >= 0 and the bound
-    is at least margin, so each of its four roundings here loses at most
-    eps/2 of the bound, which the final factor 1 + 4 eps restores:
-    (1 - eps/2)**4 (1 + 4 eps) > 1.  If the rounded bound is <= tol, the
-    scan would find no gap above tol.  M in [2**-960, 2**1020] keeps
-    every quantity here and in the scan finite and margin a normal
+    computed gap is therefore at most K(|U|)*max(0, -m'[U] + margin) +
+    margin, m' over the computed differences.  All terms there are >= 0
+    and the bound is at least margin, so each of its four roundings
+    loses at most eps/2 of the bound, which the final factor 1 + 4 eps
+    restores: (1 - eps/2)**4 (1 + 4 eps) > 1.  M in [2**-960, 2**1020]
+    keeps every quantity here and in the scan finite and margin a normal
     number, 8 eps being a power of two; M = 0 is exact throughout.  Other
-    tables go to the scan.
+    tables get every bound inf.
 
-    Per union.  Each difference D_{b_k s_l}(B_{k-1} | S_{l-1}) above has
-    all its coalitions inside U = B | S, and p*q <= K(|U|) with
-    K(k) = floor(k/2)*ceil(k/2).  So the same bound, with min D' taken
-    over the differences inside U and K(|U|) for K, holds for every
-    computed gap of a pair with union U (``_union_bounds``).
-    """
-    margin = _rounding_margin(v)
-    if margin is None:
-        return False
-    n = len(v).bit_length() - 1
-    min_delta = math.inf
-    for i, (without, with_i) in enumerate(_bit_pairs(v)):
-        marginal = (with_i - without).ravel()
-        # bits >= i of the marginal table are the parties j > i
-        for without_j, with_j in itertools.islice(_bit_pairs(marginal), i, None):
-            min_delta = min(min_delta, float((with_j - without_j).min()))
-    bound = (n // 2) * ((n + 1) // 2) * max(0.0, -min_delta + margin) + margin
-    return bound * (1.0 + 4.0 * float(np.finfo(float).eps)) <= tol
-
-
-def _union_bounds(v: np.ndarray) -> np.ndarray:
-    """bound[U] >= every computed gap of a disjoint pair with union U.
-
-    The certificate's bound per union (see ``_superadditivity_certified``):
-    d[W] is the smallest computed D_ij(W - {i, j}) over i < j in W, and
-    its subset-min transform m[U] the smallest over the differences
-    inside U.  m shrinks and K(|U|) grows as U grows, and rounding is
-    monotone, so the bound grows with U.  Outside the certificate's range
-    of max|v| every bound is inf.
+    One pass over the n(n-1)/2 difference tables serves both uses.  Its
+    smallest difference gives bound[N]; within tol, that certifies the
+    game, and no table is built.  Otherwise d[W], the smallest
+    D'_ij(W - {i, j}) over i < j in W capped at margin (the bound reads
+    m' only through max(0, margin - m')), has m' as its subset-min
+    transform.  m' shrinks and K(|U|) grows as U grows, and rounding is
+    monotone, so the bound grows with U.
     """
     n = len(v).bit_length() - 1
     margin = _rounding_margin(v)
     if margin is None:
         return np.full(1 << n, np.inf)
-    # the bound reads m only through max(0, margin - m), so capping d at margin
-    # changes nothing, and a pair whose differences are all >= margin adds nothing
-    d = np.full(1 << n, margin)
-    cells = d.reshape((2,) * n)  # axis n - 1 - p holds party p's bit
-    for i, (without, with_i) in enumerate(_bit_pairs(v)):
-        marginal = (with_i - without).ravel()
-        for j, (without_j, with_j) in enumerate(itertools.islice(_bit_pairs(marginal), i, None), i + 1):
-            delta = with_j - without_j  # D_ij(S), S indexed without bits i and j
-            if delta.min() < margin:
-                at = [slice(None)] * n
-                at[n - 1 - i] = at[n - 1 - j] = slice(1, 2)
-                cell = cells[tuple(at)]
-                np.minimum(cell, delta.reshape(cell.shape), out=cell)
+    least, d = _second_difference_minima(v, margin)
+    rounding = 1.0 + 4.0 * float(np.finfo(float).eps)
+    # bound[N], by the operations below in the same order
+    if ((n // 2) * ((n + 1) // 2) * max(0.0, -least + margin) + margin) * rounding <= tol:
+        return None
+    d = np.full(1 << n, margin) if d is None else d
+    for without_bit, with_bit in _bit_pairs(d):
+        np.minimum(with_bit, without_bit, out=with_bit)
     size = np.zeros(1, dtype=np.int8)
     for _ in range(n):
         size = np.concatenate((size, size + 1))
     products = np.array([(k // 2) * ((k + 1) // 2) for k in range(n + 1)], dtype=float)[size]
-    m = _subset_transform(d, np.minimum)
     with np.errstate(over="ignore"):  # a bound past the float range is inf, which skips nothing
-        return (products * np.maximum(0.0, -m + margin) + margin) * (1.0 + 4.0 * float(np.finfo(float).eps))
+        np.negative(d, out=d)
+        d += margin
+        np.maximum(d, 0.0, out=d)
+        d *= products
+        d += margin
+        d *= rounding
+    return d
 
 
 def check_axioms(game: Game, tol: float = DEFAULT_TOL) -> AxiomReport:
     """Verify non-negativity, monotonicity, and superadditivity exhaustively.
 
     Monotonicity is an O(n 2**n) subset-max transform.  Superadditivity
-    is first certified from the smallest mixed second difference of the
-    table, O(n**2 2**n), which settles convex games; only a game that
-    fails the certificate is scanned over its disjoint pairs, O(3**n) at
-    most, in blocks of 3**8 pairs with one gather of each coalition's
-    values per block.  The same differences bound every gap by its pair's
-    union, and a block whose bound cannot beat tol or the worst gap found
-    so far is skipped: a convex game with one coalition of k <= n - 8
-    parties cut reads (2/3)**(k - 1) / 2 of the blocks.  Either way the
-    verdict is the scan's.  On failure the worst violating coalition
+    takes one O(n**2 2**n) pass over the table's mixed second differences,
+    which bounds every gap by its pair's union.  The bound at the grand
+    coalition is the certificate: within tol, it settles the game (every
+    convex game) with no pair read.  Otherwise the disjoint pairs are
+    scanned, O(3**n) at most, in blocks of 3**8 pairs with one gather of
+    each coalition's values per block, and a block whose bound cannot
+    beat tol or the worst gap found so far is skipped: a convex game with
+    one coalition of k <= n - 8 parties cut reads (2/3)**(k - 1) / 2 of
+    the blocks.  Either way the verdict is the scan's.  On failure the worst violating coalition
     pair is returned as a witness: ties go to the smallest B, then to
     the largest S (nested pairs: the smallest C, then the largest B).
     Results are memoised on the game per tolerance, which must be finite
@@ -897,9 +898,7 @@ def check_axioms(game: Game, tol: float = DEFAULT_TOL) -> AxiomReport:
     violations = {
         "nonneg": (worst,) if v[worst] < -tol else None,
         "monotone": _monotonicity_violation(v, tol),
-        "superadditive": None
-        if _superadditivity_certified(v, tol)
-        else _superadditivity_violation(v, tol),
+        "superadditive": _superadditivity_violation(v, tol),
     }
     report = AxiomReport({
         axiom: tuple(Coalition.from_mask(m, game.n) for m in masks)

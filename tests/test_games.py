@@ -627,16 +627,30 @@ class TestCheckAxioms:
 class TestSuperadditivityCertificate:
     """Convex games skip the 3**n scan; every other verdict is the scan's."""
 
-    @pytest.fixture
-    def no_scan(self, monkeypatch):
-        def scan(v, tol):
-            raise AssertionError("the superadditivity scan ran")
-
-        monkeypatch.setattr(games, "_superadditivity_violation", scan)
-
     @pytest.mark.parametrize("n,seed", [(16, 4), (20, 1)])
-    def test_convex_game_skips_the_scan(self, no_scan, n, seed):
-        assert check_axioms(random_superadditive_game(n, seed), 1e-9).all_ok
+    def test_convex_game_skips_the_scan(self, monkeypatch, n, seed):
+        game = random_superadditive_game(n, seed)
+        assert games._union_bounds(game.table(), 1e-9) is None  # certified: no bound table
+        blocks = count_blocks(monkeypatch)
+        assert check_axioms(game, 1e-9).all_ok
+        assert blocks == [0]
+
+    @pytest.mark.parametrize("cut", [False, True], ids=["convex", "cut"])
+    def test_one_second_difference_pass(self, monkeypatch, cut):
+        # the certificate and the per-union bounds read the same pass; the report is memoised
+        calls = [0]
+        minima = games._second_difference_minima
+
+        def counting(*args):
+            calls[0] += 1
+            return minima(*args)
+
+        monkeypatch.setattr(games, "_second_difference_minima", counting)
+        game = Game(12, table=cut_table(12, 7, (5,)) if cut else random_superadditive_game(12, 7).table())
+        assert check_axioms(game, 1e-9).superadditive is not cut
+        assert calls == [1]
+        check_axioms(game, 1e-9)
+        assert calls == [1]
 
     @pytest.mark.parametrize("pair", list(itertools.combinations(range(4), 2)))
     def test_every_pair_of_parties_is_differenced(self, pair):
@@ -673,7 +687,7 @@ class TestSuperadditivityCertificate:
         assert report.to_dict() == check_axioms_reference(g, tol).to_dict()
 
     @pytest.mark.parametrize("cut", [False, True], ids=["convex", "grand-coalition-cut"])
-    def test_table_below_the_range_is_left_to_the_scan(self, cut):
+    def test_table_below_the_range_is_left_to_the_scan(self, monkeypatch, cut):
         # below max|v| = 2**-960 the rounding margin need not be a normal number
         dividends = np.random.default_rng(5).integers(0, 4, size=1 << 6).astype(float)
         dividends[0] = 0.0
@@ -681,12 +695,17 @@ class TestSuperadditivityCertificate:
         if cut:
             table[-1] *= 0.5
         tol = 0.5
-        assert games._superadditivity_certified(table, tol) is not cut
+        blocks = count_blocks(monkeypatch)
+        assert (games._union_bounds(table, tol) is None) is not cut  # certified iff convex
+        assert check_axioms(Game(6, table=table), tol).superadditive is not cut
+        assert (blocks[0] == 0) is not cut
         scale = 2.0**-1000
         g = Game(6, table=table * scale)
         assert np.abs(g.table()).max() < 2.0**-960
-        assert not games._superadditivity_certified(g.table(), tol * scale)
+        assert np.isinf(games._union_bounds(g.table(), tol * scale)).all()  # no certificate
+        blocks[0] = 0
         report = check_axioms(g, tol * scale)
+        assert blocks[0] > 0
         assert report.superadditive is not cut
         assert report.to_dict() == check_axioms_reference(g, tol * scale).to_dict()
 

@@ -22,10 +22,14 @@ The axiom and incentive reports must equal the submask-loop references
 exactly, witnesses and tie-breaks included, on tables with many ties,
 and on convex, large-magnitude, superadditive-but-not-convex and
 failing tables, which the superadditivity certificate either settles or
-must leave to the scan.  The blocked superadditivity scan is held to the
-same reference on n = 1-11 tables, whole-number ones with many exactly
-tied gaps among them, at tol 0 and 1e-9.
+must leave to the scan, and on tables with max|v| below 2**-960 or
+above 2**1020, which get no certificate and no bounds.  The blocked
+superadditivity scan is held to the same reference on n = 1-11 tables,
+whole-number ones with many exactly tied gaps among them, at tol 0 and
+1e-9.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -322,7 +326,7 @@ def test_shared_factors_match_per_value_factorizations(case):
 def certificate_cases(draw):
     """Tables the superadditivity certificate settles, and ones it must leave to the scan."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["convex", "large convex", "superadditive", "failing"]))
+    kind = draw(st.sampled_from(["convex", "large convex", "superadditive", "failing", "tiny", "huge"]))
     if kind == "superadditive":  # v(S) = g(|S|), superadditive with a negative second difference
         n = draw(st.integers(3, 4))
         g = np.array([0.0, 1.0, 2.5, 3.6, 5.0])
@@ -332,14 +336,20 @@ def certificate_cases(draw):
         dividends = rng.uniform(0.0, 1.0, size=1 << n)
         dividends[rng.uniform(size=1 << n) < draw(st.sampled_from([0.0, 0.7, 1.0]))] = 0.0
         dividends[1 << np.arange(n)] = rng.uniform(0.0, 1.0, size=n)
-        if kind == "failing" and n > 1:  # one multi-member dividend pushed below 0
+        failing = kind == "failing" or (kind in ("tiny", "huge") and draw(st.booleans()))
+        if failing and n > 1:  # one multi-member dividend pushed below 0
             shared = [mask for mask in range(1 << n) if mask & (mask - 1)]
             dividends[rng.choice(shared)] -= rng.uniform(0.0, 2.0)
         dividends[0] = 0.0
         table = subset_sums(dividends)
         if kind == "large convex":
             table *= 10.0 ** draw(st.integers(6, 12))
-    return n, table, draw(st.sampled_from([0.0, 1e-9, 0.5]))
+    tol = draw(st.sampled_from([0.0, 1e-9, 0.5]))
+    if kind in ("tiny", "huge"):  # max|v| below 2**-960 or above 2**1020: no certificate, no bounds
+        top = float(np.abs(table).max())  # tol is relative to it here, so it scales without overflow
+        shift = (-1000 if kind == "tiny" else 1022) - math.frexp(top)[1]
+        table, tol = np.ldexp(table, shift), math.ldexp(tol * top, shift)
+    return n, table, tol
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
